@@ -156,32 +156,48 @@ def validate_game(spec: GameSpec, enforce_assumption_a: bool = True) -> list[str
         return violations
 
     everyone = Coalition.everyone(spec.num_players)
+    by_player = [
+        (
+            i,
+            spec.payoff(i, everyone).values,
+            [(c, spec.payoff(i, c).values) for c in coalitions],
+        )
+        for i in spec.players
+    ]
     for leaf in spec.tree.leaves:
-        for i in spec.players:
-            terminal = spec.payoff(i, everyone).at(leaf.id)
-            for coalition in coalitions:
-                if spec.payoff(i, coalition).at(leaf.id) != terminal:
+        for i, everyone_values, coalition_values in by_player:
+            terminal = everyone_values[leaf.id]
+            for coalition, values in coalition_values:
+                if values[leaf.id] != terminal:
                     violations.append(
                         f"terminal coincidence: player {i}, coalition "
                         f"{coalition.players} at leaf {leaf.id} is "
-                        f"{spec.payoff(i, coalition).at(leaf.id)}, expected {terminal}"
+                        f"{values[leaf.id]}, expected {terminal}"
                     )
 
     if enforce_assumption_a:
+        pairs = [
+            (
+                i,
+                j,
+                spec.payoff(i, Coalition.of((i, j))).values,
+                spec.payoff(i, Coalition.of((j,))).values,
+            )
+            for i in spec.players
+            for j in spec.players
+            if i != j
+        ]
         for node in spec.tree.nodes:
             if node.time >= spec.horizon:
                 continue
-            for i in spec.players:
-                for j in spec.players:
-                    if i == j:
-                        continue
-                    joint = spec.payoff(i, Coalition.of((i, j))).at(node.id)
-                    alone = spec.payoff(i, Coalition.of((j,))).at(node.id)
-                    if joint > alone:
-                        violations.append(
-                            f"joint-stop hypothesis: player {i} vs {j} at node "
-                            f"{node.id}: X(i,{{i,j}})={joint} > X(i,{{j}})={alone}"
-                        )
+            for i, j, joint_values, alone_values in pairs:
+                joint = joint_values[node.id]
+                alone = alone_values[node.id]
+                if joint > alone:
+                    violations.append(
+                        f"joint-stop hypothesis: player {i} vs {j} at node "
+                        f"{node.id}: X(i,{{i,j}})={joint} > X(i,{{j}})={alone}"
+                    )
     return violations
 
 

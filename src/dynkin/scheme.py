@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .games import Coalition, GameSpec, StrategyProfile, validate_game
-from .snell import eps_optimal_rule, snell_envelope
+from .snell import ScaledEnvelope, integer_snell
 from .trees import (
     NEVER_RULE,
     AdaptedProcess,
@@ -70,7 +70,7 @@ class SchemeStep:
     theta: StoppingRule
     coalition_at_theta: dict[NodeId, Coalition]
     stage_reward: AdaptedProcess
-    envelope: AdaptedProcess
+    envelope: ScaledEnvelope
     mu: StoppingRule
     tau: StoppingRule
 
@@ -95,6 +95,10 @@ class EquilibriumProfile:
     tree: ScenarioTree
     config: SchemeConfig
     initialized_at_horizon: bool = False
+
+
+class SweepInvariantError(RuntimeError):
+    """A step or round broke an identity the sweep provably maintains."""
 
 
 class ConvergenceError(RuntimeError):
@@ -145,7 +149,7 @@ def build_stage_reward(
     solo = spec.payoff(player, Coalition.of((player,)))
     values: dict[NodeId, Fraction] = {}
     frozen: dict[NodeId, Fraction] = {}
-    for node in sorted(spec.tree.nodes, key=lambda n: n.time):
+    for node in spec.tree.index.nodes:
         if node.id in coalition_at:
             coalition = coalition_at[node.id]
             join = spec.payoff(player, coalition.with_member(player)).at(node.id)
@@ -170,8 +174,9 @@ def _updated_tau(
 
     Also evaluates the unsimplified update
     (mu & previous) where that precedes theta, else previous
-    and asserts both agree; they provably do because the fresh answer never
-    comes later than the player's previous rule.
+    and raises :class:`SweepInvariantError` unless both agree; they
+    provably do because the fresh answer never comes later than the
+    player's previous rule.
     """
     times: dict[NodeId, float] = {}
     for leaf in tree.leaves:
@@ -180,10 +185,11 @@ def _updated_tau(
         prev = previous.stop_time(tree, leaf.id)
         simplified = m if m < th else prev
         raw = min(m, prev) if min(m, prev) < th else prev
-        assert simplified == raw, (
-            f"tau update forms disagree on leaf {leaf.id}: "
-            f"mu={m} theta={th} previous={prev}"
-        )
+        if simplified != raw:
+            raise SweepInvariantError(
+                f"tau update forms disagree on leaf {leaf.id}: "
+                f"mu={m} theta={th} previous={prev}"
+            )
         times[leaf.id] = simplified
     return rule_from_path_times(tree, times)
 
@@ -198,8 +204,7 @@ def scheme_step(spec: GameSpec, config: SchemeConfig, state: SchemeState) -> Sch
     }
     theta = min_of_rules(spec.tree, list(others.values()))
     stage_reward, coalition_at = build_stage_reward(spec, player, theta, others)
-    envelope = snell_envelope(spec.tree, stage_reward)
-    mu = eps_optimal_rule(spec.tree, stage_reward, envelope, config.epsilon)
+    envelope, mu = integer_snell(spec.tree, stage_reward, config.epsilon)
     tau = _updated_tau(spec.tree, mu, theta, state.taus[player - 1])
     return SchemeStep(
         n=state.n,
@@ -260,12 +265,16 @@ def run_scheme(
         rounds += 1
         if stationary:
             break
-        # paranoia: a round must never push any player's rule later
+        # a round must never push any player's rule later
         for p in spec.players:
             for leaf in spec.tree.leaves:
-                assert state.taus[p - 1].stop_time(spec.tree, leaf.id) <= before[
-                    p - 1
-                ].stop_time(spec.tree, leaf.id)
+                now = state.taus[p - 1].stop_time(spec.tree, leaf.id)
+                then = before[p - 1].stop_time(spec.tree, leaf.id)
+                if now > then:
+                    raise SweepInvariantError(
+                        f"round {rounds} moved player {p}'s stop on leaf "
+                        f"{leaf.id} later ({then} -> {now})"
+                    )
 
     uncapped = StrategyProfile(state.taus)
     return EquilibriumProfile(

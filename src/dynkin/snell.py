@@ -10,17 +10,26 @@ Its root value is the optimal stopping value, and stopping the first time
 ``envelope <= reward + eps`` loses at most ``eps`` of it.  On a finite tree
 the threshold always triggers by the terminal stage, and ``eps = 0`` is
 allowed and exactly optimal.
+
+The sweep calls :func:`integer_snell`, which computes the envelope and the
+rule together in scaled integers; :func:`snell_envelope` and
+:func:`eps_optimal_rule` keep the plain ``Fraction`` recursion, which the
+certifier uses and the tests treat as the reference.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .trees import (
     AdaptedProcess,
+    NodeId,
     ScenarioTree,
     StoppingRule,
+    TreeIndex,
     canonicalize_rule,
     one_step_expectation,
 )
@@ -69,6 +78,78 @@ def eps_optimal_rule(
         if envelope.at(node.id) <= reward.at(node.id) + epsilon
     }
     return canonicalize_rule(tree, flags)
+
+
+class ScaledEnvelope(NamedTuple):
+    """Envelope values kept as the integers :func:`integer_snell` computed.
+
+    The node at position ``p`` of ``index``, at stage ``t``, has the value
+    ``scaled[p] / (denominator * index.scale[t])``; it becomes a
+    ``Fraction`` only when read.
+    """
+
+    index: TreeIndex
+    scaled: tuple[int, ...]
+    denominator: int
+
+    def at(self, node_id: NodeId) -> Fraction:
+        pos = self.index.position[node_id]
+        scale = self.index.scale[self.index.stage_of(pos)]
+        return Fraction(self.scaled[pos], self.denominator * scale)
+
+
+def integer_snell(
+    tree: ScenarioTree, reward: AdaptedProcess, epsilon: Fraction
+) -> tuple[ScaledEnvelope, StoppingRule]:
+    """Envelope and first-entry rule of ``envelope <= reward + epsilon``.
+
+    Exactly what :func:`snell_envelope` then :func:`eps_optimal_rule`
+    return, computed on ``int``.  With ``D`` the lcm of the reward's and
+    epsilon's denominators, a stage-``t`` value ``X`` is carried as
+    ``X * D * index.scale[t]``, so the recursion becomes
+    ``W(v) = max(U(v), sum_k c_k * W(k))`` with the integer child weights
+    ``c_k`` of the tree index.  The rule is then one top-down pass: the
+    nodes inside the threshold region that have no ancestor inside it.
+    """
+    if epsilon < 0:
+        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    index = tree.index
+    nodes = index.nodes
+    rewards = [reward.values[node.id] for node in nodes]
+    d = math.lcm(epsilon.denominator, *[u.denominator for u in rewards])
+
+    children, weights, start = index.children, index.child_weights, index.stage_start
+    envelope = [0] * len(nodes)
+    inside = [False] * len(nodes)
+    for t in range(index.horizon, -1, -1):
+        s = d * index.scale[t]
+        slack = epsilon.numerator * (s // epsilon.denominator)
+        for pos in range(start[t], start[t + 1]):
+            u = rewards[pos]
+            u = u.numerator * (s // u.denominator)
+            kids = children[pos]
+            if kids:
+                w = 0
+                for k, c in zip(kids, weights[pos]):
+                    w += c * envelope[k]
+                if w < u:
+                    w = u
+            else:
+                w = u
+            envelope[pos] = w
+            inside[pos] = w <= u + slack
+
+    parent = index.parent
+    stopped = inside[:1]  # stopped[p]: the root path of p enters the region
+    stops = [nodes[0].id] if inside[0] else []
+    for pos in range(1, len(nodes)):
+        if stopped[parent[pos]]:
+            stopped.append(True)
+        else:
+            stopped.append(inside[pos])
+            if inside[pos]:
+                stops.append(nodes[pos].id)
+    return ScaledEnvelope(index, tuple(envelope), d), StoppingRule(frozenset(stops))
 
 
 def optimal_value(tree: ScenarioTree, reward: AdaptedProcess) -> Fraction:

@@ -12,10 +12,11 @@ this package ever rounds.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 NodeId = int
 
@@ -35,6 +36,97 @@ class Node:
     time: int
     parent: NodeId | None
     branch_prob: Fraction
+
+
+class TreeIndex(NamedTuple):
+    """Dense top-down view of a well-linked tree, built once per tree.
+
+    Positions ``0..n-1`` list the nodes in time order (breadth first from
+    the root, so every parent precedes its children and stage ``t`` is the
+    slice ``stage_start[t]:stage_start[t + 1]``).  Children keep the order
+    of ``ScenarioTree.children``; leaves keep the order of ``tree.nodes``.
+
+    The integer scales let expectations run on ``int``: with ``B_t`` the
+    lcm of the branch-probability denominators of the stage-``t + 1``
+    nodes, ``child_weights[v][k] = p_k * B_t`` is an integer, and
+    ``scale[t] = B_t * ... * B_{H-1}`` (1 at the horizon) makes
+    ``sum_k c_k * X(k) * scale[t + 1] == scale[t] * sum_k p_k * X(k)``
+    with ``c_k`` the child weights of a stage-``t`` node.
+    """
+
+    nodes: tuple[Node, ...]
+    position: dict[NodeId, int]
+    parent: tuple[int, ...]  # parent position, -1 at the root
+    children: tuple[tuple[int, ...], ...]
+    child_weights: tuple[tuple[int, ...], ...]
+    stage_start: tuple[int, ...]
+    scale: tuple[int, ...]
+    leaves: tuple[Node, ...]
+    path_prob: tuple[Fraction, ...]
+
+    @property
+    def horizon(self) -> int:
+        return len(self.stage_start) - 2
+
+    def stage_of(self, pos: int) -> int:
+        return bisect.bisect_right(self.stage_start, pos) - 1
+
+
+def _build_index(tree: "ScenarioTree") -> TreeIndex:
+    """Index a tree whose ids are unique and whose parent links all lead to
+    a single root; raise ValueError otherwise."""
+    roots = [n for n in tree.nodes if n.parent is None]
+    if len(roots) != 1:
+        raise ValueError(f"tree has {len(roots)} roots, expected exactly 1")
+    order = [roots[0]]
+    position = {roots[0].id: 0}
+    depth = [0]
+    for pos, node in enumerate(order):  # grows while iterating: breadth first
+        for kid in tree.children(node.id):
+            position[kid.id] = len(order)
+            order.append(kid)
+            depth.append(depth[pos] + 1)
+    if len(position) != len(order) or len(order) != len(tree.nodes):
+        raise ValueError("tree ids are not unique or not all linked to the root")
+
+    horizon = depth[-1]
+    stage_start = [0] * (horizon + 2)
+    for pos, d in enumerate(depth):
+        stage_start[d + 1] = pos + 1
+    stage_lcm = [1] * (horizon + 1)
+    for node, d in zip(order, depth):
+        if d:
+            stage_lcm[d - 1] = math.lcm(stage_lcm[d - 1], node.branch_prob.denominator)
+    scale = [1] * (horizon + 1)
+    for t in range(horizon - 1, -1, -1):
+        scale[t] = scale[t + 1] * stage_lcm[t]
+
+    parent = [-1] * len(order)
+    children: list[tuple[int, ...]] = []
+    child_weights: list[tuple[int, ...]] = []
+    path_prob = [order[0].branch_prob] * len(order)  # all but the root's get overwritten
+    for pos, node in enumerate(order):
+        kids = tuple(position[k.id] for k in tree.children(node.id))
+        b = stage_lcm[depth[pos]]
+        weights = []
+        for k in kids:
+            p = order[k].branch_prob
+            parent[k] = pos
+            path_prob[k] = path_prob[pos] * p
+            weights.append(p.numerator * (b // p.denominator))
+        children.append(kids)
+        child_weights.append(tuple(weights))
+    return TreeIndex(
+        nodes=tuple(order),
+        position=position,
+        parent=tuple(parent),
+        children=tuple(children),
+        child_weights=tuple(child_weights),
+        stage_start=tuple(stage_start),
+        scale=tuple(scale),
+        leaves=tuple(n for n in tree.nodes if not tree.children(n.id)),
+        path_prob=tuple(path_prob),
+    )
 
 
 @dataclass(frozen=True)
@@ -62,9 +154,19 @@ class ScenarioTree:
             self, "_children", {i: tuple(c) for i, c in children.items()}
         )
         object.__setattr__(self, "_path_cache", {})
-        object.__setattr__(self, "_prob_cache", {})
+        object.__setattr__(self, "_index", None)
 
     # -- structure ---------------------------------------------------------
+
+    @property
+    def index(self) -> TreeIndex:
+        """The tree's :class:`TreeIndex` (memoized); raises ValueError
+        unless ids are unique and every node links up to a single root."""
+        index = self._index  # type: ignore[attr-defined]
+        if index is None:
+            index = _build_index(self)
+            object.__setattr__(self, "_index", index)
+        return index
 
     def node(self, node_id: NodeId) -> Node:
         try:
@@ -83,18 +185,15 @@ class ScenarioTree:
 
     @property
     def root(self) -> Node:
-        roots = [n for n in self.nodes if n.parent is None]
-        if len(roots) != 1:
-            raise ValueError(f"tree has {len(roots)} roots, expected exactly 1")
-        return roots[0]
+        return self.index.nodes[0]
 
     @property
     def horizon(self) -> int:
-        return max(n.time for n in self.nodes)
+        return self.index.horizon
 
     @property
     def leaves(self) -> tuple[Node, ...]:
-        return tuple(n for n in self.nodes if self.is_leaf(n.id))
+        return self.index.leaves
 
     def nodes_at(self, time: int) -> tuple[Node, ...]:
         return tuple(n for n in self.nodes if n.time == time)
@@ -104,20 +203,20 @@ class ScenarioTree:
         cache: dict = self._path_cache  # type: ignore[attr-defined]
         path = cache.get(node_id)
         if path is None:
-            node = self.node(node_id)
-            path = (node,) if node.parent is None else self.path_to(node.parent) + (node,)
+            index = self.index
+            nodes, parent = index.nodes, index.parent
+            pos = index.position[node_id]
+            below = []
+            while pos >= 0:
+                below.append(nodes[pos])
+                pos = parent[pos]
+            path = tuple(reversed(below))
             cache[node_id] = path
         return path
 
     def path_probability(self, leaf_id: NodeId) -> Fraction:
-        cache: dict = self._prob_cache  # type: ignore[attr-defined]
-        prob = cache.get(leaf_id)
-        if prob is None:
-            prob = Fraction(1)
-            for node in self.path_to(leaf_id):
-                prob *= node.branch_prob
-            cache[leaf_id] = prob
-        return prob
+        index = self.index
+        return index.path_prob[index.position[leaf_id]]
 
 
 def validate_tree(tree: ScenarioTree) -> list[str]:

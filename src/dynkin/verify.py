@@ -38,6 +38,10 @@ class CapExceededError(RuntimeError):
     """An enumeration would exceed its configured size cap."""
 
 
+class CertificationError(RuntimeError):
+    """The certifier's own computations contradict each other."""
+
+
 @dataclass(frozen=True)
 class NepCertificate:
     """Per-player best-response gap report for one profile.
@@ -60,15 +64,14 @@ def count_rules(tree: ScenarioTree) -> int:
     Product recursion over subtrees: a subtree's rules either stop at its
     root or combine independent choices in the child subtrees.
     """
-
-    def subtree(node_id: NodeId) -> int:
-        kids = tree.children(node_id)
+    index = tree.index
+    counts = [0] * len(index.nodes)
+    for pos in range(len(counts) - 1, -1, -1):  # children before parents
         total = 1
-        for kid in kids:
-            total *= subtree(kid.id)
-        return total + 1
-
-    return subtree(tree.root.id)
+        for kid in index.children[pos]:
+            total *= counts[kid]
+        counts[pos] = total + 1
+    return counts[0]
 
 
 def enumerate_rules(tree: ScenarioTree, cap: int = DEFAULT_RULE_CAP) -> list[StoppingRule]:
@@ -82,14 +85,17 @@ def enumerate_rules(tree: ScenarioTree, cap: int = DEFAULT_RULE_CAP) -> list[Sto
     if total > cap:
         raise CapExceededError(f"tree admits {total} stopping rules, cap is {cap}")
 
-    def subtree(node_id: NodeId) -> list[frozenset[NodeId]]:
-        choices: list[frozenset[NodeId]] = [frozenset((node_id,))]
-        kid_sets = [subtree(k.id) for k in tree.children(node_id)]
+    index = tree.index
+    subtree: list = [None] * len(index.nodes)
+    for pos in range(len(subtree) - 1, -1, -1):  # children before parents
+        choices: list[frozenset[NodeId]] = [frozenset((index.nodes[pos].id,))]
+        kid_sets = [subtree[k] for k in index.children[pos]]
         for combo in itertools.product(*kid_sets):
             choices.append(frozenset().union(*combo))
-        return choices
-
-    return [StoppingRule(s) for s in subtree(tree.root.id)]
+        subtree[pos] = choices
+        for k in index.children[pos]:
+            subtree[k] = None
+    return [StoppingRule(s) for s in subtree[0]]
 
 
 def deviation_reward(
@@ -168,7 +174,11 @@ def certify(
         best_response_value(spec, profile, i)[0] for i in spec.players
     )
     gains = tuple(b - a for b, a in zip(best, achieved))
-    assert all(g >= 0 for g in gains)
+    for i, (b, a) in enumerate(zip(best, achieved), start=1):
+        if b < a:
+            raise CertificationError(
+                f"player {i}: best response {b} falls below the achieved payoff {a}"
+            )
     return NepCertificate(
         epsilon=epsilon,
         achieved=achieved,

@@ -38,15 +38,20 @@ def path_process(tree: ScenarioTree, *values) -> AdaptedProcess:
 
 
 @st.composite
-def rationals(draw, lo: int = -4, hi: int = 4) -> Fraction:
-    denominator = draw(st.sampled_from((1, 2, 3, 4, 8)))
+def rationals(
+    draw, lo: int = -4, hi: int = 4, denominators: tuple[int, ...] = (1, 2, 3, 4, 8)
+) -> Fraction:
+    denominator = draw(st.sampled_from(denominators))
     numerator = draw(st.integers(lo * denominator, hi * denominator))
     return Fraction(numerator, denominator)
 
 
 @st.composite
-def scenario_trees(draw, max_depth: int = 3, max_nodes: int = 12) -> ScenarioTree:
-    """Uniform-depth trees within a node budget, arbitrary fanout 1..3."""
+def scenario_trees(
+    draw, max_depth: int = 3, max_nodes: int = 12, max_weight: int = 6
+) -> ScenarioTree:
+    """Uniform-depth trees within a node budget, arbitrary fanout 1..3,
+    branch probabilities from integer weights 1..max_weight."""
     depth = draw(st.integers(1, max_depth))
     nodes = [Node(id=0, time=0, parent=None, branch_prob=Fraction(1))]
     frontier = [0]
@@ -60,7 +65,7 @@ def scenario_trees(draw, max_depth: int = 3, max_nodes: int = 12) -> ScenarioTre
             largest = max(1, slack // (1 + levels_after))
             fanout = draw(st.integers(1, min(3, largest)))
             weights = draw(
-                st.lists(st.integers(1, 6), min_size=fanout, max_size=fanout)
+                st.lists(st.integers(1, max_weight), min_size=fanout, max_size=fanout)
             )
             total = sum(weights)
             for w in weights:

@@ -230,3 +230,44 @@ def test_solve_from_game_file(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["certificate"]["is_eps_nep"] is True
+
+
+def write_chain_game(tmp_path, horizon):
+    """Two-player single-path game; every coalition is paid t/horizon at stage t."""
+    nodes = [{"id": 0, "time": 0, "parent": None, "prob": "1"}]
+    nodes += [
+        {"id": t, "time": t, "parent": t - 1, "prob": "1"} for t in range(1, horizon + 1)
+    ]
+    values = {str(t): str(Fraction(t, horizon)) for t in range(horizon + 1)}
+    path = tmp_path / "chain.json"
+    path.write_text(
+        json.dumps(
+            {
+                "schema_version": "1",
+                "players": 2,
+                "horizon": horizon,
+                "tree": {"nodes": nodes},
+                "payoffs": [],
+                "default_payoff": {"values": values},
+            }
+        )
+    )
+    return str(path)
+
+
+def test_solve_deep_chain(capsys, tmp_path):
+    game = write_chain_game(tmp_path, 3000)
+    code, out, _ = run_cli(capsys, "solve", "--game", game, "--epsilon", "0")
+    assert code == 0
+    report = json.loads(out)
+    assert report["profile"]["capped"][0] == {"player": 1, "stops": [3000]}
+    assert report["expected_payoffs"] == ["1", "1"]
+
+
+def test_enumerate_deep_chain_hits_cap(capsys, tmp_path):
+    game = write_chain_game(tmp_path, 3000)
+    code, _, err = run_cli(
+        capsys, "enumerate", "--game", game, "--epsilon", "0", "--cap", "10"
+    )
+    assert code == 4
+    assert "tree admits 3002 stopping rules, cap is 10" in err

@@ -5,9 +5,11 @@ import pytest
 
 from dynkin.games import Coalition, expected_payoffs, realized_outcome
 from dynkin.randomgen import random_game
+from dynkin import scheme
 from dynkin.scheme import (
     ConvergenceError,
     SchemeConfig,
+    SweepInvariantError,
     build_stage_reward,
     initial_state,
     run_scheme,
@@ -213,3 +215,31 @@ def test_random_games_converge_and_only_move_earlier():
                 if key in by_player:
                     assert t <= by_player[key]
                 by_player[key] = t
+
+
+def test_tau_update_forms_must_agree(monkeypatch, deterministic_game):
+    # answers that stop at the root first and at the horizon afterwards make
+    # player 1's second answer come later than their rule, with nobody else
+    # stopping: the simplified update takes it, the raw one keeps the root
+    answers = []
+
+    def fake_kernel(tree, reward, epsilon):
+        answers.append(0 if not answers else tree.horizon)
+        return None, stop_everywhere_at(tree, answers[-1])
+
+    monkeypatch.setattr(scheme, "integer_snell", fake_kernel)
+    with pytest.raises(SweepInvariantError, match="tau update forms disagree"):
+        run_scheme(deterministic_game, SchemeConfig())
+
+
+def test_round_must_not_move_a_rule_later(monkeypatch, deterministic_game):
+    update = scheme._updated_tau
+
+    def forgetful_update(tree, mu, theta, previous):
+        if previous.is_never:
+            return update(tree, mu, theta, previous)
+        return NEVER_RULE
+
+    monkeypatch.setattr(scheme, "_updated_tau", forgetful_update)
+    with pytest.raises(SweepInvariantError, match="later"):
+        run_scheme(deterministic_game, SchemeConfig())

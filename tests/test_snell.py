@@ -1,10 +1,13 @@
 from fractions import Fraction
+from random import Random
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from dynkin.snell import (
     eps_optimal_rule,
+    integer_snell,
     is_supermartingale_dominating,
     optimal_value,
     snell_envelope,
@@ -12,11 +15,21 @@ from dynkin.snell import (
 )
 from dynkin.trees import (
     AdaptedProcess,
+    Node,
+    ScenarioTree,
     expectation_under_rule,
     one_step_expectation,
 )
 from dynkin.verify import enumerate_rules
-from gens import path_process, single_path_tree, tree_with_process
+from gens import (
+    path_process,
+    rationals,
+    scenario_trees,
+    single_path_tree,
+    tree_with_process,
+)
+
+KERNEL_DENOMINATORS = (1, 2, 3, 5, 7, 11, 13, 97)
 
 
 def test_envelope_single_path_small_peak():
@@ -145,3 +158,56 @@ def test_zero_epsilon_rule_is_exactly_optimal():
     result = solve_stopping(tree, reward, Fraction(0))
     assert expectation_under_rule(tree, reward, result.eps_rule) == result.value
     assert result.eps_rule.stop_set == frozenset({2})
+
+
+def assert_kernel_matches_reference(tree, reward, epsilon):
+    envelope = snell_envelope(tree, reward)
+    scaled, rule = integer_snell(tree, reward, epsilon)
+    assert {n.id: scaled.at(n.id) for n in tree.nodes} == envelope.values
+    assert rule == eps_optimal_rule(tree, reward, envelope, epsilon)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_integer_kernel_equals_fraction_reference(data):
+    tree = data.draw(scenario_trees(max_depth=4, max_nodes=20, max_weight=9))
+    reward = AdaptedProcess(
+        {
+            node.id: data.draw(rationals(denominators=KERNEL_DENOMINATORS))
+            for node in tree.nodes
+        }
+    )
+    envelope = snell_envelope(tree, reward)
+    # the tree's own margins put ties exactly at epsilon, and ties stop
+    margins = sorted({envelope.at(n.id) - reward.at(n.id) for n in tree.nodes})
+    epsilon = data.draw(st.sampled_from([Fraction(0), Fraction(1, 3), *margins]))
+    assert_kernel_matches_reference(tree, reward, epsilon)
+
+
+def test_integer_kernel_on_a_deep_path_with_thirds_near_the_root():
+    """200 stages; each of the first 20 spine nodes sends 1/3 on along the
+    spine and 2/3 into a chain of its own, so the stage-0 scale is 3**20."""
+    horizon, branching = 200, 20
+    nodes = [Node(id=0, time=0, parent=None, branch_prob=Fraction(1))]
+    frontier = [0]
+    for t in range(1, horizon + 1):
+        new = []
+        for k, parent in enumerate(frontier):
+            split = t <= branching and k == 0  # only the spine branches
+            for prob in (Fraction(1, 3), Fraction(2, 3)) if split else (Fraction(1),):
+                nodes.append(Node(id=len(nodes), time=t, parent=parent, branch_prob=prob))
+                new.append(len(nodes) - 1)
+        frontier = new
+    tree = ScenarioTree(tuple(nodes))
+    assert tree.index.scale[0] == 3**branching
+    rng = Random(5)
+    reward = AdaptedProcess(
+        {
+            node.id: Fraction(rng.randint(-400, 400), rng.choice(KERNEL_DENOMINATORS))
+            for node in tree.nodes
+        }
+    )
+    envelope = snell_envelope(tree, reward)
+    margin = envelope.at(0) - reward.at(0)
+    for epsilon in (Fraction(0), Fraction(1, 3), margin):
+        assert_kernel_matches_reference(tree, reward, epsilon)

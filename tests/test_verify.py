@@ -6,8 +6,10 @@ import pytest
 from dynkin.games import StrategyProfile, expected_payoffs
 from dynkin.scheme import SchemeConfig, run_scheme
 from dynkin.trees import NEVER_RULE, StoppingRule, stop_everywhere_at
+from dynkin import verify
 from dynkin.verify import (
     CapExceededError,
+    CertificationError,
     best_response_value,
     certify,
     check_trace_invariants,
@@ -190,3 +192,14 @@ def test_trace_invariants_catch_injected_fault(deterministic_game):
     trace[3] = corrupted
     violations = check_trace_invariants(tuple(trace), result)
     assert any("tau increased" in v for v in violations)
+
+
+def test_certify_raises_on_a_negative_gain(monkeypatch, deterministic_game):
+    # a best response below the achieved payoff contradicts the certifier itself
+    def low_best_response(spec, profile, player):
+        return Fraction(-9), NEVER_RULE
+
+    monkeypatch.setattr(verify, "best_response_value", low_best_response)
+    profile = StrategyProfile((NEVER_RULE,) * 3)
+    with pytest.raises(CertificationError, match="player 1: best response -9 falls"):
+        certify(deterministic_game, profile, Fraction(0))
