@@ -82,6 +82,15 @@ def _parse_values(
     return values
 
 
+def _short_of_total(players: int, count: int) -> bool:
+    """True when ``count < players * (2^players - 1)``, the number of
+    (player, coalition) pairs; 2^players is formed only when it is at most
+    about twice ``count``."""
+    if players > count.bit_length():
+        return True
+    return count < players * ((1 << players) - 1)
+
+
 def parse_game(text: str, enforce_assumption_a: bool = True) -> GameSpec:
     """Parse and fully validate a game document.
 
@@ -130,6 +139,18 @@ def parse_game(text: str, enforce_assumption_a: bool = True) -> GameSpec:
             )
         values = _parse_values(raw.get("values"), tree, f"{here}.values")
         payoffs[(player, coalition)] = AdaptedProcess(values)
+
+    # listing every missing pair, as validation does, costs 2^N time and text
+    if (
+        "default_payoff" not in doc
+        and players >= 2
+        and _short_of_total(players, len(payoffs))
+    ):
+        raise DocumentError(
+            f"document.payoffs: payoffs not total: {players} players need "
+            f"{players} * (2^{players} - 1) (player, coalition) entries, the "
+            f"document lists {len(payoffs)} and has no default_payoff"
+        )
 
     if "default_payoff" in doc:
         raw_default = doc["default_payoff"]

@@ -26,6 +26,7 @@ from .trees import (
     ScenarioTree,
     Stage,
     StoppingRule,
+    leaf_stop_nodes,
     min_of_rules,
     stop_everywhere_at,
     validate_tree,
@@ -222,12 +223,22 @@ def expected_payoffs(spec: GameSpec, profile: StrategyProfile) -> tuple[Fraction
 
     On never-stopped paths each player collects the all-players value at
     the leaf, which every coalition process shares by terminal coincidence.
+    Each leaf's stage and coalition are those of :func:`realized_outcome`,
+    read from the players' :func:`leaf_stop_nodes` vectors.
     """
+    tree = spec.tree
+    everyone = Coalition.everyone(spec.num_players)
+    stops = [leaf_stop_nodes(tree, rule) for rule in profile.rules]
     totals = [Fraction(0) for _ in spec.players]
-    for leaf in spec.tree.leaves:
-        prob = spec.tree.path_probability(leaf.id)
-        stage, coalition = realized_outcome(spec, profile, leaf.id)
-        node_id = leaf.id if stage == NEVER else spec.tree.path_to(leaf.id)[int(stage)].id
+    for k, leaf in enumerate(tree.leaves):
+        times = [NEVER if row[k] is None else row[k].time for row in stops]
+        stage = min(times)
+        if stage == NEVER:
+            node_id, coalition = leaf.id, everyone
+        else:
+            members = tuple(i for i, t in enumerate(times, start=1) if t == stage)
+            node_id, coalition = stops[members[0] - 1][k].id, Coalition(members)
+        prob = tree.path_probability(leaf.id)
         for i in spec.players:
             totals[i - 1] += prob * spec.payoff(i, coalition).at(node_id)
     return tuple(totals)

@@ -47,7 +47,7 @@ class SnellResult:
 def snell_envelope(tree: ScenarioTree, reward: AdaptedProcess) -> AdaptedProcess:
     """Backward recursion over stages, deepest first."""
     values: dict = {}
-    for node in sorted(tree.nodes, key=lambda n: -n.time):
+    for node in reversed(tree.index.nodes):  # children before parents
         kids = tree.children(node.id)
         if not kids:
             values[node.id] = reward.at(node.id)

@@ -195,9 +195,6 @@ class ScenarioTree:
     def leaves(self) -> tuple[Node, ...]:
         return self.index.leaves
 
-    def nodes_at(self, time: int) -> tuple[Node, ...]:
-        return tuple(n for n in self.nodes if n.time == time)
-
     def path_to(self, node_id: NodeId) -> tuple[Node, ...]:
         """Nodes from the root down to ``node_id``, inclusive (memoized)."""
         cache: dict = self._path_cache  # type: ignore[attr-defined]
@@ -338,6 +335,27 @@ class StoppingRule:
 NEVER_RULE = StoppingRule(frozenset())
 
 
+def leaf_stop_nodes(tree: ScenarioTree, rule: StoppingRule) -> list[Node | None]:
+    """The rule's first stop node on every leaf's root path, in
+    ``tree.leaves`` order (None where it never stops).
+
+    Equal to ``rule.stop_node(tree, leaf.id)`` leaf by leaf, from one
+    top-down pass over the index instead of one root walk per leaf.
+    """
+    index = tree.index
+    stop_set = rule.stop_set
+    parent = index.parent
+    first: list[Node | None] = [None] * len(index.nodes)
+    for pos, node in enumerate(index.nodes):
+        above = first[parent[pos]] if pos else None
+        if above is not None:
+            first[pos] = above
+        elif node.id in stop_set:
+            first[pos] = node
+    position = index.position
+    return [first[position[leaf.id]] for leaf in index.leaves]
+
+
 def _check_rule_on_tree(tree: ScenarioTree, rule: StoppingRule) -> None:
     unknown = [i for i in rule.stop_set if i not in tree]
     if unknown:
@@ -410,9 +428,10 @@ def min_of_rules(tree: ScenarioTree, rules: Sequence[StoppingRule]) -> StoppingR
 
 def stop_everywhere_at(tree: ScenarioTree, time: int) -> StoppingRule:
     """The deterministic rule stopping at the given stage on every path."""
-    nodes = tree.nodes_at(time)
-    if not nodes:
+    index = tree.index
+    if not 0 <= time <= index.horizon:
         raise ValueError(f"tree has no nodes at time {time}")
+    nodes = index.nodes[index.stage_start[time] : index.stage_start[time + 1]]
     return StoppingRule(frozenset(n.id for n in nodes))
 
 

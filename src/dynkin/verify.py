@@ -123,7 +123,7 @@ def deviation_reward(
 
     values: dict[NodeId, Fraction] = {}
     frozen: dict[NodeId, Fraction] = {}
-    for node in sorted(spec.tree.nodes, key=lambda n: n.time):
+    for node in spec.tree.index.nodes:  # parents before children
         if node.parent is not None and node.parent in frozen:
             frozen[node.id] = frozen[node.parent]
             values[node.id] = frozen[node.id]
@@ -146,7 +146,8 @@ def best_response_value(
     with a rule achieving it.
 
     Pass ``cross_check_cap`` to re-derive the value by enumerating every
-    deviation rule through the raw payoff functional and assert agreement.
+    deviation rule through the raw payoff functional; a disagreement
+    raises :class:`CertificationError`.
     """
     reward = deviation_reward(spec, profile, player)
     envelope = snell_envelope(spec.tree, reward)
@@ -158,7 +159,7 @@ def best_response_value(
             for r in enumerate_rules(spec.tree, cross_check_cap)
         )
         if enumerated != best:
-            raise AssertionError(
+            raise CertificationError(
                 f"best response mismatch for player {player}: "
                 f"envelope {best}, enumeration {enumerated}"
             )
@@ -166,13 +167,25 @@ def best_response_value(
 
 
 def certify(
-    spec: GameSpec, profile: StrategyProfile, epsilon: Fraction
+    spec: GameSpec,
+    profile: StrategyProfile,
+    epsilon: Fraction,
+    *,
+    best_responses: Sequence[Fraction] | None = None,
 ) -> NepCertificate:
-    """Best-response analysis of a profile against the equilibrium bar."""
+    """Best-response analysis of a profile against the equilibrium bar.
+
+    ``best_responses`` supplies each player's best-response value against
+    this profile's other rules, as :func:`best_response_value` returns it;
+    when omitted they are computed here.
+    """
     achieved = expected_payoffs(spec, profile)
-    best = tuple(
-        best_response_value(spec, profile, i)[0] for i in spec.players
-    )
+    if best_responses is None:
+        best = tuple(
+            best_response_value(spec, profile, i)[0] for i in spec.players
+        )
+    else:
+        best = tuple(best_responses)
     gains = tuple(b - a for b, a in zip(best, achieved))
     for i, (b, a) in enumerate(zip(best, achieved), start=1):
         if b < a:
@@ -194,15 +207,28 @@ def find_all_eps_neps(
     rule_cap: int = DEFAULT_RULE_CAP,
     profile_cap: int = DEFAULT_PROFILE_CAP,
 ) -> list[tuple[StrategyProfile, NepCertificate]]:
-    """Exhaustive equilibrium search over all canonical profiles."""
+    """Exhaustive equilibrium search over all canonical profiles.
+
+    A player's best response depends only on the other players' rules, so
+    each is computed once per tuple of the others' rules: N * R^(N-1)
+    envelopes for R rules, against R^N certified profiles.
+    """
     rules = enumerate_rules(spec.tree, rule_cap)
     total = len(rules) ** spec.num_players
     if total > profile_cap:
         raise CapExceededError(f"{total} profiles to scan, cap is {profile_cap}")
+    best_by_others: dict[tuple[int, tuple[int, ...]], Fraction] = {}
     found = []
-    for combo in itertools.product(rules, repeat=spec.num_players):
-        profile = StrategyProfile(combo)
-        certificate = certify(spec, profile, epsilon)
+    for picks in itertools.product(range(len(rules)), repeat=spec.num_players):
+        profile = StrategyProfile(tuple(rules[k] for k in picks))
+        best = []
+        for i in spec.players:
+            key = (i, picks[: i - 1] + picks[i:])
+            value = best_by_others.get(key)
+            if value is None:
+                value = best_by_others[key] = best_response_value(spec, profile, i)[0]
+            best.append(value)
+        certificate = certify(spec, profile, epsilon, best_responses=best)
         if certificate.is_eps_nep:
             found.append((profile, certificate))
     return found

@@ -271,3 +271,28 @@ def test_enumerate_deep_chain_hits_cap(capsys, tmp_path):
     )
     assert code == 4
     assert "tree admits 3002 stopping rules, cap is 10" in err
+
+
+def test_many_players_without_default_payoff_fail_fast(capsys, tmp_path):
+    # validation would list every one of the 40 * (2^40 - 1) missing pairs
+    path = tmp_path / "crowd.json"
+    path.write_text(
+        json.dumps(
+            {
+                "schema_version": "1",
+                "players": 40,
+                "horizon": 1,
+                "tree": {
+                    "nodes": [
+                        {"id": 0, "time": 0, "parent": None, "prob": "1"},
+                        {"id": 1, "time": 1, "parent": 0, "prob": "1"},
+                    ]
+                },
+                "payoffs": [],
+            }
+        )
+    )
+    code, _, err = run_cli(capsys, "solve", "--game", str(path), "--epsilon", "0")
+    assert code == 2
+    assert "payoffs not total" in err
+    assert len(err.splitlines()) == 1

@@ -2,6 +2,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynkin.games import (
     Coalition,
@@ -202,3 +204,31 @@ def test_stop_everywhere_at_covers_every_path(walk_game):
     tree = walk_game.tree
     rule = stop_everywhere_at(tree, 2)
     assert all(rule.stop_time(tree, leaf.id) == 2 for leaf in tree.leaves)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_expected_payoffs_equal_the_realized_outcome_sum(data):
+    num_players = data.draw(st.integers(2, 3), label="players")
+    horizon = data.draw(st.integers(1, 3), label="horizon")
+    game = random_game(Random(data.draw(st.integers(0, 2**32 - 1))), num_players, horizon)
+    tree = game.tree
+    ids = [node.id for node in tree.nodes]
+    rules: list[StoppingRule] = []
+    for _ in game.players:
+        if rules and data.draw(st.booleans()):
+            # copy an earlier player's rule: they stop jointly wherever it stops
+            rules.append(data.draw(st.sampled_from(rules)))
+        else:
+            rules.append(canonicalize_rule(tree, data.draw(st.sets(st.sampled_from(ids)))))
+    profile = StrategyProfile(tuple(rules))
+
+    reference = [Fraction(0)] * num_players
+    for leaf in tree.leaves:
+        stage, coalition = realized_outcome(game, profile, leaf.id)
+        node_id = leaf.id if stage == NEVER else tree.path_to(leaf.id)[int(stage)].id
+        for i in game.players:
+            reference[i - 1] += tree.path_probability(leaf.id) * game.payoff(
+                i, coalition
+            ).at(node_id)
+    assert expected_payoffs(game, profile) == tuple(reference)

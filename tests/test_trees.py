@@ -12,6 +12,7 @@ from dynkin.trees import (
     StoppingRule,
     canonicalize_rule,
     expectation_under_rule,
+    leaf_stop_nodes,
     min_of_rules,
     one_step_expectation,
     rule_from_path_times,
@@ -248,3 +249,21 @@ def test_rule_from_path_times_rejects_non_adapted_assignment():
     times[leaves[0]] = 1
     with pytest.raises(ValueError, match="not adapted"):
         rule_from_path_times(tree, times)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree_with_flags())
+def test_leaf_stop_nodes_match_the_root_walks(tf):
+    tree, flags = tf
+    for rule in (canonicalize_rule(tree, flags), StoppingRule(frozenset(flags))):
+        assert leaf_stop_nodes(tree, rule) == [
+            rule.stop_node(tree, leaf.id) for leaf in tree.leaves
+        ]
+
+
+def test_stop_everywhere_at_rejects_stages_outside_the_tree():
+    tree = full_binary_tree(2)
+    assert stop_everywhere_at(tree, 0) == StoppingRule(frozenset({0}))
+    for time in (-1, 3):
+        with pytest.raises(ValueError, match=f"no nodes at time {time}"):
+            stop_everywhere_at(tree, time)

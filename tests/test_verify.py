@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 from fractions import Fraction
 
@@ -203,3 +204,54 @@ def test_certify_raises_on_a_negative_gain(monkeypatch, deterministic_game):
     profile = StrategyProfile((NEVER_RULE,) * 3)
     with pytest.raises(CertificationError, match="player 1: best response -9 falls"):
         certify(deterministic_game, profile, Fraction(0))
+
+
+def test_cross_check_mismatch_raises_certification_error(monkeypatch, deterministic_game):
+    # an enumeration that disagrees with the envelope must not pass as a bare assert
+    def shifted_payoffs(spec, profile):
+        return tuple(v + 1 for v in expected_payoffs(spec, profile))
+
+    monkeypatch.setattr(verify, "expected_payoffs", shifted_payoffs)
+    profile = path_profile(deterministic_game.tree, 1, 2, 2)
+    with pytest.raises(CertificationError, match="best response mismatch for player 2"):
+        best_response_value(deterministic_game, profile, 2, cross_check_cap=64)
+
+
+@pytest.mark.parametrize("game", ["deterministic_game", "one_sided_game", "pennies_game"])
+@pytest.mark.parametrize("epsilon", [Fraction(0), Fraction(1, 2)])
+def test_find_all_equals_certifying_every_profile(request, game, epsilon):
+    spec = request.getfixturevalue(game)
+    rules = enumerate_rules(spec.tree)
+    expected = []
+    for combo in itertools.product(rules, repeat=spec.num_players):
+        profile = StrategyProfile(combo)
+        certificate = certify(spec, profile, epsilon)
+        if certificate.is_eps_nep:
+            expected.append((profile, certificate))
+    assert find_all_eps_neps(spec, epsilon) == expected
+
+
+def test_find_all_computes_one_best_response_per_others_rules(
+    monkeypatch, deterministic_game
+):
+    calls = []
+
+    def counting(spec, profile, player):
+        calls.append(player)
+        return best_response_value(spec, profile, player)
+
+    monkeypatch.setattr(verify, "best_response_value", counting)
+    find_all_eps_neps(deterministic_game, Fraction(0))
+    n = deterministic_game.num_players
+    r = count_rules(deterministic_game.tree)
+    assert len(calls) == n * r ** (n - 1)
+    assert sorted(set(calls)) == [1, 2, 3]
+
+
+def test_find_all_raises_on_a_negative_gain(monkeypatch, deterministic_game):
+    def low_best_response(spec, profile, player):
+        return Fraction(-9), NEVER_RULE
+
+    monkeypatch.setattr(verify, "best_response_value", low_best_response)
+    with pytest.raises(CertificationError, match="best response -9 falls"):
+        find_all_eps_neps(deterministic_game, Fraction(0))
