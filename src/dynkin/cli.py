@@ -22,7 +22,7 @@ from .documents import (
     serialize_profile,
 )
 from .fixtures import EXAMPLES, example_document
-from .games import GameSpec, StrategyProfile, expected_payoffs, realized_outcome
+from .games import GameSpec, StrategyProfile, leaf_outcomes
 from .scheme import ConvergenceError, SchemeConfig, run_scheme, trace_as_json
 from .trees import NEVER
 from .verify import CapExceededError, NepCertificate, certify, find_all_eps_neps
@@ -93,17 +93,16 @@ def certificate_json(certificate: NepCertificate) -> dict:
 
 
 def _realized_json(spec: GameSpec, profile: StrategyProfile) -> list[dict]:
-    rows = []
-    for leaf in spec.tree.leaves:
-        stage, coalition = realized_outcome(spec, profile, leaf.id)
-        rows.append(
-            {
-                "leaf": leaf.id,
-                "stage": None if stage == NEVER else int(stage),
-                "coalition": list(coalition.players),
-            }
+    return [
+        {
+            "leaf": leaf.id,
+            "stage": None if stage == NEVER else int(stage),
+            "coalition": list(coalition.players),
+        }
+        for leaf, (stage, coalition, _) in zip(
+            spec.tree.leaves, leaf_outcomes(spec, profile)
         )
-    return rows
+    ]
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -131,7 +130,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "capped": serialize_profile(result.capped)["rules"],
         },
         "realized": _realized_json(spec, result.capped),
-        "expected_payoffs": [str(v) for v in expected_payoffs(spec, result.capped)],
+        "expected_payoffs": [str(v) for v in certificate.achieved],
         "certificate": certificate_json(certificate),
     }
     if args.trace:

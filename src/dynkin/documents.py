@@ -17,7 +17,7 @@ from .trees import AdaptedProcess, Node, ScenarioTree, canonicalize_rule
 
 SCHEMA_VERSION = "1"
 
-_RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_RATIONAL = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$")
 
 
 class DocumentError(ValueError):
@@ -26,11 +26,13 @@ class DocumentError(ValueError):
 
 def parse_rational(text: Any, where: str = "value") -> Fraction:
     """Parse "p/q" or integer strings; anything else (decimals included) fails."""
-    if not isinstance(text, str) or not _RATIONAL.match(text):
+    match = _RATIONAL.match(text) if isinstance(text, str) else None
+    if match is None:
         raise DocumentError(
             f"{where}: expected a rational string like \"1/2\" or \"-3\", got {text!r}"
         )
-    return Fraction(text)
+    numerator, denominator = match.groups()
+    return Fraction(int(numerator), int(denominator or 1))
 
 
 def format_rational(value: Fraction) -> str:

@@ -15,6 +15,7 @@ constructive solver in :mod:`dynkin.scheme` converge to an equilibrium.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -161,15 +162,18 @@ def validate_game(spec: GameSpec, enforce_assumption_a: bool = True) -> list[str
         (
             i,
             spec.payoff(i, everyone).values,
-            [(c, spec.payoff(i, c).values) for c in coalitions],
+            [(c, spec.payoff(i, c).values) for c in coalitions if c != everyone],
         )
         for i in spec.players
     ]
+    # the checks compare on int: values are Fractions in lowest terms
     for leaf in spec.tree.leaves:
         for i, everyone_values, coalition_values in by_player:
             terminal = everyone_values[leaf.id]
+            expected = (terminal.numerator, terminal.denominator)
             for coalition, values in coalition_values:
-                if values[leaf.id] != terminal:
+                value = values[leaf.id]
+                if (value.numerator, value.denominator) != expected:
                     violations.append(
                         f"terminal coincidence: player {i}, coalition "
                         f"{coalition.players} at leaf {leaf.id} is "
@@ -194,7 +198,7 @@ def validate_game(spec: GameSpec, enforce_assumption_a: bool = True) -> list[str
             for i, j, joint_values, alone_values in pairs:
                 joint = joint_values[node.id]
                 alone = alone_values[node.id]
-                if joint > alone:
+                if joint.numerator * alone.denominator > alone.numerator * joint.denominator:
                     violations.append(
                         f"joint-stop hypothesis: player {i} vs {j} at node "
                         f"{node.id}: X(i,{{i,j}})={joint} > X(i,{{j}})={alone}"
@@ -218,29 +222,58 @@ def realized_outcome(
     return stage, Coalition.of(i for i, t in times.items() if t == stage)
 
 
+def leaf_outcomes(
+    spec: GameSpec, profile: StrategyProfile
+) -> list[tuple[Stage, Coalition, NodeId]]:
+    """:func:`realized_outcome` on every leaf, in ``tree.leaves`` order,
+    with the node whose payoffs are collected there: the stop node at the
+    termination stage, or the leaf itself when nobody stops.
+
+    Read from the players' :func:`leaf_stop_nodes` vectors instead of one
+    root walk per player and leaf.
+    """
+    everyone = Coalition.everyone(spec.num_players)
+    stops = [leaf_stop_nodes(spec.tree, rule) for rule in profile.rules]
+    outcomes = []
+    for leaf, *row in zip(spec.tree.leaves, *stops):
+        times = [NEVER if node is None else node.time for node in row]
+        stage = min(times)
+        if stage == NEVER:
+            outcomes.append((NEVER, everyone, leaf.id))
+        else:
+            members = tuple(i for i, t in enumerate(times, start=1) if t == stage)
+            outcomes.append((stage, Coalition(members), row[members[0] - 1].id))
+    return outcomes
+
+
 def expected_payoffs(spec: GameSpec, profile: StrategyProfile) -> tuple[Fraction, ...]:
     """Expected payoff vector of the profile, one exact value per player.
 
     On never-stopped paths each player collects the all-players value at
     the leaf, which every coalition process shares by terminal coincidence.
-    Each leaf's stage and coalition are those of :func:`realized_outcome`,
-    read from the players' :func:`leaf_stop_nodes` vectors.
+    Each leaf's payoff node and coalition come from :func:`leaf_outcomes`.
+
+    The sums run on ``int``: a leaf's path probability times the index's
+    ``scale[0]`` is an integer weight ``w``, so with ``D`` the lcm of the
+    denominators of a player's values read, ``sum w * X * D`` is exactly
+    ``D * scale[0]`` times that player's expectation.
     """
-    tree = spec.tree
-    everyone = Coalition.everyone(spec.num_players)
-    stops = [leaf_stop_nodes(tree, rule) for rule in profile.rules]
-    totals = [Fraction(0) for _ in spec.players]
-    for k, leaf in enumerate(tree.leaves):
-        times = [NEVER if row[k] is None else row[k].time for row in stops]
-        stage = min(times)
-        if stage == NEVER:
-            node_id, coalition = leaf.id, everyone
-        else:
-            members = tuple(i for i, t in enumerate(times, start=1) if t == stage)
-            node_id, coalition = stops[members[0] - 1][k].id, Coalition(members)
-        prob = tree.path_probability(leaf.id)
-        for i in spec.players:
-            totals[i - 1] += prob * spec.payoff(i, coalition).at(node_id)
+    index = spec.tree.index
+    scale = index.scale[0]
+    weights = []
+    read: list[list[Fraction]] = [[] for _ in spec.players]
+    for leaf, (_, coalition, node_id) in zip(index.leaves, leaf_outcomes(spec, profile)):
+        prob = index.path_prob[index.position[leaf.id]]
+        weights.append(prob.numerator * (scale // prob.denominator))
+        for i, values in zip(spec.players, read):
+            values.append(spec.payoff(i, coalition).at(node_id))
+    totals = []
+    for values in read:
+        common = math.lcm(*[x.denominator for x in values])
+        total = 0
+        for w, x in zip(weights, values):
+            total += w * x.numerator * (common // x.denominator)
+        totals.append(Fraction(total, common * scale))
     return tuple(totals)
 
 

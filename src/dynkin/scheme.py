@@ -33,6 +33,7 @@ from .trees import (
     NodeId,
     ScenarioTree,
     StoppingRule,
+    leaf_stop_times,
     min_of_rules,
     rule_from_path_times,
     stop_everywhere_at,
@@ -179,10 +180,12 @@ def _updated_tau(
     player's previous rule.
     """
     times: dict[NodeId, float] = {}
-    for leaf in tree.leaves:
-        m = mu.stop_time(tree, leaf.id)
-        th = theta.stop_time(tree, leaf.id)
-        prev = previous.stop_time(tree, leaf.id)
+    for leaf, m, th, prev in zip(
+        tree.leaves,
+        leaf_stop_times(tree, mu),
+        leaf_stop_times(tree, theta),
+        leaf_stop_times(tree, previous),
+    ):
         simplified = m if m < th else prev
         raw = min(m, prev) if min(m, prev) < th else prev
         if simplified != raw:
@@ -267,9 +270,11 @@ def run_scheme(
             break
         # a round must never push any player's rule later
         for p in spec.players:
-            for leaf in spec.tree.leaves:
-                now = state.taus[p - 1].stop_time(spec.tree, leaf.id)
-                then = before[p - 1].stop_time(spec.tree, leaf.id)
+            for leaf, now, then in zip(
+                spec.tree.leaves,
+                leaf_stop_times(spec.tree, state.taus[p - 1]),
+                leaf_stop_times(spec.tree, before[p - 1]),
+            ):
                 if now > then:
                     raise SweepInvariantError(
                         f"round {rounds} moved player {p}'s stop on leaf "

@@ -52,6 +52,11 @@ class TreeIndex(NamedTuple):
     ``scale[t] = B_t * ... * B_{H-1}`` (1 at the horizon) makes
     ``sum_k c_k * X(k) * scale[t + 1] == scale[t] * sum_k p_k * X(k)``
     with ``c_k`` the child weights of a stage-``t`` node.
+
+    Leaves are also ranked depth first (children in order), so the leaves
+    below position ``p`` are exactly the ranks ``leaf_lo[p]:leaf_hi[p]``;
+    two ranges are nested when one node is an ancestor of the other and
+    disjoint otherwise.  ``leaf_rank[k]`` is the rank of ``leaves[k]``.
     """
 
     nodes: tuple[Node, ...]
@@ -63,6 +68,9 @@ class TreeIndex(NamedTuple):
     scale: tuple[int, ...]
     leaves: tuple[Node, ...]
     path_prob: tuple[Fraction, ...]
+    leaf_lo: tuple[int, ...]
+    leaf_hi: tuple[int, ...]
+    leaf_rank: tuple[int, ...]
 
     @property
     def horizon(self) -> int:
@@ -116,6 +124,17 @@ def _build_index(tree: "ScenarioTree") -> TreeIndex:
             weights.append(p.numerator * (b // p.denominator))
         children.append(kids)
         child_weights.append(tuple(weights))
+
+    count = [0 if kids else 1 for kids in children]  # leaves below each position
+    for pos in range(len(order) - 1, 0, -1):  # children before parents
+        count[parent[pos]] += count[pos]
+    leaf_lo = [0] * len(order)
+    for pos, kids in enumerate(children):
+        rank = leaf_lo[pos]
+        for k in kids:
+            leaf_lo[k] = rank
+            rank += count[k]
+    leaves = tuple(n for n in tree.nodes if not tree.children(n.id))
     return TreeIndex(
         nodes=tuple(order),
         position=position,
@@ -124,8 +143,11 @@ def _build_index(tree: "ScenarioTree") -> TreeIndex:
         child_weights=tuple(child_weights),
         stage_start=tuple(stage_start),
         scale=tuple(scale),
-        leaves=tuple(n for n in tree.nodes if not tree.children(n.id)),
+        leaves=leaves,
         path_prob=tuple(path_prob),
+        leaf_lo=tuple(leaf_lo),
+        leaf_hi=tuple(lo + c for lo, c in zip(leaf_lo, count)),
+        leaf_rank=tuple(leaf_lo[position[leaf.id]] for leaf in leaves),
     )
 
 
@@ -258,19 +280,26 @@ def validate_tree(tree: ScenarioTree) -> list[str]:
                     violations.append(
                         f"node {node.id}: time {node.time} is not parent time + 1"
                     )
-        if not (0 < node.branch_prob <= 1):
+        prob = node.branch_prob
+        if not 0 < prob.numerator <= prob.denominator:
             violations.append(
-                f"node {node.id}: branch probability {node.branch_prob} "
-                "outside (0, 1]"
+                f"node {node.id}: branch probability {prob} outside (0, 1]"
             )
 
+    # sibling sums on int: sum_k p_k == 1 iff sum_k p_k * L == L, with L
+    # the lcm of the siblings' denominators
     for node in tree.nodes:
         kids = tree.children(node.id)
         if kids:
-            total = sum((k.branch_prob for k in kids), Fraction(0))
-            if total != 1:
+            common = math.lcm(*[k.branch_prob.denominator for k in kids])
+            total = 0
+            for k in kids:
+                prob = k.branch_prob
+                total += prob.numerator * (common // prob.denominator)
+            if total != common:
                 violations.append(
-                    f"node {node.id}: children probabilities sum to {total}, expected 1"
+                    f"node {node.id}: children probabilities sum to "
+                    f"{Fraction(total, common)}, expected 1"
                 )
 
     if linked and len(roots) == 1 and not violations:
@@ -281,9 +310,17 @@ def validate_tree(tree: ScenarioTree) -> list[str]:
                     f"node {leaf.id}: leaf at time {leaf.time}, expected uniform depth {horizon}"
                 )
         if not violations:
-            mass = sum((tree.path_probability(l.id) for l in tree.leaves), Fraction(0))
-            if mass != 1:
-                violations.append(f"leaf path probabilities sum to {mass}, expected 1")
+            # every leaf's path probability times scale[0] is an integer
+            index = tree.index
+            scale = index.scale[0]
+            mass = 0
+            for leaf in index.leaves:
+                prob = index.path_prob[index.position[leaf.id]]
+                mass += prob.numerator * (scale // prob.denominator)
+            if mass != scale:
+                violations.append(
+                    f"leaf path probabilities sum to {Fraction(mass, scale)}, expected 1"
+                )
     return violations
 
 
@@ -335,25 +372,63 @@ class StoppingRule:
 NEVER_RULE = StoppingRule(frozenset())
 
 
+def _sorted_positions(
+    index: TreeIndex, ids: Iterable[NodeId], unknown: str
+) -> list[int]:
+    """Index positions of ``ids`` in ascending order, so every ancestor
+    comes before its descendants; ids the tree lacks raise ValueError with
+    the message ``unknown`` followed by their sorted list."""
+    position = index.position
+    try:
+        return sorted([position[i] for i in ids])
+    except KeyError:
+        missing = sorted(i for i in ids if i not in position)
+        raise ValueError(f"{unknown}: {missing}") from None
+
+
+def _first_entries(
+    index: TreeIndex, positions: Sequence[int]
+) -> tuple[list[Node], list[Node | None]]:
+    """Flags at ascending ``positions``: their antichain and first entries.
+
+    Each flag covers its leaf range unless a kept flag already covers its
+    first leaf; leaf ranges nest exactly along ancestry, so that flag lies
+    below a kept one.  Returns the kept nodes (the canonical antichain) and,
+    per depth-first leaf rank, the first flagged node on that leaf's root
+    path (None if there is none), in O(len(positions) + leaves).
+    """
+    nodes, lo, hi = index.nodes, index.leaf_lo, index.leaf_hi
+    first: list[Node | None] = [None] * len(index.leaves)
+    kept = []
+    for pos in positions:
+        start = lo[pos]
+        if first[start] is None:
+            node = nodes[pos]
+            first[start : hi[pos]] = [node] * (hi[pos] - start)
+            kept.append(node)
+    return kept, first
+
+
 def leaf_stop_nodes(tree: ScenarioTree, rule: StoppingRule) -> list[Node | None]:
     """The rule's first stop node on every leaf's root path, in
     ``tree.leaves`` order (None where it never stops).
 
-    Equal to ``rule.stop_node(tree, leaf.id)`` leaf by leaf, from one
-    top-down pass over the index instead of one root walk per leaf.
+    Equal to ``rule.stop_node(tree, leaf.id)`` leaf by leaf, from the stop
+    nodes' leaf ranges instead of one root walk per leaf.  Raises
+    ValueError if the rule names nodes the tree does not have.
     """
     index = tree.index
-    stop_set = rule.stop_set
-    parent = index.parent
-    first: list[Node | None] = [None] * len(index.nodes)
-    for pos, node in enumerate(index.nodes):
-        above = first[parent[pos]] if pos else None
-        if above is not None:
-            first[pos] = above
-        elif node.id in stop_set:
-            first[pos] = node
-    position = index.position
-    return [first[position[leaf.id]] for leaf in index.leaves]
+    positions = _sorted_positions(
+        index, rule.stop_set, "rule references nodes not in tree"
+    )
+    first = _first_entries(index, positions)[1]
+    return [first[rank] for rank in index.leaf_rank]
+
+
+def leaf_stop_times(tree: ScenarioTree, rule: StoppingRule) -> list[Stage]:
+    """``rule.stop_time(tree, leaf.id)`` for every leaf, in ``tree.leaves``
+    order, read from :func:`leaf_stop_nodes`."""
+    return [NEVER if node is None else node.time for node in leaf_stop_nodes(tree, rule)]
 
 
 def _check_rule_on_tree(tree: ScenarioTree, rule: StoppingRule) -> None:
@@ -381,10 +456,8 @@ def expectation_under_rule(
     are treated as constant from the terminal stage on, so "never stop" and
     "stop at the horizon" pay the same.
     """
-    _check_rule_on_tree(tree, rule)
     total = Fraction(0)
-    for leaf in tree.leaves:
-        stop = rule.stop_node(tree, leaf.id)
+    for leaf, stop in zip(tree.leaves, leaf_stop_nodes(tree, rule)):
         node_id = leaf.id if stop is None else stop.id
         total += tree.path_probability(leaf.id) * process.at(node_id)
     return total
@@ -392,22 +465,12 @@ def expectation_under_rule(
 
 def canonicalize_rule(tree: ScenarioTree, stop_flags: Iterable[NodeId]) -> StoppingRule:
     """Prune flags with a flagged strict ancestor; first-stop times are kept."""
-    flags = set(stop_flags)
-    unknown = [i for i in flags if i not in tree]
-    if unknown:
-        raise ValueError(f"unknown node ids in stop flags: {sorted(unknown)}")
-    kept: set[NodeId] = set()
-    for node_id in flags:
-        node = tree.node(node_id)
-        dominated = False
-        while node.parent is not None:
-            node = tree.node(node.parent)
-            if node.id in flags:
-                dominated = True
-                break
-        if not dominated:
-            kept.add(node_id)
-    return StoppingRule(frozenset(kept))
+    index = tree.index
+    positions = _sorted_positions(
+        index, set(stop_flags), "unknown node ids in stop flags"
+    )
+    kept = _first_entries(index, positions)[0]
+    return StoppingRule(frozenset(node.id for node in kept))
 
 
 def min_of_rules(tree: ScenarioTree, rules: Sequence[StoppingRule]) -> StoppingRule:
@@ -444,16 +507,23 @@ def rule_from_path_times(
     the assignment is not realizable by an adapted rule, i.e. if two paths
     sharing their time-t node disagree about stopping there.
     """
-    flags: set[NodeId] = set()
-    for leaf in tree.leaves:
-        t = times[leaf.id]
+    index = tree.index
+    lo, start = index.leaf_lo, index.stage_start
+    wanted = [times[leaf.id] for leaf in index.leaves]
+    flags: set[int] = set()
+    for t, rank in zip(wanted, index.leaf_rank):
         if t != NEVER:
-            flags.add(tree.path_to(leaf.id)[int(t)].id)
-    rule = canonicalize_rule(tree, flags)
-    for leaf in tree.leaves:
-        if rule.stop_time(tree, leaf.id) != times[leaf.id]:
+            # a stage lists its nodes in depth-first order, so the last one
+            # whose leaf range starts at or before the rank holds it
+            t = int(t)
+            flags.add(bisect.bisect_right(lo, rank, start[t], start[t + 1]) - 1)
+    kept, first = _first_entries(index, sorted(flags))
+    for leaf, rank, t in zip(index.leaves, index.leaf_rank, wanted):
+        node = first[rank]
+        induced = NEVER if node is None else node.time
+        if induced != t:
             raise ValueError(
                 f"stop times are not adapted: leaf {leaf.id} wants "
-                f"{times[leaf.id]}, rule induces {rule.stop_time(tree, leaf.id)}"
+                f"{t}, rule induces {induced}"
             )
-    return rule
+    return StoppingRule(frozenset(node.id for node in kept))

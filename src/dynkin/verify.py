@@ -28,6 +28,7 @@ from .trees import (
     NodeId,
     ScenarioTree,
     StoppingRule,
+    leaf_stop_times,
 )
 
 DEFAULT_RULE_CAP = 4096
@@ -253,59 +254,62 @@ def check_trace_invariants(
     tree = profile.tree
     leaves = [leaf.id for leaf in tree.leaves]
     steps = list(trace)
-    by_n = {step.n: step for step in steps}
-
-    def t(rule: StoppingRule, leaf_id: NodeId) -> float:
-        return rule.stop_time(tree, leaf_id)
+    # per step, the (mu, tau, theta) stop times on every leaf; a step n
+    # compares with the last step numbered n - N, the player's previous visit
+    times = [
+        tuple(leaf_stop_times(tree, rule) for rule in (step.mu, step.tau, step.theta))
+        for step in steps
+    ]
+    by_n = {step.n: k for k, step in enumerate(steps)}
 
     num_players = len(profile.uncapped.rules)
-    for step in steps:
-        previous = by_n.get(step.n - num_players)
-        for leaf_id in leaves:
-            if t(step.mu, leaf_id) != min(t(step.tau, leaf_id), t(step.theta, leaf_id)):
+    for step, (mu, tau, theta) in zip(steps, times):
+        before = by_n.get(step.n - num_players)
+        previous = None if before is None else times[before]
+        for k, leaf_id in enumerate(leaves):
+            if mu[k] != min(tau[k], theta[k]):
                 violations.append(
                     f"step {step.n}, leaf {leaf_id}: mu != min(tau, theta)"
                 )
             if not profile.initialized_at_horizon:
-                if t(step.tau, leaf_id) == t(step.theta, leaf_id) != NEVER:
+                if tau[k] == theta[k] != NEVER:
                     violations.append(
                         f"step {step.n}, leaf {leaf_id}: tau coincides with "
-                        f"theta at finite stage {t(step.tau, leaf_id)}"
+                        f"theta at finite stage {tau[k]}"
                     )
             if previous is None:
                 continue
-            if t(step.tau, leaf_id) > t(previous.tau, leaf_id):
+            mu_then, tau_then, theta_then = (row[k] for row in previous)
+            if tau[k] > tau_then:
                 violations.append(
                     f"step {step.n}, leaf {leaf_id}: tau increased "
-                    f"({t(previous.tau, leaf_id)} -> {t(step.tau, leaf_id)})"
+                    f"({tau_then} -> {tau[k]})"
                 )
-            if t(step.theta, leaf_id) > t(previous.theta, leaf_id):
+            if theta[k] > theta_then:
                 violations.append(
                     f"step {step.n}, leaf {leaf_id}: theta increased"
                 )
-            if t(step.mu, leaf_id) > t(previous.mu, leaf_id):
+            if mu[k] > mu_then:
                 violations.append(f"step {step.n}, leaf {leaf_id}: mu increased")
-            if t(step.mu, leaf_id) > t(previous.tau, leaf_id):
+            if mu[k] > tau_then:
                 violations.append(
                     f"step {step.n}, leaf {leaf_id}: mu exceeds the player's "
                     "previous tau"
                 )
-            if t(previous.mu, leaf_id) == t(step.mu, leaf_id) and t(
-                previous.tau, leaf_id
-            ) != t(step.tau, leaf_id):
+            if mu_then == mu[k] and tau_then != tau[k]:
                 violations.append(
                     f"step {step.n}, leaf {leaf_id}: mu stationary but tau moved"
                 )
 
     if not profile.initialized_at_horizon:
-        for leaf_id in leaves:
-            stage = profile.termination_rule.stop_time(tree, leaf_id)
+        termination = leaf_stop_times(tree, profile.termination_rule)
+        by_player = [leaf_stop_times(tree, rule) for rule in profile.uncapped.rules]
+        for k, leaf_id in enumerate(leaves):
+            stage = termination[k]
             if stage == NEVER:
                 continue
             attaining = [
-                i
-                for i in range(1, num_players + 1)
-                if t(profile.uncapped.rule_for(i), leaf_id) == stage
+                i for i, row in enumerate(by_player, start=1) if row[k] == stage
             ]
             if len(attaining) != 1:
                 violations.append(

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 
-from dynkin.trees import AdaptedProcess, Node, ScenarioTree
+from dynkin.trees import AdaptedProcess, Node, ScenarioTree, StoppingRule, canonicalize_rule
 
 
 def single_path_tree(horizon: int) -> ScenarioTree:
@@ -91,3 +91,30 @@ def tree_with_flags(draw, **tree_kwargs):
     ids = [node.id for node in tree.nodes]
     flags = draw(st.sets(st.sampled_from(ids)))
     return tree, flags
+
+
+@st.composite
+def linked_trees(draw, max_nodes: int = 14) -> ScenarioTree:
+    """Trees of any shape: every node after the root hangs below a random
+    earlier node, so depths and fanouts vary and leaves sit at any stage."""
+    count = draw(st.integers(1, max_nodes))
+    nodes = [Node(id=0, time=0, parent=None, branch_prob=Fraction(1))]
+    for node_id in range(1, count):
+        parent = nodes[draw(st.integers(0, node_id - 1))]
+        nodes.append(
+            Node(id=node_id, time=parent.time + 1, parent=parent.id, branch_prob=Fraction(1))
+        )
+    return ScenarioTree(tuple(nodes))
+
+
+def draw_rules(data, tree: ScenarioTree, count: int) -> tuple[StoppingRule, ...]:
+    """``count`` canonical rules on ``tree``; some copy an earlier rule, so
+    those players stop jointly wherever it stops."""
+    ids = [node.id for node in tree.nodes]
+    rules: list[StoppingRule] = []
+    for _ in range(count):
+        if rules and data.draw(st.booleans()):
+            rules.append(data.draw(st.sampled_from(rules)))
+        else:
+            rules.append(canonicalize_rule(tree, data.draw(st.sets(st.sampled_from(ids)))))
+    return tuple(rules)

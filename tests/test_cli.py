@@ -1,12 +1,20 @@
+import hashlib
 import json
+from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dynkin.cli import main
+from dynkin import cli, games, verify
+from dynkin.cli import _realized_json, main
 from dynkin.documents import parse_game, parse_profile
-from dynkin.games import expected_payoffs
+from dynkin.games import StrategyProfile, expected_payoffs, realized_outcome
+from dynkin.randomgen import random_game
+from dynkin.trees import NEVER
 from dynkin.verify import certify
 from fractions import Fraction
+from gens import draw_rules
 
 
 def run_cli(capsys, *argv):
@@ -296,3 +304,61 @@ def test_many_players_without_default_payoff_fail_fast(capsys, tmp_path):
     assert code == 2
     assert "payoffs not total" in err
     assert len(err.splitlines()) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_realized_rows_equal_realized_outcome_leaf_by_leaf(data):
+    num_players = data.draw(st.integers(2, 3), label="players")
+    horizon = data.draw(st.integers(1, 3), label="horizon")
+    game = random_game(Random(data.draw(st.integers(0, 2**32 - 1))), num_players, horizon)
+    profile = StrategyProfile(draw_rules(data, game.tree, num_players))
+    rows = _realized_json(game, profile)
+    assert len(rows) == len(game.tree.leaves)
+    for row, leaf in zip(rows, game.tree.leaves):
+        stage, coalition = realized_outcome(game, profile, leaf.id)
+        assert row == {
+            "leaf": leaf.id,
+            "stage": None if stage == NEVER else stage,
+            "coalition": list(coalition.players),
+        }
+
+
+def test_solve_computes_expected_payoffs_once(monkeypatch, capsys, deterministic_game):
+    real = games.expected_payoffs
+    calls = []
+
+    def counting(spec, profile):
+        calls.append(profile)
+        return real(spec, profile)
+
+    for module in (cli, games, verify):
+        if getattr(module, "expected_payoffs", None) is real:
+            monkeypatch.setattr(module, "expected_payoffs", counting)
+    code, out, _ = run_cli(capsys, "solve", "--example", "paper-5-1", "--epsilon", "0")
+    assert code == 0
+    assert len(calls) == 1
+    achieved = real(deterministic_game, calls[0])
+    assert json.loads(out)["expected_payoffs"] == [str(v) for v in achieved]
+
+
+# sha256 of the full `solve --trace` report, recorded before the leaf-range
+# kernel replaced the per-leaf root walks; any change in output shows here
+SOLVE_REPORT_DIGESTS = [
+    ("paper-5-1", "0", "1,2,3", "6b25d0a577504b65ca4a0d9841d5f4c51d554578824a379e3688d0d72a259333"),
+    ("paper-5-1", "0", "2,3,1", "8b4c867b619acb05324f641e09c1c898cb6d1affbc00e4dcf3633b6e1465d64a"),
+    ("paper-5-1", "1/4", "1,2,3", "0cf1f37fe690732d80efa3242de3b1041a1f011c5c114fcaf9ac080dfb3bfbb3"),
+    ("paper-5-1", "1/4", "2,3,1", "ac9e68f1b7d3759df4d6f9ef6a35740592933d989c11cf3045b49bd67d789b45"),
+    ("paper-5-3", "0", None, "36508d9dd49d7da1c8e4b1fea90fdf2c23bee4616b1e1b7042196904e4bf136b"),
+    ("paper-5-3", "1/4", None, "f4bad7b71759dfc6373a7cbaaa1927f960d626540c4e83b18180e47adf2e9788"),
+]
+
+
+@pytest.mark.parametrize("name,epsilon,order,digest", SOLVE_REPORT_DIGESTS)
+def test_solve_reports_are_byte_identical(capsys, tmp_path, name, epsilon, order, digest):
+    argv = ["solve", "--example", name, "--epsilon", epsilon, "--trace", str(tmp_path / "t.json")]
+    if order:
+        argv += ["--order", order]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -20,11 +21,12 @@ from dynkin.trees import (
     NEVER,
     NEVER_RULE,
     AdaptedProcess,
+    ScenarioTree,
     StoppingRule,
     canonicalize_rule,
     stop_everywhere_at,
 )
-from gens import single_path_tree
+from gens import draw_rules, single_path_tree
 
 
 def path_profile(tree, *stop_times):
@@ -117,6 +119,23 @@ def test_validate_flags_terminal_mismatch():
         embed_finite_horizon(game)
 
 
+def test_validate_compares_values_exactly_across_denominators():
+    game = two_player_path_game(
+        {
+            (1, (1,)): ("0", "0", "1/4"),  # same numerator as the leaf's 1/2
+            (1, (2,)): ("0", "1/3", "1/2"),
+            (1, (1, 2)): ("0", "2/7", "1/2"),  # 2/7 <= 1/3 despite 2 > 1
+            (2, (2,)): ("0", "0", "1/2"),
+            (2, (1,)): ("0", "1/4", "1/2"),
+            (2, (1, 2)): ("0", "1/3", "1/2"),  # 1/3 > 1/4
+        }
+    )
+    assert validate_game(game) == [
+        "terminal coincidence: player 1, coalition (1,) at leaf 2 is 1/4, expected 1/2",
+        "joint-stop hypothesis: player 2 vs 1 at node 1: X(i,{i,j})=1/3 > X(i,{j})=1/4",
+    ]
+
+
 def test_realized_outcome_examples(deterministic_game):
     tree = deterministic_game.tree
     leaf = tree.leaves[0].id
@@ -206,22 +225,42 @@ def test_stop_everywhere_at_covers_every_path(walk_game):
     assert all(rule.stop_time(tree, leaf.id) == 2 for leaf in tree.leaves)
 
 
+def with_odd_denominators(game, rng):
+    """The game's tree and players with sibling probabilities in thirds or
+    sevenths and every payoff value over 3, 7 or 97, so neither the path
+    weights nor the values are dyadic."""
+    nodes = [game.tree.root]
+    for node in game.tree.index.nodes:
+        kids = game.tree.children(node.id)
+        if kids:
+            denominator = rng.choice((3, 7))
+            cuts = sorted(rng.sample(range(1, denominator), len(kids) - 1))
+            shares = [b - a for a, b in zip([0] + cuts, cuts + [denominator])]
+            nodes.extend(
+                replace(kid, branch_prob=Fraction(share, denominator))
+                for kid, share in zip(kids, shares)
+            )
+    payoffs = {}
+    for key, process in game.payoffs.items():
+        values = {}
+        for node_id in process.values:
+            denominator = rng.choice((3, 7, 97))
+            values[node_id] = Fraction(rng.randint(-2 * denominator, 2 * denominator), denominator)
+        payoffs[key] = AdaptedProcess(values)
+    return replace(game, tree=ScenarioTree(tuple(nodes)), payoffs=payoffs)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_expected_payoffs_equal_the_realized_outcome_sum(data):
     num_players = data.draw(st.integers(2, 3), label="players")
     horizon = data.draw(st.integers(1, 3), label="horizon")
-    game = random_game(Random(data.draw(st.integers(0, 2**32 - 1))), num_players, horizon)
+    rng = Random(data.draw(st.integers(0, 2**32 - 1)))
+    game = random_game(rng, num_players, horizon)
+    if data.draw(st.booleans(), label="odd denominators"):
+        game = with_odd_denominators(game, rng)
     tree = game.tree
-    ids = [node.id for node in tree.nodes]
-    rules: list[StoppingRule] = []
-    for _ in game.players:
-        if rules and data.draw(st.booleans()):
-            # copy an earlier player's rule: they stop jointly wherever it stops
-            rules.append(data.draw(st.sampled_from(rules)))
-        else:
-            rules.append(canonicalize_rule(tree, data.draw(st.sets(st.sampled_from(ids)))))
-    profile = StrategyProfile(tuple(rules))
+    profile = StrategyProfile(draw_rules(data, tree, num_players))
 
     reference = [Fraction(0)] * num_players
     for leaf in tree.leaves:
@@ -232,3 +271,9 @@ def test_expected_payoffs_equal_the_realized_outcome_sum(data):
                 i, coalition
             ).at(node_id)
     assert expected_payoffs(game, profile) == tuple(reference)
+
+
+def test_expected_payoffs_reject_rules_naming_unknown_nodes(deterministic_game):
+    profile = StrategyProfile((NEVER_RULE, StoppingRule(frozenset({99})), NEVER_RULE))
+    with pytest.raises(ValueError, match=r"rule references nodes not in tree: \[99\]"):
+        expected_payoffs(deterministic_game, profile)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -13,6 +14,7 @@ from dynkin.trees import (
     canonicalize_rule,
     expectation_under_rule,
     leaf_stop_nodes,
+    leaf_stop_times,
     min_of_rules,
     one_step_expectation,
     rule_from_path_times,
@@ -21,12 +23,28 @@ from dynkin.trees import (
 )
 from gens import (
     full_binary_tree,
+    linked_trees,
     path_process,
     scenario_trees,
     single_path_tree,
     tree_with_flags,
     tree_with_process,
 )
+
+
+def ancestor_walk_canonical(tree, flags):
+    """Reference canonical form: keep each flag unless one of its strict
+    ancestors is flagged, found by walking the parent links."""
+    kept = set()
+    for node_id in flags:
+        node = tree.node(node_id)
+        while node.parent is not None:
+            node = tree.node(node.parent)
+            if node.id in flags:
+                break
+        else:
+            kept.add(node_id)
+    return StoppingRule(frozenset(kept))
 
 
 def test_validate_single_path_ok():
@@ -42,6 +60,18 @@ def test_validate_sibling_probs_must_sum_to_one():
     violations = validate_tree(ScenarioTree(nodes))
     assert len(violations) == 1
     assert "sum to 5/6" in violations[0]
+
+
+@pytest.mark.parametrize(
+    "probs,total", [(("1/2", "1/3"), "5/6"), (("1/2", "1/2", "1/3"), "4/3")]
+)
+def test_validate_reports_sibling_sums_off_one(probs, total):
+    nodes = (Node(0, 0, None, Fraction(1)),) + tuple(
+        Node(k, 1, 0, Fraction(p)) for k, p in enumerate(probs, start=1)
+    )
+    assert validate_tree(ScenarioTree(nodes)) == [
+        f"node 0: children probabilities sum to {total}, expected 1"
+    ]
 
 
 def test_validate_four_level_binary_ok():
@@ -267,3 +297,48 @@ def test_stop_everywhere_at_rejects_stages_outside_the_tree():
     for time in (-1, 3):
         with pytest.raises(ValueError, match=f"no nodes at time {time}"):
             stop_everywhere_at(tree, time)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree_with_flags())
+def test_canonicalize_equals_the_ancestor_walk(tf):
+    tree, flags = tf
+    reference = ancestor_walk_canonical(tree, flags)
+    assert canonicalize_rule(tree, flags) == reference
+    assert canonicalize_rule(tree, reference.stop_set) == reference
+
+
+@settings(max_examples=100, deadline=None)
+@given(linked_trees(), st.data())
+def test_leaf_ranges_hold_on_trees_of_any_shape(tree, data):
+    index = tree.index
+    count = len(index.leaves)
+    assert sorted(index.leaf_rank) == list(range(count))
+    by_rank = [None] * count
+    for leaf, rank in zip(index.leaves, index.leaf_rank):
+        by_rank[rank] = leaf.id
+    for pos, node in enumerate(index.nodes):
+        below = {
+            leaf.id
+            for leaf in index.leaves
+            if node.id in {n.id for n in tree.path_to(leaf.id)}
+        }
+        assert set(by_rank[index.leaf_lo[pos] : index.leaf_hi[pos]]) == below
+        assert index.leaf_hi[pos] - index.leaf_lo[pos] == len(below)
+
+    flags = data.draw(st.sets(st.sampled_from([n.id for n in tree.nodes])))
+    rule = canonicalize_rule(tree, flags)
+    assert rule == ancestor_walk_canonical(tree, flags)
+    for candidate in (rule, StoppingRule(frozenset(flags))):
+        assert leaf_stop_nodes(tree, candidate) == [
+            candidate.stop_node(tree, leaf.id) for leaf in tree.leaves
+        ]
+    times = dict(zip((leaf.id for leaf in tree.leaves), leaf_stop_times(tree, rule)))
+    assert times == {leaf.id: rule.stop_time(tree, leaf.id) for leaf in tree.leaves}
+    assert rule_from_path_times(tree, times) == rule
+
+
+def test_leaf_stop_nodes_rejects_unknown_nodes():
+    tree = full_binary_tree(2)
+    with pytest.raises(ValueError, match=r"rule references nodes not in tree: \[42, 43\]"):
+        leaf_stop_nodes(tree, StoppingRule(frozenset({1, 43, 42})))

@@ -1,12 +1,16 @@
 import itertools
 from dataclasses import replace
 from fractions import Fraction
+from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynkin.games import StrategyProfile, expected_payoffs
+from dynkin.randomgen import random_game
 from dynkin.scheme import SchemeConfig, run_scheme
-from dynkin.trees import NEVER_RULE, StoppingRule, stop_everywhere_at
+from dynkin.trees import NEVER, NEVER_RULE, StoppingRule, min_of_rules, stop_everywhere_at
 from dynkin import verify
 from dynkin.verify import (
     CapExceededError,
@@ -19,7 +23,7 @@ from dynkin.verify import (
     enumerate_rules,
     find_all_eps_neps,
 )
-from gens import full_binary_tree, single_path_tree
+from gens import draw_rules, full_binary_tree, single_path_tree
 
 
 def independent_antichain_count(tree, node_id=None):
@@ -193,6 +197,94 @@ def test_trace_invariants_catch_injected_fault(deterministic_game):
     trace[3] = corrupted
     violations = check_trace_invariants(tuple(trace), result)
     assert any("tau increased" in v for v in violations)
+
+
+def root_walk_trace_audit(trace, profile):
+    """Reference audit: the checks of ``check_trace_invariants``, in its
+    order, with every stop time read by a root walk per rule and leaf."""
+    violations = []
+    tree = profile.tree
+    by_n = {step.n: step for step in trace}
+    num_players = len(profile.uncapped.rules)
+
+    def t(rule, leaf_id):
+        return rule.stop_time(tree, leaf_id)
+
+    for step in trace:
+        previous = by_n.get(step.n - num_players)
+        for leaf in tree.leaves:
+            i = leaf.id
+            if t(step.mu, i) != min(t(step.tau, i), t(step.theta, i)):
+                violations.append(f"step {step.n}, leaf {i}: mu != min(tau, theta)")
+            if not profile.initialized_at_horizon and t(step.tau, i) == t(step.theta, i) != NEVER:
+                violations.append(
+                    f"step {step.n}, leaf {i}: tau coincides with "
+                    f"theta at finite stage {t(step.tau, i)}"
+                )
+            if previous is None:
+                continue
+            if t(step.tau, i) > t(previous.tau, i):
+                violations.append(
+                    f"step {step.n}, leaf {i}: tau increased "
+                    f"({t(previous.tau, i)} -> {t(step.tau, i)})"
+                )
+            if t(step.theta, i) > t(previous.theta, i):
+                violations.append(f"step {step.n}, leaf {i}: theta increased")
+            if t(step.mu, i) > t(previous.mu, i):
+                violations.append(f"step {step.n}, leaf {i}: mu increased")
+            if t(step.mu, i) > t(previous.tau, i):
+                violations.append(
+                    f"step {step.n}, leaf {i}: mu exceeds the player's previous tau"
+                )
+            if t(previous.mu, i) == t(step.mu, i) and t(previous.tau, i) != t(step.tau, i):
+                violations.append(f"step {step.n}, leaf {i}: mu stationary but tau moved")
+    if not profile.initialized_at_horizon:
+        for leaf in tree.leaves:
+            stage = t(profile.termination_rule, leaf.id)
+            if stage == NEVER:
+                continue
+            attaining = [
+                i for i, rule in enumerate(profile.uncapped.rules, start=1)
+                if t(rule, leaf.id) == stage
+            ]
+            if len(attaining) != 1:
+                violations.append(
+                    f"leaf {leaf.id}: players {attaining} jointly attain the "
+                    f"finite termination stage {stage}"
+                )
+    bound = num_players * len(tree.leaves) * (tree.horizon + 1) + 1
+    if profile.rounds_used > bound:
+        violations.append(f"rounds_used {profile.rounds_used} exceeds the bound {bound}")
+    return violations
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_trace_audit_equals_the_root_walk_reference(data):
+    num_players = data.draw(st.integers(2, 3), label="players")
+    game = random_game(
+        Random(data.draw(st.integers(0, 2**32 - 1))),
+        num_players,
+        data.draw(st.integers(1, 3), label="horizon"),
+    )
+    result = run_scheme(game, SchemeConfig())
+    trace = list(result.trace)
+    # corrupt some rules of some steps, and maybe the final profile, so that
+    # every check has something to report
+    for k in data.draw(st.sets(st.sampled_from(range(len(trace))), max_size=4)):
+        field = data.draw(st.sampled_from(("mu", "tau", "theta")))
+        (rule,) = draw_rules(data, game.tree, 1)
+        trace[k] = replace(trace[k], **{field: rule})
+    if data.draw(st.booleans(), label="joint final stops"):
+        rules = draw_rules(data, game.tree, num_players)
+        result = replace(
+            result,
+            uncapped=StrategyProfile(rules),
+            termination_rule=min_of_rules(game.tree, list(rules)),
+        )
+    result = replace(result, initialized_at_horizon=data.draw(st.booleans()))
+    audit = check_trace_invariants(tuple(trace), result)
+    assert audit == root_walk_trace_audit(tuple(trace), result)
 
 
 def test_certify_raises_on_a_negative_gain(monkeypatch, deterministic_game):
