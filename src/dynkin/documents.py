@@ -48,7 +48,23 @@ def _require(doc: dict, key: str, kind: type, where: str) -> Any:
     return value
 
 
-def _parse_tree(doc: Any, where: str) -> ScenarioTree:
+def _parse_once(
+    rationals: dict[str, Fraction], text: Any, where: str, key: Any
+) -> Fraction:
+    """``parse_rational(text, f"{where}.{key}")``, through the table of the
+    strings parsed so far.  Only exact ``str`` values are looked up, so no
+    unhashable value raises ``TypeError`` and ``1`` never meets ``True``;
+    a value is stored only once it parses, and the path is built only for
+    a string not yet seen."""
+    value = rationals.get(text) if type(text) is str else None
+    if value is None:
+        value = rationals[text] = parse_rational(text, f"{where}.{key}")
+    return value
+
+
+def _parse_tree(
+    doc: Any, where: str, rationals: dict[str, Fraction]
+) -> ScenarioTree:
     if not isinstance(doc, dict):
         raise DocumentError(f"{where}: expected an object with a \"nodes\" list")
     raw_nodes = _require(doc, "nodes", list, where)
@@ -62,13 +78,13 @@ def _parse_tree(doc: Any, where: str) -> ScenarioTree:
         parent = raw.get("parent")
         if parent is not None and (not isinstance(parent, int) or isinstance(parent, bool)):
             raise DocumentError(f"{here}.parent: expected an integer or null")
-        prob = parse_rational(raw.get("prob"), f"{here}.prob")
+        prob = _parse_once(rationals, raw.get("prob"), here, "prob")
         nodes.append(Node(id=node_id, time=time, parent=parent, branch_prob=prob))
     return ScenarioTree(tuple(nodes))
 
 
 def _parse_values(
-    raw: Any, tree: ScenarioTree, where: str
+    raw: Any, tree: ScenarioTree, where: str, rationals: dict[str, Fraction]
 ) -> dict[int, Fraction]:
     if not isinstance(raw, dict):
         raise DocumentError(f"{where}: expected an object mapping node ids to rationals")
@@ -80,7 +96,7 @@ def _parse_values(
             raise DocumentError(f"{where}.{key}: node id is not an integer") from None
         if node_id not in tree:
             raise DocumentError(f"{where}.{key}: node {node_id} does not exist")
-        values[node_id] = parse_rational(text, f"{where}.{key}")
+        values[node_id] = _parse_once(rationals, text, where, key)
     return values
 
 
@@ -99,6 +115,10 @@ def parse_game(text: str, enforce_assumption_a: bool = True) -> GameSpec:
     The optional ``default_payoff`` entry (values only, no player or
     coalition) is expanded to every (player, coalition) pair the document
     does not list explicitly, before validation.
+
+    A valid document repeats every leaf value once per (player, coalition)
+    pair, so each distinct rational string is parsed once per call (see
+    :func:`_parse_once`); the table lives only for the call.
     """
     try:
         doc = json.loads(text)
@@ -114,7 +134,10 @@ def parse_game(text: str, enforce_assumption_a: bool = True) -> GameSpec:
         )
     players = _require(doc, "players", int, "document")
     horizon = _require(doc, "horizon", int, "document")
-    tree = _parse_tree(_require(doc, "tree", dict, "document"), "document.tree")
+    rationals: dict[str, Fraction] = {}
+    tree = _parse_tree(
+        _require(doc, "tree", dict, "document"), "document.tree", rationals
+    )
 
     payoffs: dict[tuple[int, Coalition], AdaptedProcess] = {}
     raw_payoffs = _require(doc, "payoffs", list, "document")
@@ -139,7 +162,7 @@ def parse_game(text: str, enforce_assumption_a: bool = True) -> GameSpec:
                 f"{here}: duplicate entry for player {player}, "
                 f"coalition {list(coalition)}"
             )
-        values = _parse_values(raw.get("values"), tree, f"{here}.values")
+        values = _parse_values(raw.get("values"), tree, f"{here}.values", rationals)
         payoffs[(player, coalition)] = AdaptedProcess(values)
 
     # listing every missing pair, as validation does, costs 2^N time and text
@@ -159,7 +182,8 @@ def parse_game(text: str, enforce_assumption_a: bool = True) -> GameSpec:
         if not isinstance(raw_default, dict):
             raise DocumentError("document.default_payoff: expected an object")
         default_values = _parse_values(
-            raw_default.get("values"), tree, "document.default_payoff.values"
+            raw_default.get("values"), tree, "document.default_payoff.values",
+            rationals,
         )
         for i in range(1, players + 1):
             for coalition in all_coalitions(players):

@@ -14,7 +14,8 @@ allowed and exactly optimal.
 The sweep calls :func:`integer_snell`, which computes the envelope and the
 rule together in scaled integers; :func:`snell_envelope` and
 :func:`eps_optimal_rule` keep the plain ``Fraction`` recursion, which the
-certifier uses and the tests treat as the reference.
+tests treat as the reference; the certifier reads values only, from
+:func:`snell_envelope`.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from .games import (
     expected_payoffs,
 )
 from .scheme import EquilibriumProfile, SchemeStep
-from .snell import eps_optimal_rule, snell_envelope
+from .snell import snell_envelope
 from .trees import (
     NEVER,
     AdaptedProcess,
@@ -142,9 +142,12 @@ def best_response_value(
     profile: StrategyProfile,
     player: int,
     cross_check_cap: int | None = None,
-) -> tuple[Fraction, StoppingRule]:
-    """Best expected payoff the player can get against the others' rules,
-    with a rule achieving it.
+) -> Fraction:
+    """Best expected payoff the player can get against the others' rules.
+
+    Only the value, which is all the certifier needs; a rule achieving it
+    is ``eps_optimal_rule`` at epsilon 0 on the envelope of
+    :func:`deviation_reward`.
 
     Pass ``cross_check_cap`` to re-derive the value by enumerating every
     deviation rule through the raw payoff functional; a disagreement
@@ -153,7 +156,6 @@ def best_response_value(
     reward = deviation_reward(spec, profile, player)
     envelope = snell_envelope(spec.tree, reward)
     best = envelope.at(spec.tree.root.id)
-    rule = eps_optimal_rule(spec.tree, reward, envelope, Fraction(0))
     if cross_check_cap is not None:
         enumerated = max(
             expected_payoffs(spec, profile.with_rule(player, r))[player - 1]
@@ -164,7 +166,7 @@ def best_response_value(
                 f"best response mismatch for player {player}: "
                 f"envelope {best}, enumeration {enumerated}"
             )
-    return best, rule
+    return best
 
 
 def certify(
@@ -183,7 +185,7 @@ def certify(
     achieved = expected_payoffs(spec, profile)
     if best_responses is None:
         best = tuple(
-            best_response_value(spec, profile, i)[0] for i in spec.players
+            best_response_value(spec, profile, i) for i in spec.players
         )
     else:
         best = tuple(best_responses)
@@ -227,7 +229,7 @@ def find_all_eps_neps(
             key = (i, picks[: i - 1] + picks[i:])
             value = best_by_others.get(key)
             if value is None:
-                value = best_by_others[key] = best_response_value(spec, profile, i)[0]
+                value = best_by_others[key] = best_response_value(spec, profile, i)
             best.append(value)
         certificate = certify(spec, profile, epsilon, best_responses=best)
         if certificate.is_eps_nep:

@@ -201,7 +201,7 @@ def test_criterion_7_equilibrium_property_sweep(random_sweep):
         )
         rules = enumerate_rules(game.tree, cap=100_000)
         for player in game.players:
-            snell_value, _ = best_response_value(game, result.capped, player)
+            snell_value = best_response_value(game, result.capped, player)
             brute = max(
                 player_payoff(game, result.capped.with_rule(player, rule), player)
                 for rule in rules

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from dynkin import cli, games, verify
 from dynkin.cli import _realized_json, main
 from dynkin.documents import parse_game, parse_profile
+from dynkin.fixtures import example_document
 from dynkin.games import StrategyProfile, expected_payoffs, realized_outcome
 from dynkin.randomgen import random_game
 from dynkin.trees import NEVER
@@ -362,3 +363,47 @@ def test_solve_reports_are_byte_identical(capsys, tmp_path, name, epsilon, order
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _with_bad_value(doc, where, value):
+    if where == "payoff":
+        doc["payoffs"][1]["values"]["2"] = value
+    elif where == "default":
+        doc["default_payoff"] = {"values": {"0": "0", "1": value, "2": "1"}}
+    else:
+        doc["tree"]["nodes"][2]["prob"] = value
+
+
+_NOT_RATIONAL = 'expected a rational string like "1/2" or "-3", got'
+_BAD_PATHS = {
+    "payoff": "document.payoffs[1].values.2",
+    "default": "document.default_payoff.values.1",
+    "prob": "document.tree.nodes[2].prob",
+}
+
+
+# messages recorded before parse_game kept a table of parsed strings
+@pytest.mark.parametrize("where", sorted(_BAD_PATHS))
+@pytest.mark.parametrize(
+    "value,shown",
+    [(3, "3"), (True, "True"), (None, "None"), (["1/2"], "['1/2']"), ({"a": 1}, "{'a': 1}")],
+)
+def test_malformed_values_fail_with_their_path(capsys, tmp_path, where, value, shown):
+    doc = example_document("paper-5-1")
+    _with_bad_value(doc, where, value)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "solve", "--game", str(path), "--epsilon", "0")
+    assert code == 2
+    assert err == f"error: {_BAD_PATHS[where]}: {_NOT_RATIONAL} {shown}\n"
+
+
+def test_a_bad_string_at_two_paths_reports_the_first(capsys, tmp_path):
+    doc = example_document("paper-5-1")
+    doc["payoffs"][4]["values"]["1"] = "0.5"
+    doc["payoffs"][1]["values"]["2"] = "0.5"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "solve", "--game", str(path), "--epsilon", "0")
+    assert code == 2
+    assert err == f"error: document.payoffs[1].values.2: {_NOT_RATIONAL} '0.5'\n"

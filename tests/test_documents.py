@@ -1,8 +1,13 @@
 import json
+from collections import Counter
 from fractions import Fraction
+from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dynkin import documents
 from dynkin.documents import (
     DocumentError,
     document_text,
@@ -14,6 +19,7 @@ from dynkin.documents import (
 )
 from dynkin.fixtures import EXAMPLES, example_document
 from dynkin.games import Coalition
+from dynkin.randomgen import random_game
 
 
 def test_parse_rational_strict_grammar():
@@ -142,3 +148,54 @@ def test_profile_errors(deterministic_game):
             ' {"player": 2, "stops": []}, {"player": 3, "stops": []}]}',
             deterministic_game,
         )
+
+
+def _rational_strings(doc):
+    yield from (node["prob"] for node in doc["tree"]["nodes"])
+    for entry in doc["payoffs"] + [doc.get("default_payoff", {"values": {}})]:
+        yield from entry["values"].values()
+
+
+def test_each_distinct_string_is_parsed_once(monkeypatch):
+    doc = serialize_game(random_game(Random(5), 3, 3))
+    doc["default_payoff"] = doc["payoffs"].pop()
+    del doc["default_payoff"]["player"], doc["default_payoff"]["coalition"]
+    strings = list(_rational_strings(doc))
+    assert len(strings) > 2 * len(set(strings))
+    real = documents.parse_rational
+    calls = Counter()
+
+    def counting(text, where="value"):
+        calls[text] += 1
+        return real(text, where)
+
+    monkeypatch.setattr(documents, "parse_rational", counting)
+    parse_game(document_text(doc))
+    assert calls == Counter(set(strings))
+
+
+def _rewritten(text, factor):
+    """The same rational with numerator and denominator scaled by factor."""
+    numerator, _, denominator = text.partition("/")
+    return f"{int(numerator) * factor}/{int(denominator or 1) * factor}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    players=st.integers(2, 3),
+    horizon=st.integers(1, 3),
+    rewrite=st.integers(0, 2**32 - 1),
+)
+def test_documents_round_trip_through_text(seed, players, horizon, rewrite):
+    spec = random_game(Random(seed), players, horizon, lo=-1, hi=1)
+    assert parse_game(document_text(serialize_game(spec))) == spec
+    # equal values written differently ("2/4" next to "1/2") parse equal
+    rng = Random(rewrite)
+    doc = serialize_game(spec)
+    for node in doc["tree"]["nodes"]:
+        node["prob"] = _rewritten(node["prob"], rng.choice((1, 2, 3)))
+    for entry in doc["payoffs"]:
+        for key, text in entry["values"].items():
+            entry["values"][key] = _rewritten(text, rng.choice((1, 2, 3)))
+    assert parse_game(document_text(doc)) == spec

@@ -17,3 +17,22 @@ def test_sources_use_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert SOURCES and found == []
+
+
+def _inexact(node):
+    if isinstance(node, ast.Constant) and isinstance(node.value, float):
+        return True
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        return node.func.id == "float"
+    return isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+
+
+def test_sources_use_no_floats_or_true_division():
+    # every value is a Fraction or an int; a float anywhere loses exactness
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if _inexact(node)
+    ]
+    assert SOURCES and found == []

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dynkin.games import StrategyProfile, expected_payoffs
 from dynkin.randomgen import random_game
 from dynkin.scheme import SchemeConfig, run_scheme
+from dynkin.snell import eps_optimal_rule, snell_envelope
 from dynkin.trees import NEVER, NEVER_RULE, StoppingRule, min_of_rules, stop_everywhere_at
 from dynkin import verify
 from dynkin.verify import (
@@ -92,7 +93,7 @@ def test_deviation_reward_join_stay_split(deterministic_game):
     assert reward.at(0) == Fraction(1, 8)  # solo payoff before the others stop
     assert reward.at(1) == Fraction(1, 4)  # joining player 1 at stage 1
     assert reward.at(2) == Fraction(1, 2)  # frozen: player 1 stopped alone
-    value, rule = best_response_value(deterministic_game, profile, 2, cross_check_cap=64)
+    value = best_response_value(deterministic_game, profile, 2, cross_check_cap=64)
     assert value == Fraction(1, 2)
     achieved = expected_payoffs(deterministic_game, profile)[1]
     assert value - achieved == 0
@@ -100,7 +101,10 @@ def test_deviation_reward_join_stay_split(deterministic_game):
 
 def test_best_response_fixpoint_gain_is_zero(deterministic_game):
     profile = path_profile(deterministic_game.tree, 1, 2, 2)
-    value, rule = best_response_value(deterministic_game, profile, 3)
+    value = best_response_value(deterministic_game, profile, 3)
+    reward = deviation_reward(deterministic_game, profile, 3)
+    envelope = snell_envelope(deterministic_game.tree, reward)
+    rule = eps_optimal_rule(deterministic_game.tree, reward, envelope, Fraction(0))
     replayed = expected_payoffs(deterministic_game, profile.with_rule(3, rule))[2]
     assert replayed == value
 
@@ -290,7 +294,7 @@ def test_trace_audit_equals_the_root_walk_reference(data):
 def test_certify_raises_on_a_negative_gain(monkeypatch, deterministic_game):
     # a best response below the achieved payoff contradicts the certifier itself
     def low_best_response(spec, profile, player):
-        return Fraction(-9), NEVER_RULE
+        return Fraction(-9)
 
     monkeypatch.setattr(verify, "best_response_value", low_best_response)
     profile = StrategyProfile((NEVER_RULE,) * 3)
@@ -342,7 +346,7 @@ def test_find_all_computes_one_best_response_per_others_rules(
 
 def test_find_all_raises_on_a_negative_gain(monkeypatch, deterministic_game):
     def low_best_response(spec, profile, player):
-        return Fraction(-9), NEVER_RULE
+        return Fraction(-9)
 
     monkeypatch.setattr(verify, "best_response_value", low_best_response)
     with pytest.raises(CertificationError, match="best response -9 falls"):
