@@ -17,6 +17,11 @@ from .trees import AdaptedProcess, Node, ScenarioTree, canonicalize_rule
 
 SCHEMA_VERSION = "1"
 
+# ``default_payoff`` is expanded to one process per (player, coalition)
+# pair, N * (2^N - 1) of them; past this many a document fails instead.
+# 12 players (49,140 pairs) still expand, 13 (106,483) do not.
+MAX_DEFAULT_PAIRS = 1 << 16
+
 _RATIONAL = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$")
 
 
@@ -114,7 +119,8 @@ def parse_game(text: str, enforce_assumption_a: bool = True) -> GameSpec:
 
     The optional ``default_payoff`` entry (values only, no player or
     coalition) is expanded to every (player, coalition) pair the document
-    does not list explicitly, before validation.
+    does not list explicitly, before validation; with more than
+    :data:`MAX_DEFAULT_PAIRS` pairs the document fails before expanding.
 
     A valid document repeats every leaf value once per (player, coalition)
     pair, so each distinct rational string is parsed once per call (see
@@ -178,6 +184,12 @@ def parse_game(text: str, enforce_assumption_a: bool = True) -> GameSpec:
         )
 
     if "default_payoff" in doc:
+        if players >= 2 and _short_of_total(players, MAX_DEFAULT_PAIRS):
+            raise DocumentError(
+                f"document.default_payoff: {players} players need {players} * "
+                f"(2^{players} - 1) (player, coalition) payoffs, more than the "
+                f"{MAX_DEFAULT_PAIRS} a default_payoff is expanded to"
+            )
         raw_default = doc["default_payoff"]
         if not isinstance(raw_default, dict):
             raise DocumentError("document.default_payoff: expected an object")

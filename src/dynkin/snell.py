@@ -14,14 +14,13 @@ allowed and exactly optimal.
 The sweep calls :func:`integer_snell`, which computes the envelope and the
 rule together in scaled integers; :func:`snell_envelope` and
 :func:`eps_optimal_rule` keep the plain ``Fraction`` recursion, which the
-tests treat as the reference; the certifier reads values only, from
-:func:`snell_envelope`.
+tests keep as the reference for the sweep's kernel and for the
+certifier's own integer best responses in :mod:`dynkin.verify`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -32,17 +31,7 @@ from .trees import (
     StoppingRule,
     TreeIndex,
     canonicalize_rule,
-    one_step_expectation,
 )
-
-
-@dataclass(frozen=True)
-class SnellResult:
-    """Envelope, threshold rule and optimal value of one stopping problem."""
-
-    envelope: AdaptedProcess
-    eps_rule: StoppingRule
-    value: Fraction
 
 
 def snell_envelope(tree: ScenarioTree, reward: AdaptedProcess) -> AdaptedProcess:
@@ -152,28 +141,3 @@ def integer_snell(
                 stops.append(nodes[pos].id)
     return ScaledEnvelope(index, tuple(envelope), d), StoppingRule(frozenset(stops))
 
-
-def optimal_value(tree: ScenarioTree, reward: AdaptedProcess) -> Fraction:
-    """Best expected reward over all stopping rules (envelope at the root)."""
-    return snell_envelope(tree, reward).at(tree.root.id)
-
-
-def solve_stopping(
-    tree: ScenarioTree, reward: AdaptedProcess, epsilon: Fraction
-) -> SnellResult:
-    envelope = snell_envelope(tree, reward)
-    rule = eps_optimal_rule(tree, reward, envelope, epsilon)
-    return SnellResult(envelope=envelope, eps_rule=rule, value=envelope.at(tree.root.id))
-
-
-def is_supermartingale_dominating(
-    tree: ScenarioTree, candidate: AdaptedProcess, reward: AdaptedProcess
-) -> bool:
-    """True iff candidate dominates the reward and one-step decreases in mean."""
-    for node in tree.nodes:
-        if candidate.at(node.id) < reward.at(node.id):
-            return False
-        if not tree.is_leaf(node.id):
-            if candidate.at(node.id) < one_step_expectation(tree, candidate, node.id):
-                return False
-    return True

@@ -244,7 +244,9 @@ def validate_tree(tree: ScenarioTree) -> list[str]:
     Checked: unique ids; exactly one root at time 0 with branch probability
     1; parent links exist and advance time by one step; sibling branch
     probabilities are in (0, 1] and sum to 1; all leaves sit at the same
-    terminal stage; leaf path probabilities sum to 1.
+    terminal stage.  The leaf path probabilities then sum to 1 without a
+    check of their own: each node's path probability is the sum of its
+    children's, so the mass at the root passes down to the leaves.
     """
     violations: list[str] = []
     seen: set[NodeId] = set()
@@ -308,18 +310,6 @@ def validate_tree(tree: ScenarioTree) -> list[str]:
             if leaf.time != horizon:
                 violations.append(
                     f"node {leaf.id}: leaf at time {leaf.time}, expected uniform depth {horizon}"
-                )
-        if not violations:
-            # every leaf's path probability times scale[0] is an integer
-            index = tree.index
-            scale = index.scale[0]
-            mass = 0
-            for leaf in index.leaves:
-                prob = index.path_prob[index.position[leaf.id]]
-                mass += prob.numerator * (scale // prob.denominator)
-            if mass != scale:
-                violations.append(
-                    f"leaf path probabilities sum to {Fraction(mass, scale)}, expected 1"
                 )
     return violations
 
@@ -435,16 +425,6 @@ def _check_rule_on_tree(tree: ScenarioTree, rule: StoppingRule) -> None:
     unknown = [i for i in rule.stop_set if i not in tree]
     if unknown:
         raise ValueError(f"rule references nodes not in tree: {sorted(unknown)}")
-
-
-def one_step_expectation(
-    tree: ScenarioTree, process: AdaptedProcess, node_id: NodeId
-) -> Fraction:
-    """Conditional expectation of the next-stage value given ``node_id``."""
-    kids = tree.children(node_id)
-    if not kids:
-        raise ValueError(f"node {node_id!r} has no successor stage")
-    return sum((k.branch_prob * process.at(k.id) for k in kids), Fraction(0))
 
 
 def expectation_under_rule(

@@ -5,11 +5,20 @@ exhaustively, best responses are computed from first principles on the
 deviation reward, and traces are audited against the identities the sweep
 is supposed to maintain.  Desk-scale guardrails fail loudly instead of
 sampling when an enumeration would blow up.
+
+Best responses and the exhaustive search share one integer kernel in
+path-weighted form: with ``w(v)`` the path probability of node ``v`` times
+the tree index's ``scale[0]`` (an integer) and ``D`` an integer clearing
+the denominators of the deviation reward ``Y``, the vector
+``A(v) = w(v) * Y(v) * D`` turns every expectation under a stopping rule
+into a sum of integers.  Nothing of it is shared with the sweep's
+stage-scaled kernel in :mod:`dynkin.snell`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -21,13 +30,13 @@ from .games import (
     expected_payoffs,
 )
 from .scheme import EquilibriumProfile, SchemeStep
-from .snell import snell_envelope
 from .trees import (
     NEVER,
     AdaptedProcess,
     NodeId,
     ScenarioTree,
     StoppingRule,
+    TreeIndex,
     leaf_stop_times,
 )
 
@@ -112,29 +121,46 @@ def deviation_reward(
     its optimal stopping value is the exact best-response value; the
     join-versus-stay comparison is left to the envelope recursion.
     """
-    others = {
-        j: profile.rule_for(j) for j in spec.players if j != player
+    stoppers: dict[NodeId, list[int]] = {}
+    for j in spec.players:
+        if j != player:
+            for node_id in profile.rule_for(j).stop_set:
+                stoppers.setdefault(node_id, []).append(j)
+    coalition_at = {node_id: Coalition.of(js) for node_id, js in stoppers.items()}
+    # each coalition's value dicts, looked up once: (it stops alone, joined)
+    tables = {
+        c: (spec.payoff(player, c).values, spec.payoff(player, c.with_member(player)).values)
+        for c in set(coalition_at.values())
     }
-    solo = spec.payoff(player, Coalition.of((player,)))
-    coalition_at: dict[NodeId, Coalition] = {}
-    for node in spec.tree.nodes:
-        members = [j for j, rule in others.items() if node.id in rule.stop_set]
-        if members:
-            coalition_at[node.id] = Coalition.of(members)
-
+    solo = spec.payoff(player, Coalition.of((player,))).values
     values: dict[NodeId, Fraction] = {}
     frozen: dict[NodeId, Fraction] = {}
     for node in spec.tree.index.nodes:  # parents before children
-        if node.parent is not None and node.parent in frozen:
-            frozen[node.id] = frozen[node.parent]
-            values[node.id] = frozen[node.id]
+        if node.parent in frozen:
+            values[node.id] = frozen[node.id] = frozen[node.parent]
         elif node.id in coalition_at:
-            coalition = coalition_at[node.id]
-            frozen[node.id] = spec.payoff(player, coalition).at(node.id)
-            values[node.id] = spec.payoff(player, coalition.with_member(player)).at(node.id)
+            alone, joined = tables[coalition_at[node.id]]
+            frozen[node.id] = alone[node.id]
+            values[node.id] = joined[node.id]
         else:
-            values[node.id] = solo.at(node.id)
+            values[node.id] = solo[node.id]
     return AdaptedProcess(values)
+
+
+def _weighted_reward(
+    index: TreeIndex, reward: AdaptedProcess, epsilon: Fraction
+) -> tuple[list[int], int]:
+    """``A(v) = w(v) * Y(v) * D`` by index position, and ``D``: the lcm of
+    the reward's and epsilon's denominators.  A rule's expected reward is
+    then the sum of ``A`` over its stop nodes and the leaves it never
+    stops, divided by ``D * scale[0]``."""
+    scale = index.scale[0]
+    rewards = [reward.values[node.id] for node in index.nodes]
+    d = math.lcm(epsilon.denominator, *[y.denominator for y in rewards])
+    return [
+        p.numerator * (scale // p.denominator) * y.numerator * (d // y.denominator)
+        for p, y in zip(index.path_prob, rewards)
+    ], d
 
 
 def best_response_value(
@@ -145,17 +171,27 @@ def best_response_value(
 ) -> Fraction:
     """Best expected payoff the player can get against the others' rules.
 
-    Only the value, which is all the certifier needs; a rule achieving it
-    is ``eps_optimal_rule`` at epsilon 0 on the envelope of
-    :func:`deviation_reward`.
+    Only the value, which is all the certifier needs: the optimal stopping
+    value of :func:`deviation_reward`, by the recursion
+    ``V(v) = max(A(v), sum_k V(k))`` over the children ``k`` of ``v``, on
+    ``int``.  Path weights make the children's plain sum the continuation
+    value, so the root's ``V`` is the value times ``D * scale[0]``.
 
     Pass ``cross_check_cap`` to re-derive the value by enumerating every
     deviation rule through the raw payoff functional; a disagreement
     raises :class:`CertificationError`.
     """
+    index = spec.tree.index
     reward = deviation_reward(spec, profile, player)
-    envelope = snell_envelope(spec.tree, reward)
-    best = envelope.at(spec.tree.root.id)
+    envelope, d = _weighted_reward(index, reward, Fraction(0))
+    children = index.children
+    for pos in range(len(envelope) - 1, -1, -1):  # children before parents
+        kids = children[pos]
+        if kids:
+            continuation = sum([envelope[k] for k in kids])
+            if continuation > envelope[pos]:
+                envelope[pos] = continuation
+    best = Fraction(envelope[0], d * index.scale[0])
     if cross_check_cap is not None:
         enumerated = max(
             expected_payoffs(spec, profile.with_rule(player, r))[player - 1]
@@ -204,6 +240,64 @@ def certify(
     )
 
 
+def _best_response_sets(
+    spec: GameSpec,
+    rules: Sequence[StoppingRule],
+    player: int,
+    epsilon: Fraction,
+) -> dict[tuple[int, ...], tuple[int, Fraction]]:
+    """For each tuple of the other players' rule indices: the bitmask of
+    the player's rules within epsilon of the best payoff, and the value
+    :func:`best_response_value` returns for that tuple.
+
+    With ``S(v)`` the sum of ``A`` over the leaves below ``v`` (``A`` at a
+    leaf, the children's sum elsewhere), a rule ``r`` pays
+    ``S(root) - sum_{v in r} (S(v) - A(v))`` times ``D * scale[0]``: its
+    stop nodes form an antichain, so their leaf ranges are disjoint.
+    Raises :class:`CertificationError` when the maximum of these payoffs
+    is not the best-response value.
+    """
+    index = spec.tree.index
+    children = index.children
+    stop_positions = [[index.position[i] for i in rule.stop_set] for rule in rules]
+    slot = player - 1
+    table = {}
+    for others in itertools.product(range(len(rules)), repeat=spec.num_players - 1):
+        picks = others[:slot] + (0,) + others[slot:]
+        profile = StrategyProfile(tuple(rules[k] for k in picks))
+        value = best_response_value(spec, profile, player)
+        weighted, d = _weighted_reward(
+            index, deviation_reward(spec, profile, player), epsilon
+        )
+        below = weighted[:]
+        for pos in range(len(below) - 1, -1, -1):  # children before parents
+            kids = children[pos]
+            if kids:
+                below[pos] = sum([below[k] for k in kids])
+        gap = [s - a for s, a in zip(below, weighted)]
+        payoffs = [below[0] - sum([gap[p] for p in stops]) for stops in stop_positions]
+        best = max(payoffs)
+        scale = d * index.scale[0]
+        enumerated = Fraction(best, scale)
+        if value < enumerated:
+            raise CertificationError(
+                f"player {player}: best response {value} falls below "
+                f"the achieved payoff {enumerated}"
+            )
+        if value != enumerated:
+            raise CertificationError(
+                f"best response mismatch for player {player}: "
+                f"envelope {value}, enumeration {enumerated}"
+            )
+        bar = best - epsilon.numerator * (scale // epsilon.denominator)
+        mask = 0
+        for k, payoff in enumerate(payoffs):
+            if payoff >= bar:
+                mask |= 1 << k
+        table[others] = (mask, value)
+    return table
+
+
 def find_all_eps_neps(
     spec: GameSpec,
     epsilon: Fraction,
@@ -213,26 +307,35 @@ def find_all_eps_neps(
     """Exhaustive equilibrium search over all canonical profiles.
 
     A player's best response depends only on the other players' rules, so
-    each is computed once per tuple of the others' rules: N * R^(N-1)
-    envelopes for R rules, against R^N certified profiles.
+    for each player and tuple of the others' rules one integer table gives
+    the value and the set of the player's rules within epsilon of it:
+    N * R^(N-1) tables for R rules.  A profile is an eps-equilibrium
+    exactly when every player's rule lies in its set, one bitmask test per
+    player and profile.  Only the profiles found are certified, and one
+    that fails its certificate raises :class:`CertificationError`.
     """
     rules = enumerate_rules(spec.tree, rule_cap)
     total = len(rules) ** spec.num_players
     if total > profile_cap:
         raise CapExceededError(f"{total} profiles to scan, cap is {profile_cap}")
-    best_by_others: dict[tuple[int, tuple[int, ...]], Fraction] = {}
+    tables = [_best_response_sets(spec, rules, i, epsilon) for i in spec.players]
     found = []
     for picks in itertools.product(range(len(rules)), repeat=spec.num_players):
-        profile = StrategyProfile(tuple(rules[k] for k in picks))
         best = []
-        for i in spec.players:
-            key = (i, picks[: i - 1] + picks[i:])
-            value = best_by_others.get(key)
-            if value is None:
-                value = best_by_others[key] = best_response_value(spec, profile, i)
+        for slot, table in enumerate(tables):
+            mask, value = table[picks[:slot] + picks[slot + 1 :]]
+            if not mask >> picks[slot] & 1:
+                break
             best.append(value)
-        certificate = certify(spec, profile, epsilon, best_responses=best)
-        if certificate.is_eps_nep:
+        else:
+            profile = StrategyProfile(tuple(rules[k] for k in picks))
+            certificate = certify(spec, profile, epsilon, best_responses=best)
+            if not certificate.is_eps_nep:
+                raise CertificationError(
+                    f"profile {[sorted(r.stop_set) for r in profile.rules]} is in "
+                    f"every best-response set but fails its certificate, gains "
+                    f"{[str(g) for g in certificate.gains]}"
+                )
             found.append((profile, certificate))
     return found
 

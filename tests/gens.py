@@ -118,3 +118,20 @@ def draw_rules(data, tree: ScenarioTree, count: int) -> tuple[StoppingRule, ...]
         else:
             rules.append(canonicalize_rule(tree, data.draw(st.sets(st.sampled_from(ids)))))
     return tuple(rules)
+
+
+def thirds_chain_tree(horizon: int = 200, branching: int = 20) -> ScenarioTree:
+    """A path of ``horizon`` stages; each of the first ``branching`` spine
+    nodes sends 1/3 on along the spine and 2/3 into a chain of its own, so
+    the stage-0 scale is ``3**branching``."""
+    nodes = [Node(id=0, time=0, parent=None, branch_prob=Fraction(1))]
+    frontier = [0]
+    for t in range(1, horizon + 1):
+        new = []
+        for k, parent in enumerate(frontier):
+            split = t <= branching and k == 0  # only the spine branches
+            for prob in (Fraction(1, 3), Fraction(2, 3)) if split else (Fraction(1),):
+                nodes.append(Node(id=len(nodes), time=t, parent=parent, branch_prob=prob))
+                new.append(len(nodes) - 1)
+        frontier = new
+    return ScenarioTree(tuple(nodes))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dynkin import cli, games, verify
 from dynkin.cli import _realized_json, main
-from dynkin.documents import parse_game, parse_profile
+from dynkin.documents import MAX_DEFAULT_PAIRS, parse_game, parse_profile
 from dynkin.fixtures import example_document
 from dynkin.games import StrategyProfile, expected_payoffs, realized_outcome
 from dynkin.randomgen import random_game
@@ -305,6 +305,39 @@ def test_many_players_without_default_payoff_fail_fast(capsys, tmp_path):
     assert code == 2
     assert "payoffs not total" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("players", [13, 40])
+def test_many_players_with_default_payoff_fail_before_expanding(
+    capsys, tmp_path, players
+):
+    # 13 players would expand to 106,483 processes, 40 to about 2^45
+    assert 12 * (2**12 - 1) <= MAX_DEFAULT_PAIRS < 13 * (2**13 - 1)
+    path = tmp_path / "crowd.json"
+    path.write_text(
+        json.dumps(
+            {
+                "schema_version": "1",
+                "players": players,
+                "horizon": 1,
+                "tree": {
+                    "nodes": [
+                        {"id": 0, "time": 0, "parent": None, "prob": "1"},
+                        {"id": 1, "time": 1, "parent": 0, "prob": "1"},
+                    ]
+                },
+                "payoffs": [],
+                "default_payoff": {"values": {"0": "0", "1": "1"}},
+            }
+        )
+    )
+    code, out, err = run_cli(capsys, "solve", "--game", str(path), "--epsilon", "0")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: document.default_payoff: {players} players need {players} * "
+        f"(2^{players} - 1) (player, coalition) payoffs, more than the 65536 "
+        "a default_payoff is expanded to\n"
+    )
 
 
 @settings(max_examples=100, deadline=None)

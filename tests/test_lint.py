@@ -36,3 +36,23 @@ def test_sources_use_no_floats_or_true_division():
         if _inexact(node)
     ]
     assert SOURCES and found == []
+
+
+def test_verify_shares_no_sweep_code():
+    # the certifier must not reuse the sweep code it certifies: nothing
+    # from snell, and from scheme only the types it audits
+    path = Path(dynkin.__file__).parent / "verify.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").rsplit(".", 1)[-1]
+            for alias in node.names:  # from . import snell names a module
+                package = module in ("", "dynkin")
+                imported.add((alias.name, "*") if package else (module, alias.name))
+        elif isinstance(node, ast.Import):
+            imported |= {(alias.name.rsplit(".", 1)[-1], "*") for alias in node.names}
+    assert not any(module == "snell" for module, _ in imported)
+    assert {name for module, name in imported if module == "scheme"} <= {
+        "EquilibriumProfile",
+        "SchemeStep",
+    }

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -16,7 +17,6 @@ from dynkin.trees import (
     leaf_stop_nodes,
     leaf_stop_times,
     min_of_rules,
-    one_step_expectation,
     rule_from_path_times,
     stop_everywhere_at,
     validate_tree,
@@ -30,6 +30,7 @@ from gens import (
     tree_with_flags,
     tree_with_process,
 )
+from snell_reference import one_step_expectation
 
 
 def ancestor_walk_canonical(tree, flags):
@@ -100,6 +101,45 @@ def test_validate_catches_structural_breakage():
 
     dup = ScenarioTree((Node(0, 0, None, Fraction(1)), Node(0, 0, None, Fraction(1))))
     assert any("duplicate id" in v for v in validate_tree(dup))
+
+
+@st.composite
+def thirds_and_sevenths(draw):
+    """A uniform-depth or ragged tree whose every sibling group splits a
+    denominator from 3, 7, 9, 21 or 49 into positive parts, so that every
+    sibling sum is exactly 1."""
+    base = draw(st.one_of(scenario_trees(max_depth=4, max_nodes=20), linked_trees()))
+    probs = {}
+    for node in base.nodes:
+        kids = base.children(node.id)
+        if kids:
+            q = draw(st.sampled_from([d for d in (3, 7, 9, 21, 49) if d >= len(kids)]))
+            cuts = sorted(
+                draw(
+                    st.sets(
+                        st.integers(1, q - 1),
+                        min_size=len(kids) - 1,
+                        max_size=len(kids) - 1,
+                    )
+                )
+            )
+            for kid, lo, hi in zip(kids, [0, *cuts], [*cuts, q]):
+                probs[kid.id] = Fraction(hi - lo, q)
+    return ScenarioTree(
+        tuple(replace(n, branch_prob=probs.get(n.id, n.branch_prob)) for n in base.nodes)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(thirds_and_sevenths())
+def test_unit_sibling_sums_imply_unit_leaf_mass(tree):
+    # why validate_tree checks no leaf mass: the sibling sums already fix it
+    assert not any("children probabilities" in v for v in validate_tree(tree))
+    index = tree.index
+    scale = index.scale[0]
+    weights = [index.path_prob[index.position[leaf.id]] * scale for leaf in index.leaves]
+    assert all(w.denominator == 1 for w in weights)
+    assert sum(weights) == scale
 
 
 def test_one_step_expectation_single_child():

@@ -7,11 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynkin.games import StrategyProfile, expected_payoffs
+from dynkin.games import GameSpec, StrategyProfile, all_coalitions, expected_payoffs
 from dynkin.randomgen import random_game
 from dynkin.scheme import SchemeConfig, run_scheme
 from dynkin.snell import eps_optimal_rule, snell_envelope
-from dynkin.trees import NEVER, NEVER_RULE, StoppingRule, min_of_rules, stop_everywhere_at
+from dynkin.trees import (
+    NEVER,
+    NEVER_RULE,
+    AdaptedProcess,
+    StoppingRule,
+    canonicalize_rule,
+    min_of_rules,
+    stop_everywhere_at,
+)
 from dynkin import verify
 from dynkin.verify import (
     CapExceededError,
@@ -24,7 +32,15 @@ from dynkin.verify import (
     enumerate_rules,
     find_all_eps_neps,
 )
-from gens import draw_rules, full_binary_tree, single_path_tree
+from gens import (
+    draw_rules,
+    full_binary_tree,
+    scenario_trees,
+    single_path_tree,
+    thirds_chain_tree,
+)
+
+KERNEL_DENOMINATORS = (1, 2, 3, 5, 7, 11, 13, 97)
 
 
 def independent_antichain_count(tree, node_id=None):
@@ -351,3 +367,115 @@ def test_find_all_raises_on_a_negative_gain(monkeypatch, deterministic_game):
     monkeypatch.setattr(verify, "best_response_value", low_best_response)
     with pytest.raises(CertificationError, match="best response -9 falls"):
         find_all_eps_neps(deterministic_game, Fraction(0))
+
+
+def test_find_all_raises_on_a_best_response_above_every_rule(
+    monkeypatch, deterministic_game
+):
+    def high_best_response(spec, profile, player):
+        return Fraction(9)
+
+    monkeypatch.setattr(verify, "best_response_value", high_best_response)
+    with pytest.raises(
+        CertificationError, match="best response mismatch for player 1: envelope 9"
+    ):
+        find_all_eps_neps(deterministic_game, Fraction(0))
+
+
+def test_find_all_raises_when_a_found_profile_fails_its_certificate(
+    monkeypatch, deterministic_game
+):
+    # payoffs one lower than the integer tables price them: every profile
+    # found has gains of 1 in its certificate
+    def lowered_payoffs(spec, profile):
+        return tuple(v - 1 for v in expected_payoffs(spec, profile))
+
+    monkeypatch.setattr(verify, "expected_payoffs", lowered_payoffs)
+    with pytest.raises(CertificationError, match="fails its certificate"):
+        find_all_eps_neps(deterministic_game, Fraction(0))
+
+
+def certify_every_profile(spec, epsilon):
+    """Reference search: certify each profile in product order from
+    scratch and keep the eps-equilibria."""
+    found = []
+    for combo in itertools.product(enumerate_rules(spec.tree), repeat=spec.num_players):
+        profile = StrategyProfile(combo)
+        certificate = certify(spec, profile, epsilon)
+        if certificate.is_eps_nep:
+            found.append((profile, certificate))
+    return found
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_find_all_equals_the_certify_every_profile_reference(data):
+    num_players, horizon = data.draw(
+        st.sampled_from([(2, 1), (2, 2), (3, 1)]), label="players, horizon"
+    )
+    spec = random_game(Random(data.draw(st.integers(0, 2**32 - 1))), num_players, horizon)
+    # the game's own gains put ties exactly at epsilon
+    gains = {
+        gain
+        for _, certificate in certify_every_profile(spec, Fraction(10**6))
+        for gain in certificate.gains
+    }
+    epsilon = data.draw(st.sampled_from(sorted(gains | {Fraction(0)})), label="epsilon")
+    assert find_all_eps_neps(spec, epsilon) == certify_every_profile(spec, epsilon)
+
+
+
+@pytest.mark.parametrize(
+    "num_players, epsilon", [(2, Fraction(133, 88)), (3, Fraction(21, 8))]
+)
+def test_find_all_at_an_epsilon_off_the_payoff_grid(num_players, epsilon):
+    # epsilon's denominator must enter the integer scale of the sets' bar
+    spec = random_game(Random(0), num_players, 1)
+    assert find_all_eps_neps(spec, epsilon) == certify_every_profile(spec, epsilon)
+
+def envelope_reference(spec, profile, player):
+    reward = deviation_reward(spec, profile, player)
+    return snell_envelope(spec.tree, reward).at(spec.tree.root.id)
+
+
+def random_payoffs(rng, tree, num_players):
+    """Unvalidated payoffs: best responses need neither hypothesis."""
+    return {
+        (i, coalition): AdaptedProcess(
+            {
+                node.id: Fraction(rng.randint(-400, 400), rng.choice(KERNEL_DENOMINATORS))
+                for node in tree.nodes
+            }
+        )
+        for i in range(1, num_players + 1)
+        for coalition in all_coalitions(num_players)
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_integer_best_response_equals_the_fraction_envelope(data):
+    num_players = data.draw(st.integers(2, 3), label="players")
+    tree = data.draw(scenario_trees(max_depth=4, max_nodes=20, max_weight=9))
+    rng = Random(data.draw(st.integers(0, 2**32 - 1), label="payoff seed"))
+    spec = GameSpec(num_players, tree.horizon, tree, random_payoffs(rng, tree, num_players))
+    profile = StrategyProfile(draw_rules(data, tree, num_players))
+    for player in spec.players:
+        assert best_response_value(spec, profile, player) == envelope_reference(
+            spec, profile, player
+        )
+
+
+def test_integer_best_response_on_a_deep_path_with_thirds_near_the_root():
+    tree = thirds_chain_tree()
+    assert tree.index.scale[0] == 3**20
+    rng = Random(5)
+    spec = GameSpec(2, tree.horizon, tree, random_payoffs(rng, tree, 2))
+    ids = [node.id for node in tree.nodes]
+    for _ in range(4):
+        profile = StrategyProfile(
+            tuple(canonicalize_rule(tree, rng.sample(ids, 5)) for _ in (1, 2))
+        )
+        for player in (1, 2):
+            value = best_response_value(spec, profile, player)
+            assert value == envelope_reference(spec, profile, player)
