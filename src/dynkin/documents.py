@@ -67,6 +67,18 @@ def _parse_once(
     return value
 
 
+def _node_fields(raw: Any, here: str) -> None:
+    """Raise the first error among a tree node's object shape, ``id``,
+    ``time`` and ``parent``; return if there is none."""
+    if not isinstance(raw, dict):
+        raise DocumentError(f"{here}: expected an object")
+    _require(raw, "id", int, here)
+    _require(raw, "time", int, here)
+    parent = raw.get("parent")
+    if parent is not None and (not isinstance(parent, int) or isinstance(parent, bool)):
+        raise DocumentError(f"{here}.parent: expected an integer or null")
+
+
 def _parse_tree(
     doc: Any, where: str, rationals: dict[str, Fraction]
 ) -> ScenarioTree:
@@ -75,15 +87,18 @@ def _parse_tree(
     raw_nodes = _require(doc, "nodes", list, where)
     nodes = []
     for k, raw in enumerate(raw_nodes):
-        here = f"{where}.nodes[{k}]"
-        if not isinstance(raw, dict):
-            raise DocumentError(f"{here}: expected an object")
-        node_id = _require(raw, "id", int, here)
-        time = _require(raw, "time", int, here)
-        parent = raw.get("parent")
-        if parent is not None and (not isinstance(parent, int) or isinstance(parent, bool)):
-            raise DocumentError(f"{here}.parent: expected an integer or null")
-        prob = _parse_once(rationals, raw.get("prob"), here, "prob")
+        # the checks run in order and build the node's path only to raise
+        if type(raw) is not dict:
+            _node_fields(raw, f"{where}.nodes[{k}]")
+        node_id, time, parent = raw.get("id"), raw.get("time"), raw.get("parent")
+        if type(node_id) is not int or type(time) is not int or (
+            parent is not None and type(parent) is not int
+        ):
+            _node_fields(raw, f"{where}.nodes[{k}]")
+        text = raw.get("prob")
+        prob = rationals.get(text) if type(text) is str else None
+        if prob is None:
+            prob = _parse_once(rationals, text, f"{where}.nodes[{k}]", "prob")
         nodes.append(Node(id=node_id, time=time, parent=parent, branch_prob=prob))
     return ScenarioTree(tuple(nodes))
 

@@ -262,11 +262,18 @@ def expected_payoffs(spec: GameSpec, profile: StrategyProfile) -> tuple[Fraction
     scale = index.scale[0]
     weights = []
     read: list[list[Fraction]] = [[] for _ in spec.players]
+    # each coalition's value dicts, one per player, looked up once per call
+    tables: dict[tuple[int, ...], list[dict[NodeId, Fraction]]] = {}
     for leaf, (_, coalition, node_id) in zip(index.leaves, leaf_outcomes(spec, profile)):
         prob = index.path_prob[index.position[leaf.id]]
         weights.append(prob.numerator * (scale // prob.denominator))
-        for i, values in zip(spec.players, read):
-            values.append(spec.payoff(i, coalition).at(node_id))
+        by_player = tables.get(coalition.players)
+        if by_player is None:
+            by_player = tables[coalition.players] = [
+                spec.payoff(i, coalition).values for i in spec.players
+            ]
+        for values, table in zip(read, by_player):
+            values.append(table[node_id])
     totals = []
     for values in read:
         common = math.lcm(*[x.denominator for x in values])

@@ -17,16 +17,24 @@ updated where that answer strictly precedes the others' stop:
 Rules start at "never stop" and can only move earlier, so on a finite tree
 the sweep reaches a fixed point; the fixed profile is an eps-equilibrium of
 the game (certified independently in :mod:`dynkin.verify`).
+
+Each step runs on ``int``.  A run scales each player's solo payoff once,
+on their first visit; a step copies that vector and overwrites only the
+theta nodes with their frozen values.  The envelope and mu then visit only
+the live region, the nodes not strictly below a theta node
+(:func:`dynkin.snell.integer_snell`); below one, ``U`` and ``W`` read the
+theta node's value.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .games import Coalition, GameSpec, StrategyProfile, validate_game
-from .snell import ScaledEnvelope, integer_snell
+from .snell import ScaledProcess, integer_snell
 from .trees import (
     NEVER_RULE,
     AdaptedProcess,
@@ -70,8 +78,8 @@ class SchemeStep:
     player: int
     theta: StoppingRule
     coalition_at_theta: dict[NodeId, Coalition]
-    stage_reward: AdaptedProcess
-    envelope: ScaledEnvelope
+    stage_reward: ScaledProcess
+    envelope: ScaledProcess
     mu: StoppingRule
     tau: StoppingRule
 
@@ -123,6 +131,68 @@ def initial_state(spec: GameSpec, at_horizon: bool = False) -> SchemeState:
     return SchemeState(n=spec.num_players + 1, taus=(start,) * spec.num_players)
 
 
+def _stop_coalitions(
+    theta: StoppingRule, others: Mapping[int, StoppingRule]
+) -> dict[NodeId, Coalition]:
+    """The coalition of the other players stopping at each theta node."""
+    coalition_at: dict[NodeId, Coalition] = {}
+    for node_id in theta.stop_set:
+        members = [j for j, rule in others.items() if node_id in rule.stop_set]
+        coalition_at[node_id] = Coalition.of(members)
+    return coalition_at
+
+
+def _scaled_solo(
+    spec: GameSpec, player: int, epsilon: Fraction
+) -> tuple[list[int], int]:
+    """The player's solo payoff as ``X(v) * D * index.scale[t]`` by index
+    position, with ``D`` the lcm of epsilon's and the values' denominators."""
+    index = spec.tree.index
+    values = spec.payoff(player, Coalition.of((player,))).values
+    solo = [values[node.id] for node in index.nodes]
+    d = math.lcm(epsilon.denominator, *[x.denominator for x in solo])
+    start = index.stage_start
+    scaled = []
+    for t, scale in enumerate(index.scale):
+        s = d * scale
+        for x in solo[start[t] : start[t + 1]]:
+            scaled.append(x.numerator * (s // x.denominator))
+    return scaled, d
+
+
+def _stage_reward(
+    spec: GameSpec,
+    player: int,
+    coalition_at: Mapping[NodeId, Coalition],
+    solo: tuple[list[int], int],
+) -> ScaledProcess:
+    """U^n on ``int``: a copy of the scaled solo payoff with every theta
+    node set to max(join, stay), frozen from there down.
+
+    A frozen value whose denominator does not divide ``D * scale[t]``
+    raises this step's ``D`` to the least multiple it does divide, and the
+    copy is rescaled to match; nothing rounds.
+    """
+    index = spec.tree.index
+    scaled, d = solo
+    frozen: dict[int, tuple[Fraction, int]] = {}  # position: (value, stage scale)
+    raised = d
+    for node_id, coalition in coalition_at.items():
+        join = spec.payoff(player, coalition.with_member(player)).values[node_id]
+        stay = spec.payoff(player, coalition).values[node_id]
+        value = max(join, stay)
+        pos = index.position[node_id]
+        scale = index.scale[index.stage_of(pos)]
+        den = value.denominator
+        raised = math.lcm(raised, den // math.gcd(den, scale))
+        frozen[pos] = (value, scale)
+    factor = raised // d
+    u = [x * factor for x in scaled] if factor > 1 else list(scaled)
+    for pos, (value, scale) in frozen.items():
+        u[pos] = value.numerator * (raised * scale // value.denominator)
+    return ScaledProcess(index, u, raised, frozenset(frozen))
+
+
 def build_stage_reward(
     spec: GameSpec,
     player: int,
@@ -137,31 +207,16 @@ def build_stage_reward(
     there and "stay" leaves it alone; descendants inherit the frozen value.
     On paths the others never stop the solo payoff runs to the leaf, whose
     value equals the all-players terminal payoff by coincidence.
+
+    Read node by node from the integer reward the sweep itself uses.
     """
     expected_theta = min_of_rules(spec.tree, list(others.values()))
     if theta != expected_theta:
         raise ValueError("theta is not the minimum of the other players' rules")
-
-    coalition_at: dict[NodeId, Coalition] = {}
-    for node_id in theta.stop_set:
-        members = [j for j, rule in others.items() if node_id in rule.stop_set]
-        coalition_at[node_id] = Coalition.of(members)
-
-    solo = spec.payoff(player, Coalition.of((player,)))
-    values: dict[NodeId, Fraction] = {}
-    frozen: dict[NodeId, Fraction] = {}
-    for node in spec.tree.index.nodes:
-        if node.id in coalition_at:
-            coalition = coalition_at[node.id]
-            join = spec.payoff(player, coalition.with_member(player)).at(node.id)
-            stay = spec.payoff(player, coalition).at(node.id)
-            frozen[node.id] = max(join, stay)
-            values[node.id] = frozen[node.id]
-        elif node.parent is not None and node.parent in frozen:
-            frozen[node.id] = frozen[node.parent]
-            values[node.id] = frozen[node.id]
-        else:
-            values[node.id] = solo.at(node.id)
+    coalition_at = _stop_coalitions(theta, others)
+    solo = _scaled_solo(spec, player, Fraction(0))
+    reward = _stage_reward(spec, player, coalition_at, solo)
+    values = {node.id: reward.at(node.id) for node in spec.tree.index.nodes}
     return AdaptedProcess(values), coalition_at
 
 
@@ -197,8 +252,17 @@ def _updated_tau(
     return rule_from_path_times(tree, times)
 
 
-def scheme_step(spec: GameSpec, config: SchemeConfig, state: SchemeState) -> SchemeStep:
-    """Visit one player and compute their updated rule."""
+def scheme_step(
+    spec: GameSpec,
+    config: SchemeConfig,
+    state: SchemeState,
+    solo_rewards: dict[int, tuple[list[int], int]] | None = None,
+) -> SchemeStep:
+    """Visit one player and compute their updated rule.
+
+    ``solo_rewards`` keeps each player's scaled solo payoff from their
+    first visit on; :func:`run_scheme` passes one dict for its whole run.
+    """
     order = config.order_for(spec.num_players)
     position = (state.n - 1) % spec.num_players
     player = order[position]
@@ -206,7 +270,13 @@ def scheme_step(spec: GameSpec, config: SchemeConfig, state: SchemeState) -> Sch
         p: state.taus[p - 1] for p in spec.players if p != player
     }
     theta = min_of_rules(spec.tree, list(others.values()))
-    stage_reward, coalition_at = build_stage_reward(spec, player, theta, others)
+    coalition_at = _stop_coalitions(theta, others)
+    if solo_rewards is None:
+        solo_rewards = {}
+    solo = solo_rewards.get(player)
+    if solo is None:
+        solo = solo_rewards[player] = _scaled_solo(spec, player, config.epsilon)
+    stage_reward = _stage_reward(spec, player, coalition_at, solo)
     envelope, mu = integer_snell(spec.tree, stage_reward, config.epsilon)
     tau = _updated_tau(spec.tree, mu, theta, state.taus[player - 1])
     return SchemeStep(
@@ -250,6 +320,7 @@ def run_scheme(
         raise ValueError(f"max_rounds must be >= 1, got {cap}")
 
     state = initial_state(spec, at_horizon=initialize_at_horizon)
+    solo_rewards: dict[int, tuple[list[int], int]] = {}
     trace: list[SchemeStep] = []
     rounds = 0
     while True:
@@ -260,7 +331,7 @@ def run_scheme(
         before = state.taus
         stationary = True
         for _ in range(spec.num_players):
-            step = scheme_step(spec, config, state)
+            step = scheme_step(spec, config, state, solo_rewards)
             if step.tau != state.taus[step.player - 1]:
                 stationary = False
             trace.append(step)

@@ -12,17 +12,22 @@ the threshold always triggers by the terminal stage, and ``eps = 0`` is
 allowed and exactly optimal.
 
 The sweep calls :func:`integer_snell`, which computes the envelope and the
-rule together in scaled integers; :func:`snell_envelope` and
-:func:`eps_optimal_rule` keep the plain ``Fraction`` recursion, which the
-tests keep as the reference for the sweep's kernel and for the
-certifier's own integer best responses in :mod:`dynkin.verify`.
+rule together in scaled integers, and only on the live region: a sweep
+step's reward is constant strictly below each of its frozen positions (the
+others' earliest stops), so there the envelope equals the reward and the
+rule has already stopped.  A :class:`ScaledProcess` answers for every node
+all the same, reading a node below a frozen position at that position.
+:func:`snell_envelope` and :func:`eps_optimal_rule` keep the plain
+``Fraction`` recursion over the whole tree, which the tests keep as the
+reference for the sweep's kernel and for the certifier's own integer best
+responses in :mod:`dynkin.verify`.
 """
 
 from __future__ import annotations
 
-import math
+import bisect
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .trees import (
     AdaptedProcess,
@@ -70,74 +75,95 @@ def eps_optimal_rule(
     return canonicalize_rule(tree, flags)
 
 
-class ScaledEnvelope(NamedTuple):
-    """Envelope values kept as the integers :func:`integer_snell` computed.
+class ScaledProcess(NamedTuple):
+    """One sweep step's values per node, kept as the integers computed.
 
     The node at position ``p`` of ``index``, at stage ``t``, has the value
     ``scaled[p] / (denominator * index.scale[t])``; it becomes a
-    ``Fraction`` only when read.
+    ``Fraction`` only when read.  Strictly below a position in
+    ``frozen_at`` (an antichain) the process is constant, so ``scaled`` is
+    read only at the positions not strictly below one: a node below a
+    frozen position reads that position's value.
     """
 
     index: TreeIndex
-    scaled: tuple[int, ...]
+    scaled: Sequence[int]
     denominator: int
+    frozen_at: frozenset[int] = frozenset()
 
     def at(self, node_id: NodeId) -> Fraction:
-        pos = self.index.position[node_id]
-        scale = self.index.scale[self.index.stage_of(pos)]
+        index = self.index
+        pos = index.position[node_id]
+        if self.frozen_at:
+            parent = index.parent
+            up = parent[pos]
+            while up >= 0:
+                if up in self.frozen_at:
+                    pos = up
+                    break
+                up = parent[up]
+        scale = index.scale[index.stage_of(pos)]
         return Fraction(self.scaled[pos], self.denominator * scale)
 
 
 def integer_snell(
-    tree: ScenarioTree, reward: AdaptedProcess, epsilon: Fraction
-) -> tuple[ScaledEnvelope, StoppingRule]:
+    tree: ScenarioTree, reward: ScaledProcess, epsilon: Fraction
+) -> tuple[ScaledProcess, StoppingRule]:
     """Envelope and first-entry rule of ``envelope <= reward + epsilon``.
 
     Exactly what :func:`snell_envelope` then :func:`eps_optimal_rule`
-    return, computed on ``int``.  With ``D`` the lcm of the reward's and
-    epsilon's denominators, a stage-``t`` value ``X`` is carried as
-    ``X * D * index.scale[t]``, so the recursion becomes
-    ``W(v) = max(U(v), sum_k c_k * W(k))`` with the integer child weights
-    ``c_k`` of the tree index.  The rule is then one top-down pass: the
-    nodes inside the threshold region that have no ancestor inside it.
+    return for the reward ``reward.at``, computed on ``int`` over the live
+    region only: the positions not strictly below a frozen one.  A
+    stage-``t`` value ``X`` is carried as ``X * D * index.scale[t]``, with
+    ``D = reward.denominator`` a multiple of epsilon's denominator, so the
+    recursion is ``W(v) = max(U(v), sum_k c_k * W(k))`` with the integer
+    child weights ``c_k`` of the tree index.  At a frozen position
+    ``W = U``: its children carry U's value, and their weights ``c_k`` sum
+    to the stage scale ratio, so the sum equals U there too.  A frozen
+    position is thus inside the threshold region, and the rule, one
+    top-down pass to the first nodes inside the region, never passes it.
     """
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    d = reward.denominator
+    if d % epsilon.denominator:
+        raise ValueError(
+            f"reward denominator {d} is not a multiple of epsilon's {epsilon.denominator}"
+        )
     index = tree.index
-    nodes = index.nodes
-    rewards = [reward.values[node.id] for node in nodes]
-    d = math.lcm(epsilon.denominator, *[u.denominator for u in rewards])
+    nodes, children, weights = index.nodes, index.children, index.child_weights
+    frozen, u = reward.frozen_at, reward.scaled
 
-    children, weights, start = index.children, index.child_weights, index.stage_start
-    envelope = [0] * len(nodes)
-    inside = [False] * len(nodes)
-    for t in range(index.horizon, -1, -1):
-        s = d * index.scale[t]
-        slack = epsilon.numerator * (s // epsilon.denominator)
-        for pos in range(start[t], start[t + 1]):
-            u = rewards[pos]
-            u = u.numerator * (s // u.denominator)
-            kids = children[pos]
-            if kids:
-                w = 0
-                for k, c in zip(kids, weights[pos]):
-                    w += c * envelope[k]
-                if w < u:
-                    w = u
-            else:
-                w = u
-            envelope[pos] = w
-            inside[pos] = w <= u + slack
+    # the live positions whose W needs their children: neither leaves nor
+    # frozen, which keep W = U
+    inner = []
+    live = [0]
+    for pos in live:  # grows while iterating: breadth first, in position order
+        kids = children[pos]
+        if kids and pos not in frozen:
+            inner.append(pos)
+            live.extend(kids)
 
-    parent = index.parent
-    stopped = inside[:1]  # stopped[p]: the root path of p enters the region
-    stops = [nodes[0].id] if inside[0] else []
-    for pos in range(1, len(nodes)):
-        if stopped[parent[pos]]:
-            stopped.append(True)
+    envelope = list(u)
+    inside = [True] * len(nodes)
+    bounds = [bisect.bisect_left(inner, first) for first in index.stage_start]
+    for t in range(index.horizon - 1, -1, -1):  # children before parents
+        slack = epsilon.numerator * (d * index.scale[t] // epsilon.denominator)
+        for pos in inner[bounds[t] : bounds[t + 1]]:
+            w = 0
+            for k, c in zip(children[pos], weights[pos]):
+                w += c * envelope[k]
+            here = u[pos]
+            if w > here:
+                envelope[pos] = w
+                inside[pos] = w <= here + slack
+
+    stops = []
+    frontier = [0]
+    for pos in frontier:  # grows while iterating: stops at the first entries
+        if inside[pos]:
+            stops.append(nodes[pos].id)
         else:
-            stopped.append(inside[pos])
-            if inside[pos]:
-                stops.append(nodes[pos].id)
-    return ScaledEnvelope(index, tuple(envelope), d), StoppingRule(frozenset(stops))
-
+            frontier.extend(children[pos])
+    envelope_process = ScaledProcess(index, envelope, d, frozen)
+    return envelope_process, StoppingRule(frozenset(stops))

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from random import Random
 
 import hypothesis.strategies as st
 
+from dynkin.games import GameSpec, all_coalitions
 from dynkin.trees import AdaptedProcess, Node, ScenarioTree, StoppingRule, canonicalize_rule
 
 
@@ -135,3 +137,70 @@ def thirds_chain_tree(horizon: int = 200, branching: int = 20) -> ScenarioTree:
                 new.append(len(nodes) - 1)
         frontier = new
     return ScenarioTree(tuple(nodes))
+
+
+def late_stop_game(
+    rng: Random, num_players: int, horizon: int, branching_stages: int = 2
+) -> GameSpec:
+    """A pre-emption game whose sweep stops late and runs many rounds.
+
+    The first ``branching_stages`` stages split every path in thirds or
+    sevenths; from there each path runs on as a chain.  On a chain a
+    player's solo payoff rises by less than 1/2 per stage, and it drops
+    back at the leaf, where every coalition pays the same.  Being
+    pre-empted costs 2/3, 5/7 or 6/7 against stopping alone, more than any
+    stage's rise, and stopping jointly costs 1/4 more again, so the
+    joint-stop hypothesis holds.  The first player visited stops one stage
+    before the horizon and every later visit pre-empts the latest stop by
+    one stage, down to the chains' first stage: before it, stopping pays
+    less than anything on a chain.  At ε = 0 the sweep thus runs about
+    ``(horizon - branching_stages) / num_players`` rounds.
+    """
+    splits = [(Fraction(1, 3), Fraction(2, 3)), (Fraction(3, 7), Fraction(4, 7))]
+    nodes = [Node(id=0, time=0, parent=None, branch_prob=Fraction(1))]
+    chain_of: list[int | None] = [None]
+    frontier = [0]
+    for t in range(1, horizon + 1):
+        new = []
+        for parent in frontier:
+            branches = rng.choice(splits) if t <= branching_stages else (Fraction(1),)
+            for prob in branches:
+                nodes.append(Node(id=len(nodes), time=t, parent=parent, branch_prob=prob))
+                new.append(len(nodes) - 1)
+                if t < branching_stages:
+                    chain_of.append(None)
+                elif t == branching_stages:
+                    chain_of.append(len(new) - 1)
+                else:
+                    chain_of.append(chain_of[parent])
+        frontier = new
+    tree = ScenarioTree(tuple(nodes))
+
+    players = range(1, num_players + 1)
+    chains = range(len(frontier))
+    base = {(i, c): Fraction(rng.randint(-16, 16), 8) for i in players for c in chains}
+    rise = {key: Fraction(rng.randint(1, 7), 16) for key in base}
+    penalty = {i: rng.choice((Fraction(2, 3), Fraction(5, 7), Fraction(6, 7))) for i in players}
+
+    def solo(i: int, node: Node) -> Fraction:
+        c = chain_of[node.id]
+        if c is None:
+            return Fraction(-rng.randint(32, 40), 8)
+        return base[(i, c)] + rise[(i, c)] * node.time
+
+    payoffs = {}
+    for i in players:
+        alone = {node.id: solo(i, node) for node in nodes}
+        for coalition in all_coalitions(num_players):
+            values = {}
+            for node in nodes:
+                if node.time == horizon:
+                    values[node.id] = alone[node.parent] - 1
+                elif coalition.players == (i,):
+                    values[node.id] = alone[node.id]
+                elif i in coalition:
+                    values[node.id] = alone[node.id] - penalty[i] - Fraction(1, 4)
+                else:
+                    values[node.id] = alone[node.id] - penalty[i]
+            payoffs[(i, coalition)] = AdaptedProcess(values)
+    return GameSpec(num_players=num_players, horizon=horizon, tree=tree, payoffs=payoffs)

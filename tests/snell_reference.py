@@ -3,15 +3,20 @@
 Plain ``Fraction`` code on top of :func:`dynkin.snell.snell_envelope` and
 :func:`dynkin.snell.eps_optimal_rule`: the one-step expectation, the
 optimal value, the envelope/rule/value triple of one stopping problem and
-the supermartingale-domination check the envelope's tests assert.
+the supermartingale-domination check the envelope's tests assert.  Also
+the sweep's stage reward as a full-tree ``Fraction`` node loop, and the
+conversion that hands a plain process to the sweep's integer kernel.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping
 
-from dynkin.snell import eps_optimal_rule, snell_envelope
+from dynkin.games import Coalition, GameSpec
+from dynkin.snell import ScaledProcess, eps_optimal_rule, snell_envelope
 from dynkin.trees import AdaptedProcess, NodeId, ScenarioTree, StoppingRule
 
 
@@ -58,3 +63,51 @@ def is_supermartingale_dominating(
             if candidate.at(node.id) < one_step_expectation(tree, candidate, node.id):
                 return False
     return True
+
+
+def kernel_input(
+    tree: ScenarioTree, reward: AdaptedProcess, epsilon: Fraction
+) -> ScaledProcess:
+    """``reward`` in the scaled form :func:`dynkin.snell.integer_snell`
+    reads, with no frozen positions, so the whole tree is live: stage-``t``
+    values times ``D * scale[t]``, ``D`` the lcm of the reward's and
+    epsilon's denominators."""
+    index = tree.index
+    rewards = [reward.at(node.id) for node in index.nodes]
+    d = math.lcm(epsilon.denominator, *[x.denominator for x in rewards])
+    scaled = [
+        x.numerator * (d * index.scale[index.stage_of(pos)] // x.denominator)
+        for pos, x in enumerate(rewards)
+    ]
+    return ScaledProcess(index, scaled, d)
+
+
+def reference_stage_reward(
+    spec: GameSpec,
+    player: int,
+    theta: StoppingRule,
+    others: Mapping[int, StoppingRule],
+) -> AdaptedProcess:
+    """U^n as one ``Fraction`` per node: the node loop the sweep ran before
+    its integer kernel visited only the live region."""
+    coalition_at: dict[NodeId, Coalition] = {}
+    for node_id in theta.stop_set:
+        members = [j for j, rule in others.items() if node_id in rule.stop_set]
+        coalition_at[node_id] = Coalition.of(members)
+
+    solo = spec.payoff(player, Coalition.of((player,)))
+    values: dict[NodeId, Fraction] = {}
+    frozen: dict[NodeId, Fraction] = {}
+    for node in spec.tree.index.nodes:
+        if node.id in coalition_at:
+            coalition = coalition_at[node.id]
+            join = spec.payoff(player, coalition.with_member(player)).at(node.id)
+            stay = spec.payoff(player, coalition).at(node.id)
+            frozen[node.id] = max(join, stay)
+            values[node.id] = frozen[node.id]
+        elif node.parent is not None and node.parent in frozen:
+            frozen[node.id] = frozen[node.parent]
+            values[node.id] = frozen[node.id]
+        else:
+            values[node.id] = solo.at(node.id)
+    return AdaptedProcess(values)

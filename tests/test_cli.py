@@ -8,14 +8,20 @@ from hypothesis import strategies as st
 
 from dynkin import cli, games, verify
 from dynkin.cli import _realized_json, main
-from dynkin.documents import MAX_DEFAULT_PAIRS, parse_game, parse_profile
+from dynkin.documents import (
+    MAX_DEFAULT_PAIRS,
+    document_text,
+    parse_game,
+    parse_profile,
+    serialize_game,
+)
 from dynkin.fixtures import example_document
 from dynkin.games import StrategyProfile, expected_payoffs, realized_outcome
 from dynkin.randomgen import random_game
 from dynkin.trees import NEVER
 from dynkin.verify import certify
 from fractions import Fraction
-from gens import draw_rules
+from gens import draw_rules, late_stop_game
 
 
 def run_cli(capsys, *argv):
@@ -385,12 +391,26 @@ SOLVE_REPORT_DIGESTS = [
     ("paper-5-1", "1/4", "2,3,1", "ac9e68f1b7d3759df4d6f9ef6a35740592933d989c11cf3045b49bd67d789b45"),
     ("paper-5-3", "0", None, "36508d9dd49d7da1c8e4b1fea90fdf2c23bee4616b1e1b7042196904e4bf136b"),
     ("paper-5-3", "1/4", None, "f4bad7b71759dfc6373a7cbaaa1927f960d626540c4e83b18180e47adf2e9788"),
+    # recorded before the sweep's kernel visited only the live region
+    ("late-stop-3x36", "0", None, "781b60dd6f4cecc8eb49533598ef3e312e4dd9332177cd8940928b5b35560970"),
 ]
+
+# generated games the digests cover besides the built-in examples
+GENERATED_GAMES = {"late-stop-3x36": lambda: late_stop_game(Random(7), 3, 36)}
+
+
+def _game_source(name, tmp_path):
+    if name not in GENERATED_GAMES:
+        return ["--example", name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(document_text(serialize_game(GENERATED_GAMES[name]())))
+    return ["--game", str(path)]
 
 
 @pytest.mark.parametrize("name,epsilon,order,digest", SOLVE_REPORT_DIGESTS)
 def test_solve_reports_are_byte_identical(capsys, tmp_path, name, epsilon, order, digest):
-    argv = ["solve", "--example", name, "--epsilon", epsilon, "--trace", str(tmp_path / "t.json")]
+    argv = ["solve", *_game_source(name, tmp_path), "--epsilon", epsilon]
+    argv += ["--trace", str(tmp_path / "t.json")]
     if order:
         argv += ["--order", order]
     code, out, _ = run_cli(capsys, *argv)

@@ -77,6 +77,63 @@ def test_default_payoff_fills_missing_pairs():
     assert spec.payoff(1, Coalition.of((1, 2))).at(1) == 1
 
 
+# full messages recorded before the node paths were built only on error
+_NOT_RATIONAL = 'expected a rational string like "1/2" or "-3", got'
+
+
+def _node_error(change) -> str:
+    doc = example_document("paper-5-1")
+    change(doc["tree"]["nodes"])
+    with pytest.raises(DocumentError) as info:
+        parse_game(json.dumps(doc))
+    return str(info.value)
+
+
+def test_non_object_node_message():
+    def change(nodes):
+        nodes[1] = ["id", 1]
+
+    assert _node_error(change) == "document.tree.nodes[1]: expected an object"
+
+
+def test_bad_node_id_messages():
+    def missing(nodes):
+        del nodes[2]["id"]
+
+    def wrong(nodes):
+        nodes[2]["id"] = "2"
+
+    assert _node_error(missing) == 'document.tree.nodes[2]: missing required field "id"'
+    assert _node_error(wrong) == "document.tree.nodes[2].id: expected int, got '2'"
+
+
+def test_bad_node_time_messages():
+    def missing(nodes):
+        del nodes[0]["time"]
+
+    def wrong(nodes):
+        nodes[0]["time"] = True
+
+    assert _node_error(missing) == 'document.tree.nodes[0]: missing required field "time"'
+    assert _node_error(wrong) == "document.tree.nodes[0].time: expected int, got True"
+
+
+def test_bad_node_parent_message():
+    def change(nodes):
+        nodes[2]["parent"] = "1"
+
+    assert _node_error(change) == (
+        "document.tree.nodes[2].parent: expected an integer or null"
+    )
+
+
+def test_bad_node_prob_message():
+    def change(nodes):
+        nodes[1]["prob"] = "1/2.0"
+
+    assert _node_error(change) == f"document.tree.nodes[1].prob: {_NOT_RATIONAL} '1/2.0'"
+
+
 def test_value_for_unknown_node_fails():
     doc = example_document("paper-5-1")
     doc["payoffs"][0]["values"]["9"] = "1"

@@ -277,3 +277,25 @@ def test_expected_payoffs_reject_rules_naming_unknown_nodes(deterministic_game):
     profile = StrategyProfile((NEVER_RULE, StoppingRule(frozenset({99})), NEVER_RULE))
     with pytest.raises(ValueError, match=r"rule references nodes not in tree: \[99\]"):
         expected_payoffs(deterministic_game, profile)
+
+
+@pytest.mark.parametrize("num_players,horizon", [(2, 6), (3, 4)])
+def test_expected_payoffs_look_each_coalition_up_once(monkeypatch, num_players, horizon):
+    game = random_game(Random(11), num_players, horizon)
+    rng = Random(12)
+    ids = [node.id for node in game.tree.nodes]
+    profile = StrategyProfile(
+        tuple(canonicalize_rule(game.tree, rng.sample(ids, 6)) for _ in game.players)
+    )
+    calls = []
+    lookup = GameSpec.payoff
+
+    def counting(spec, player, coalition):
+        calls.append((player, coalition))
+        return lookup(spec, player, coalition)
+
+    monkeypatch.setattr(GameSpec, "payoff", counting)
+    expected_payoffs(game, profile)
+    # far fewer than one lookup per leaf and player
+    assert len(game.tree.leaves) * num_players > num_players * (2**num_players - 1)
+    assert 0 < len(calls) <= num_players * (2**num_players - 1)

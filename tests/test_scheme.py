@@ -1,14 +1,19 @@
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from dynkin.games import Coalition, expected_payoffs, realized_outcome
+from dynkin.games import Coalition, expected_payoffs, realized_outcome, validate_game
 from dynkin.randomgen import random_game
 from dynkin import scheme
 from dynkin.scheme import (
     ConvergenceError,
     SchemeConfig,
+    SchemeState,
+    SchemeStep,
     SweepInvariantError,
     build_stage_reward,
     initial_state,
@@ -16,7 +21,18 @@ from dynkin.scheme import (
     scheme_step,
     trace_as_json,
 )
-from dynkin.trees import NEVER_RULE, StoppingRule, stop_everywhere_at
+from dynkin.snell import eps_optimal_rule, snell_envelope
+from dynkin.trees import (
+    NEVER_RULE,
+    AdaptedProcess,
+    ScenarioTree,
+    StoppingRule,
+    min_of_rules,
+    stop_everywhere_at,
+)
+from dynkin.verify import certify, check_trace_invariants
+from gens import late_stop_game
+from snell_reference import reference_stage_reward
 
 
 def capped_times(result, spec):
@@ -243,3 +259,153 @@ def test_round_must_not_move_a_rule_later(monkeypatch, deterministic_game):
     monkeypatch.setattr(scheme, "_updated_tau", forgetful_update)
     with pytest.raises(SweepInvariantError, match="later"):
         run_scheme(deterministic_game, SchemeConfig())
+
+
+def with_thirds_and_sevenths(game, rng):
+    """The game on its own tree shape, every sibling pair split in thirds
+    or sevenths."""
+    splits = [(Fraction(1, 3), Fraction(2, 3)), (Fraction(3, 7), Fraction(4, 7)),
+              (Fraction(6, 7), Fraction(1, 7))]
+    nodes = [game.tree.root]
+    for node in game.tree.index.nodes:
+        kids = game.tree.children(node.id)
+        if kids:
+            for kid, prob in zip(kids, rng.choice(splits)):
+                nodes.append(replace(kid, branch_prob=prob))
+    return replace(game, tree=ScenarioTree(tuple(nodes)))
+
+
+def with_frozen_values_off_grid(game, denominator):
+    """Every non-solo value before the horizon lowered by 1/denominator: the
+    joint-stop hypothesis and terminal coincidence still hold, and the
+    join/stay values leave the solo payoffs' denominators."""
+    shift = Fraction(1, denominator)
+    payoffs = {}
+    for (i, coalition), process in game.payoffs.items():
+        if coalition.players == (i,):
+            payoffs[(i, coalition)] = process
+            continue
+        payoffs[(i, coalition)] = AdaptedProcess(
+            {
+                node.id: process.at(node.id) - (shift if node.time < game.horizon else 0)
+                for node in game.tree.nodes
+            }
+        )
+    return replace(game, payoffs=payoffs)
+
+
+def assert_step_matches_reference(spec, step, others, epsilon):
+    """U, W and mu of one step against the full-tree Fraction reference."""
+    tree = spec.tree
+    reward = reference_stage_reward(spec, step.player, step.theta, others)
+    envelope = snell_envelope(tree, reward)
+    for node in tree.nodes:
+        assert step.stage_reward.at(node.id) == reward.at(node.id)
+        assert step.envelope.at(node.id) == envelope.at(node.id)
+    assert step.mu == eps_optimal_rule(tree, reward, envelope, epsilon)
+
+
+def assert_run_matches_reference(spec, result):
+    """Every step of a never-initialized run against the reference, with
+    each step's others read from the steps before it."""
+    taus = list(initial_state(spec).taus)
+    for step in result.trace:
+        others = {p: taus[p - 1] for p in spec.players if p != step.player}
+        assert step.theta == min_of_rules(spec.tree, list(others.values()))
+        assert_step_matches_reference(spec, step, others, result.config.epsilon)
+        taus[step.player - 1] = step.tau
+
+
+def observed_gaps(spec, result):
+    """The positive margins W - U the run's steps met, at every node."""
+    return sorted(
+        {
+            step.envelope.at(node.id) - step.stage_reward.at(node.id)
+            for step in result.trace
+            for node in spec.tree.nodes
+        }
+        - {Fraction(0)}
+    )
+
+
+def assert_root_theta_step(spec, epsilon):
+    """A step whose others all stop at the root: only the root is live."""
+    root = StoppingRule(frozenset({spec.tree.root.id}))
+    taus = (NEVER_RULE,) + (root,) * (spec.num_players - 1)
+    state = SchemeState(n=spec.num_players + 1, taus=taus)
+    step = scheme_step(spec, SchemeConfig(epsilon=epsilon), state)
+    assert step.player == 1 and step.theta == root and step.mu == root
+    others = {p: root for p in spec.players if p != 1}
+    assert_step_matches_reference(spec, step, others, epsilon)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sweep_steps_equal_the_fraction_reference(data):
+    num_players = data.draw(st.integers(2, 3), label="players")
+    horizon = data.draw(st.integers(1, 4 if num_players == 2 else 3), label="horizon")
+    rng = Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    game = random_game(rng, num_players, horizon)
+    if data.draw(st.booleans(), label="thirds and sevenths"):
+        game = with_thirds_and_sevenths(game, rng)
+    off_grid = data.draw(st.sampled_from([None, 3, 5, 7, 17]), label="join/stay shift")
+    if off_grid is not None:
+        game = with_frozen_values_off_grid(game, off_grid)
+    assert validate_game(game) == []
+
+    first = run_scheme(game, SchemeConfig(epsilon=Fraction(0)))
+    assert first.trace[0].theta == NEVER_RULE  # the first step is all live
+    # ties land exactly at epsilon when it is one of the margins met
+    epsilon = data.draw(
+        st.sampled_from([Fraction(0), *observed_gaps(game, first)]), label="epsilon"
+    )
+    result = run_scheme(game, SchemeConfig(epsilon=epsilon))
+    assert_run_matches_reference(game, result)
+    assert_root_theta_step(game, epsilon)
+
+
+def test_frozen_values_off_the_solo_grid_raise_the_step_denominator():
+    # branch weights of random_binary_tree sum to at most 14, so no stage
+    # scale has the factor 17, and the solo payoffs are dyadic
+    game = with_frozen_values_off_grid(random_game(Random(3), 2, 3), 17)
+    result = run_scheme(game, SchemeConfig(epsilon=Fraction(1, 4)))
+    raised = [s for s in result.trace if s.stage_reward.denominator % 17 == 0]
+    assert raised and all(not s.theta.is_never for s in raised)
+    assert_run_matches_reference(game, result)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.data())
+def test_late_stop_games_run_long_and_stay_exact(data):
+    num_players = data.draw(st.integers(2, 3), label="players")
+    horizon = data.draw(st.integers(9 * num_players + 2, 9 * num_players + 6), label="horizon")
+    game = late_stop_game(Random(data.draw(st.integers(0, 2**32 - 1))), num_players, horizon)
+    # below every stage's rise, so each visit pre-empts by one stage only
+    epsilon = data.draw(st.sampled_from([Fraction(0), Fraction(1, 32)]))
+    result = run_scheme(game, SchemeConfig(epsilon=epsilon))
+    assert result.rounds_used >= 10
+    assert_run_matches_reference(game, result)
+    assert certify(game, result.capped, epsilon).is_eps_nep
+    assert check_trace_invariants(result.trace, result) == []
+
+
+def test_trace_audit_reads_no_sweep_values():
+    # the benchmark's audit rebuilds steps from the exported rules alone
+    game = late_stop_game(Random(4), 3, 32)
+    result = run_scheme(game, SchemeConfig(epsilon=Fraction(0)))
+    steps = tuple(
+        SchemeStep(
+            n=step.n,
+            player=step.player,
+            theta=step.theta,
+            coalition_at_theta={},
+            stage_reward=None,
+            envelope=None,
+            mu=step.mu,
+            tau=step.tau,
+        )
+        for step in result.trace
+    )
+    audited = replace(result, trace=steps)
+    assert len(steps) >= 30
+    assert check_trace_invariants(steps, audited) == []

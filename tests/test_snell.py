@@ -17,6 +17,7 @@ from gens import (
 )
 from snell_reference import (
     is_supermartingale_dominating,
+    kernel_input,
     one_step_expectation,
     optimal_value,
     solve_stopping,
@@ -155,7 +156,7 @@ def test_zero_epsilon_rule_is_exactly_optimal():
 
 def assert_kernel_matches_reference(tree, reward, epsilon):
     envelope = snell_envelope(tree, reward)
-    scaled, rule = integer_snell(tree, reward, epsilon)
+    scaled, rule = integer_snell(tree, kernel_input(tree, reward, epsilon), epsilon)
     assert {n.id: scaled.at(n.id) for n in tree.nodes} == envelope.values
     assert rule == eps_optimal_rule(tree, reward, envelope, epsilon)
 
