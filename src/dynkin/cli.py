@@ -22,7 +22,7 @@ from .documents import (
     serialize_profile,
 )
 from .fixtures import EXAMPLES, example_document
-from .games import GameSpec, StrategyProfile, leaf_outcomes
+from .games import GameSpec, leaf_outcomes
 from .scheme import ConvergenceError, SchemeConfig, run_scheme, trace_as_json
 from .trees import NEVER
 from .verify import CapExceededError, NepCertificate, certify, find_all_eps_neps
@@ -92,16 +92,14 @@ def certificate_json(certificate: NepCertificate) -> dict:
     }
 
 
-def _realized_json(spec: GameSpec, profile: StrategyProfile) -> list[dict]:
+def _realized_json(spec: GameSpec, outcomes: list) -> list[dict]:
     return [
         {
             "leaf": leaf.id,
             "stage": None if stage == NEVER else int(stage),
             "coalition": list(coalition.players),
         }
-        for leaf, (stage, coalition, _) in zip(
-            spec.tree.leaves, leaf_outcomes(spec, profile)
-        )
+        for leaf, (stage, coalition, _) in zip(spec.tree.leaves, outcomes)
     ]
 
 
@@ -111,7 +109,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     order = _parse_order(args.order, spec.num_players) if args.order else None
     config = SchemeConfig(epsilon=epsilon, order=order, max_rounds=args.max_rounds)
     try:
-        result = run_scheme(spec, config)
+        result = run_scheme(spec, config, validated=True)
     except ConvergenceError as exc:
         if args.trace:
             Path(args.trace).write_text(
@@ -120,7 +118,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 
-    certificate = certify(spec, result.capped, epsilon)
+    outcomes = leaf_outcomes(spec, result.capped)
+    certificate = certify(spec, result.capped, epsilon, outcomes=outcomes)
     report = {
         "order": list(config.order_for(spec.num_players)),
         "epsilon": str(epsilon),
@@ -129,7 +128,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "uncapped": serialize_profile(result.uncapped)["rules"],
             "capped": serialize_profile(result.capped)["rules"],
         },
-        "realized": _realized_json(spec, result.capped),
+        "realized": _realized_json(spec, outcomes),
         "expected_payoffs": [str(v) for v in certificate.achieved],
         "certificate": certificate_json(certificate),
     }

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -83,7 +83,6 @@ class GameSpec:
     horizon: int
     tree: ScenarioTree
     payoffs: dict[tuple[int, Coalition], AdaptedProcess]
-    embedded: bool = field(default=False, compare=False)
 
     def payoff(self, player: int, coalition: Coalition) -> AdaptedProcess:
         try:
@@ -246,27 +245,34 @@ def leaf_outcomes(
     return outcomes
 
 
-def expected_payoffs(spec: GameSpec, profile: StrategyProfile) -> tuple[Fraction, ...]:
+def expected_payoffs(
+    spec: GameSpec,
+    profile: StrategyProfile,
+    outcomes: list[tuple[Stage, Coalition, NodeId]] | None = None,
+) -> tuple[Fraction, ...]:
     """Expected payoff vector of the profile, one exact value per player.
 
     On never-stopped paths each player collects the all-players value at
     the leaf, which every coalition process shares by terminal coincidence.
-    Each leaf's payoff node and coalition come from :func:`leaf_outcomes`.
+    Each leaf's payoff node and coalition come from :func:`leaf_outcomes`;
+    pass ``outcomes`` when they are already at hand for this profile.
 
-    The sums run on ``int``: a leaf's path probability times the index's
-    ``scale[0]`` is an integer weight ``w``, so with ``D`` the lcm of the
-    denominators of a player's values read, ``sum w * X * D`` is exactly
-    ``D * scale[0]`` times that player's expectation.
+    The sums run on ``int``: with the index's integer leaf weights ``w``
+    and ``D`` the lcm of the denominators of a player's values read,
+    ``sum w * X * D`` is exactly ``D * scale[0]`` times that player's
+    expectation.
     """
     index = spec.tree.index
     scale = index.scale[0]
+    if outcomes is None:
+        outcomes = leaf_outcomes(spec, profile)
+    weight, position = index.weight, index.position
     weights = []
     read: list[list[Fraction]] = [[] for _ in spec.players]
     # each coalition's value dicts, one per player, looked up once per call
     tables: dict[tuple[int, ...], list[dict[NodeId, Fraction]]] = {}
-    for leaf, (_, coalition, node_id) in zip(index.leaves, leaf_outcomes(spec, profile)):
-        prob = index.path_prob[index.position[leaf.id]]
-        weights.append(prob.numerator * (scale // prob.denominator))
+    for leaf, (_, coalition, node_id) in zip(index.leaves, outcomes):
+        weights.append(weight[position[leaf.id]])
         by_player = tables.get(coalition.players)
         if by_player is None:
             by_player = tables[coalition.players] = [
@@ -282,18 +288,3 @@ def expected_payoffs(spec: GameSpec, profile: StrategyProfile) -> tuple[Fraction
             total += w * x.numerator * (common // x.denominator)
         totals.append(Fraction(total, common * scale))
     return tuple(totals)
-
-
-def embed_finite_horizon(spec: GameSpec) -> GameSpec:
-    """Mark the game as embedded into the unbounded-stage model.
-
-    The embedding treats every payoff process as constant from the terminal
-    stage on; node-level data is unchanged because the never-stop
-    convention in expectations already realizes it.  Requires terminal
-    coincidence, which makes capped and uncapped payoff views agree.
-    """
-    violations = [v for v in validate_game(spec, enforce_assumption_a=False)]
-    coincidence = [v for v in violations if v.startswith("terminal coincidence")]
-    if coincidence:
-        raise ValueError("cannot embed: " + "; ".join(coincidence))
-    return replace(spec, embedded=True)

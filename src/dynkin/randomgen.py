@@ -13,41 +13,6 @@ from .games import Coalition, GameSpec, all_coalitions
 from .trees import AdaptedProcess, Node, ScenarioTree
 
 
-def random_tree(rng: Random, max_nodes: int = 12, max_depth: int = 3) -> ScenarioTree:
-    """Uniform-depth tree with random branching and rational branch weights.
-
-    Total node count stays within ``max_nodes`` while every path is grown
-    to the full depth: fanouts are capped so the rest of the construction
-    can still afford one descendant chain per pending branch.
-    """
-    depth = rng.randint(1, max_depth)
-    nodes = [Node(id=0, time=0, parent=None, branch_prob=Fraction(1))]
-    frontier = [0]
-    next_id = 1
-    for t in range(1, depth + 1):
-        levels_after = depth - t
-        new_frontier: list[int] = []
-        for position, parent in enumerate(frontier):
-            pending = len(frontier) - position - 1
-            # choosing fanout f consumes f + pending nodes at this level at
-            # minimum, plus levels_after more per branch alive afterwards
-            slack = max_nodes - next_id - pending - levels_after * (
-                len(new_frontier) + pending
-            )
-            largest = slack // (1 + levels_after)
-            fanout = max(1, min(rng.randint(1, 3), largest))
-            weights = [rng.randint(1, 8) for _ in range(fanout)]
-            total = sum(weights)
-            for w in weights:
-                nodes.append(
-                    Node(id=next_id, time=t, parent=parent, branch_prob=Fraction(w, total))
-                )
-                new_frontier.append(next_id)
-                next_id += 1
-        frontier = new_frontier
-    return ScenarioTree(tuple(nodes))
-
-
 def random_dyadic(rng: Random, lo: int = -2, hi: int = 2) -> Fraction:
     denominator = rng.choice((1, 2, 4, 8))
     return Fraction(rng.randint(lo * denominator, hi * denominator), denominator)

@@ -40,6 +40,7 @@ from .trees import (
     AdaptedProcess,
     NodeId,
     ScenarioTree,
+    Stage,
     StoppingRule,
     leaf_stop_times,
     min_of_rules,
@@ -134,11 +135,16 @@ def initial_state(spec: GameSpec, at_horizon: bool = False) -> SchemeState:
 def _stop_coalitions(
     theta: StoppingRule, others: Mapping[int, StoppingRule]
 ) -> dict[NodeId, Coalition]:
-    """The coalition of the other players stopping at each theta node."""
+    """The coalition of the other players stopping at each theta node; the
+    nodes one coalition stops at share one ``Coalition``."""
     coalition_at: dict[NodeId, Coalition] = {}
+    coalitions: dict[tuple[int, ...], Coalition] = {}
     for node_id in theta.stop_set:
-        members = [j for j, rule in others.items() if node_id in rule.stop_set]
-        coalition_at[node_id] = Coalition.of(members)
+        members = tuple(j for j, rule in others.items() if node_id in rule.stop_set)
+        coalition = coalitions.get(members)
+        if coalition is None:
+            coalition = coalitions[members] = Coalition.of(members)
+        coalition_at[node_id] = coalition
     return coalition_at
 
 
@@ -171,16 +177,22 @@ def _stage_reward(
 
     A frozen value whose denominator does not divide ``D * scale[t]``
     raises this step's ``D`` to the least multiple it does divide, and the
-    copy is rescaled to match; nothing rounds.
+    copy is rescaled to match; nothing rounds.  Each coalition's join and
+    stay values are looked up once per step.
     """
     index = spec.tree.index
     scaled, d = solo
     frozen: dict[int, tuple[Fraction, int]] = {}  # position: (value, stage scale)
+    tables: dict[Coalition, tuple[dict, dict]] = {}  # coalition: (join, stay)
     raised = d
     for node_id, coalition in coalition_at.items():
-        join = spec.payoff(player, coalition.with_member(player)).values[node_id]
-        stay = spec.payoff(player, coalition).values[node_id]
-        value = max(join, stay)
+        table = tables.get(coalition)
+        if table is None:
+            table = tables[coalition] = (
+                spec.payoff(player, coalition.with_member(player)).values,
+                spec.payoff(player, coalition).values,
+            )
+        value = max(table[0][node_id], table[1][node_id])
         pos = index.position[node_id]
         scale = index.scale[index.stage_of(pos)]
         den = value.denominator
@@ -225,21 +237,23 @@ def _updated_tau(
     mu: StoppingRule,
     theta: StoppingRule,
     previous: StoppingRule,
-) -> StoppingRule:
+) -> tuple[StoppingRule, list[Stage], list[Stage]]:
     """Pathwise update: mu where it strictly precedes theta, else previous.
 
     Also evaluates the unsimplified update
     (mu & previous) where that precedes theta, else previous
     and raises :class:`SweepInvariantError` unless both agree; they
     provably do because the fresh answer never comes later than the
-    player's previous rule.
+    player's previous rule.  Returns the updated rule with its and the
+    previous rule's stop times, leaf by leaf in ``tree.leaves`` order.
     """
-    times: dict[NodeId, float] = {}
+    times: dict[NodeId, Stage] = {}
+    before = leaf_stop_times(tree, previous)
     for leaf, m, th, prev in zip(
         tree.leaves,
         leaf_stop_times(tree, mu),
         leaf_stop_times(tree, theta),
-        leaf_stop_times(tree, previous),
+        before,
     ):
         simplified = m if m < th else prev
         raw = min(m, prev) if min(m, prev) < th else prev
@@ -249,7 +263,7 @@ def _updated_tau(
                 f"mu={m} theta={th} previous={prev}"
             )
         times[leaf.id] = simplified
-    return rule_from_path_times(tree, times)
+    return rule_from_path_times(tree, times), list(times.values()), before
 
 
 def scheme_step(
@@ -257,11 +271,14 @@ def scheme_step(
     config: SchemeConfig,
     state: SchemeState,
     solo_rewards: dict[int, tuple[list[int], int]] | None = None,
+    leaf_times: dict[int, tuple[list[Stage], list[Stage]]] | None = None,
 ) -> SchemeStep:
     """Visit one player and compute their updated rule.
 
     ``solo_rewards`` keeps each player's scaled solo payoff from their
     first visit on; :func:`run_scheme` passes one dict for its whole run.
+    ``leaf_times``, when given, receives the player's stop times after
+    and before the step, leaf by leaf, as ``{player: (now, then)}``.
     """
     order = config.order_for(spec.num_players)
     position = (state.n - 1) % spec.num_players
@@ -278,7 +295,9 @@ def scheme_step(
         solo = solo_rewards[player] = _scaled_solo(spec, player, config.epsilon)
     stage_reward = _stage_reward(spec, player, coalition_at, solo)
     envelope, mu = integer_snell(spec.tree, stage_reward, config.epsilon)
-    tau = _updated_tau(spec.tree, mu, theta, state.taus[player - 1])
+    tau, now, then = _updated_tau(spec.tree, mu, theta, state.taus[player - 1])
+    if leaf_times is not None:
+        leaf_times[player] = (now, then)
     return SchemeStep(
         n=state.n,
         player=player,
@@ -301,6 +320,8 @@ def run_scheme(
     spec: GameSpec,
     config: SchemeConfig,
     initialize_at_horizon: bool = False,
+    *,
+    validated: bool = False,
 ) -> EquilibriumProfile:
     """Sweep until a full round leaves every player's rule unchanged.
 
@@ -309,10 +330,18 @@ def run_scheme(
     horizon, which pay identically.  Raises :class:`ConvergenceError` with
     the partial trace if the round cap is hit, which cannot happen below
     the worst-case bound.
+
+    The game is validated first, and a ValueError lists its violations.
+    Pass ``validated=True`` only for a spec that
+    ``validate_game(spec, enforce_assumption_a=True)`` has just passed,
+    as :func:`dynkin.documents.parse_game` does for the command line.
     """
-    violations = validate_game(spec, enforce_assumption_a=True)
-    if violations:
-        raise ValueError("game is not valid for the scheme: " + "; ".join(violations))
+    if not validated:
+        violations = validate_game(spec, enforce_assumption_a=True)
+        if violations:
+            raise ValueError(
+                "game is not valid for the scheme: " + "; ".join(violations)
+            )
 
     config.order_for(spec.num_players)  # fail fast on a bad order
     cap = config.max_rounds if config.max_rounds is not None else rounds_bound(spec)
@@ -328,10 +357,10 @@ def run_scheme(
             raise ConvergenceError(
                 f"no stationary round within {cap} rounds", tuple(trace)
             )
-        before = state.taus
         stationary = True
+        moved: dict[int, tuple[list[Stage], list[Stage]]] = {}
         for _ in range(spec.num_players):
-            step = scheme_step(spec, config, state, solo_rewards)
+            step = scheme_step(spec, config, state, solo_rewards, moved)
             if step.tau != state.taus[step.player - 1]:
                 stationary = False
             trace.append(step)
@@ -339,13 +368,10 @@ def run_scheme(
         rounds += 1
         if stationary:
             break
-        # a round must never push any player's rule later
+        # a round must never push any player's rule later; a round visits
+        # every player once, so their step's stop times span the round
         for p in spec.players:
-            for leaf, now, then in zip(
-                spec.tree.leaves,
-                leaf_stop_times(spec.tree, state.taus[p - 1]),
-                leaf_stop_times(spec.tree, before[p - 1]),
-            ):
+            for leaf, now, then in zip(spec.tree.leaves, *moved[p]):
                 if now > then:
                     raise SweepInvariantError(
                         f"round {rounds} moved player {p}'s stop on leaf "

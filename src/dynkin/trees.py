@@ -53,6 +53,11 @@ class TreeIndex(NamedTuple):
     ``sum_k c_k * X(k) * scale[t + 1] == scale[t] * sum_k p_k * X(k)``
     with ``c_k`` the child weights of a stage-``t`` node.
 
+    ``weight[p]`` is the path probability of position ``p`` times
+    ``scale[0]``, an integer: the product of the child weights down the
+    path, times ``scale[t]`` at stage ``t``.  An expectation over the
+    leaves is then a sum of ``int`` divided by ``scale[0]``.
+
     Leaves are also ranked depth first (children in order), so the leaves
     below position ``p`` are exactly the ranks ``leaf_lo[p]:leaf_hi[p]``;
     two ranges are nested when one node is an ancestor of the other and
@@ -67,7 +72,7 @@ class TreeIndex(NamedTuple):
     stage_start: tuple[int, ...]
     scale: tuple[int, ...]
     leaves: tuple[Node, ...]
-    path_prob: tuple[Fraction, ...]
+    weight: tuple[int, ...]
     leaf_lo: tuple[int, ...]
     leaf_hi: tuple[int, ...]
     leaf_rank: tuple[int, ...]
@@ -89,11 +94,17 @@ def _build_index(tree: "ScenarioTree") -> TreeIndex:
     order = [roots[0]]
     position = {roots[0].id: 0}
     depth = [0]
+    parent = [-1]
+    children: list[tuple[int, ...]] = []
     for pos, node in enumerate(order):  # grows while iterating: breadth first
+        first = len(order)
         for kid in tree.children(node.id):
             position[kid.id] = len(order)
             order.append(kid)
-            depth.append(depth[pos] + 1)
+        added = len(order) - first
+        children.append(tuple(range(first, first + added)))
+        depth += [depth[pos] + 1] * added
+        parent += [pos] * added
     if len(position) != len(order) or len(order) != len(tree.nodes):
         raise ValueError("tree ids are not unique or not all linked to the root")
 
@@ -109,20 +120,17 @@ def _build_index(tree: "ScenarioTree") -> TreeIndex:
     for t in range(horizon - 1, -1, -1):
         scale[t] = scale[t + 1] * stage_lcm[t]
 
-    parent = [-1] * len(order)
-    children: list[tuple[int, ...]] = []
     child_weights: list[tuple[int, ...]] = []
-    path_prob = [order[0].branch_prob] * len(order)  # all but the root's get overwritten
-    for pos, node in enumerate(order):
-        kids = tuple(position[k.id] for k in tree.children(node.id))
+    product = [1] * len(order)  # child weights multiplied down the path
+    for pos, kids in enumerate(children):
         b = stage_lcm[depth[pos]]
+        above = product[pos]
         weights = []
         for k in kids:
             p = order[k].branch_prob
-            parent[k] = pos
-            path_prob[k] = path_prob[pos] * p
-            weights.append(p.numerator * (b // p.denominator))
-        children.append(kids)
+            c = p.numerator * (b // p.denominator)
+            product[k] = above * c
+            weights.append(c)
         child_weights.append(tuple(weights))
 
     count = [0 if kids else 1 for kids in children]  # leaves below each position
@@ -144,7 +152,7 @@ def _build_index(tree: "ScenarioTree") -> TreeIndex:
         stage_start=tuple(stage_start),
         scale=tuple(scale),
         leaves=leaves,
-        path_prob=tuple(path_prob),
+        weight=tuple(w * scale[d] for w, d in zip(product, depth)),
         leaf_lo=tuple(leaf_lo),
         leaf_hi=tuple(lo + c for lo, c in zip(leaf_lo, count)),
         leaf_rank=tuple(leaf_lo[position[leaf.id]] for leaf in leaves),
@@ -235,7 +243,7 @@ class ScenarioTree:
 
     def path_probability(self, leaf_id: NodeId) -> Fraction:
         index = self.index
-        return index.path_prob[index.position[leaf_id]]
+        return Fraction(index.weight[index.position[leaf_id]], index.scale[0])
 
 
 def validate_tree(tree: ScenarioTree) -> list[str]:

@@ -7,9 +7,9 @@ is supposed to maintain.  Desk-scale guardrails fail loudly instead of
 sampling when an enumeration would blow up.
 
 Best responses and the exhaustive search share one integer kernel in
-path-weighted form: with ``w(v)`` the path probability of node ``v`` times
-the tree index's ``scale[0]`` (an integer) and ``D`` an integer clearing
-the denominators of the deviation reward ``Y``, the vector
+path-weighted form: with ``w(v)`` the tree index's integer ``weight`` of
+node ``v`` (its path probability times ``scale[0]``) and ``D`` an integer
+clearing the denominators of the deviation reward ``Y``, the vector
 ``A(v) = w(v) * Y(v) * D`` turns every expectation under a stopping rule
 into a sum of integers.  Nothing of it is shared with the sweep's
 stage-scaled kernel in :mod:`dynkin.snell`.
@@ -32,11 +32,10 @@ from .games import (
 from .scheme import EquilibriumProfile, SchemeStep
 from .trees import (
     NEVER,
-    AdaptedProcess,
     NodeId,
     ScenarioTree,
+    Stage,
     StoppingRule,
-    TreeIndex,
     leaf_stop_times,
 )
 
@@ -108,58 +107,59 @@ def enumerate_rules(tree: ScenarioTree, cap: int = DEFAULT_RULE_CAP) -> list[Sto
     return [StoppingRule(s) for s in subtree[0]]
 
 
-def deviation_reward(
-    spec: GameSpec, profile: StrategyProfile, player: int
-) -> AdaptedProcess:
-    """What the player earns, node by node, when deviating unilaterally.
-
-    Strictly before the others' earliest stop: the solo payoff.  At the
-    others' stop node: the payoff for joining that coalition.  After it:
-    frozen at the payoff for having let the coalition stop alone (stopping
-    later cannot reopen an ended game).  Expectations of this process under
-    a deviation rule reproduce the game payoff of the deviated profile, so
-    its optimal stopping value is the exact best-response value; the
-    join-versus-stay comparison is left to the envelope recursion.
-    """
-    stoppers: dict[NodeId, list[int]] = {}
-    for j in spec.players:
-        if j != player:
-            for node_id in profile.rule_for(j).stop_set:
-                stoppers.setdefault(node_id, []).append(j)
-    coalition_at = {node_id: Coalition.of(js) for node_id, js in stoppers.items()}
-    # each coalition's value dicts, looked up once: (it stops alone, joined)
-    tables = {
-        c: (spec.payoff(player, c).values, spec.payoff(player, c.with_member(player)).values)
-        for c in set(coalition_at.values())
-    }
-    solo = spec.payoff(player, Coalition.of((player,))).values
-    values: dict[NodeId, Fraction] = {}
-    frozen: dict[NodeId, Fraction] = {}
-    for node in spec.tree.index.nodes:  # parents before children
-        if node.parent in frozen:
-            values[node.id] = frozen[node.id] = frozen[node.parent]
-        elif node.id in coalition_at:
-            alone, joined = tables[coalition_at[node.id]]
-            frozen[node.id] = alone[node.id]
-            values[node.id] = joined[node.id]
-        else:
-            values[node.id] = solo[node.id]
-    return AdaptedProcess(values)
-
-
-def _weighted_reward(
-    index: TreeIndex, reward: AdaptedProcess, epsilon: Fraction
+def _deviation_vector(
+    spec: GameSpec, profile: StrategyProfile, player: int, epsilon: Fraction
 ) -> tuple[list[int], int]:
     """``A(v) = w(v) * Y(v) * D`` by index position, and ``D``: the lcm of
     the reward's and epsilon's denominators.  A rule's expected reward is
     then the sum of ``A`` over its stop nodes and the leaves it never
-    stops, divided by ``D * scale[0]``."""
-    scale = index.scale[0]
-    rewards = [reward.values[node.id] for node in index.nodes]
-    d = math.lcm(epsilon.denominator, *[y.denominator for y in rewards])
+    stops, divided by ``D * scale[0]``.
+
+    ``Y`` is what the player earns, node by node, when deviating alone.
+    Strictly before the others' earliest stop: the solo payoff.  At the
+    others' stop node: the payoff for joining that coalition.  After it:
+    frozen at the payoff for having let the coalition stop alone (stopping
+    later cannot reopen an ended game).  Expectations of ``Y`` under a
+    deviation rule reproduce the game payoff of the deviated profile, so
+    its optimal stopping value is the exact best-response value; the
+    join-versus-stay comparison is left to the envelope recursion.
+    """
+    index = spec.tree.index
+    nodes, children = index.nodes, index.children
+    position = index.position
+    stoppers: dict[int, list[int]] = {}  # position: the others stopping there
+    for j in spec.players:
+        if j != player:
+            for node_id in profile.rule_for(j).stop_set:
+                if node_id in position:
+                    stoppers.setdefault(position[node_id], []).append(j)
+    solo = spec.payoff(player, Coalition.of((player,))).values
+    rewards = [solo[node.id] for node in nodes]
+    # each coalition's value dicts, looked up once: (it stops alone, joined)
+    tables: dict[tuple[int, ...], tuple[dict, dict]] = {}
+    frozen = bytearray(len(rewards))
+    for pos in sorted(stoppers):  # ancestors before descendants
+        if frozen[pos]:
+            continue
+        members = tuple(stoppers[pos])
+        table = tables.get(members)
+        if table is None:
+            coalition = Coalition.of(members)
+            table = tables[members] = (
+                spec.payoff(player, coalition).values,
+                spec.payoff(player, coalition.with_member(player)).values,
+            )
+        node_id = nodes[pos].id
+        rewards[pos] = table[1][node_id]
+        alone = table[0][node_id]
+        below = list(children[pos])
+        for q in below:  # grows while iterating: the whole subtree
+            rewards[q] = alone
+            frozen[q] = 1
+            below.extend(children[q])
+    d = math.lcm(epsilon.denominator, *{y.denominator for y in rewards})
     return [
-        p.numerator * (scale // p.denominator) * y.numerator * (d // y.denominator)
-        for p, y in zip(index.path_prob, rewards)
+        w * y.numerator * (d // y.denominator) for w, y in zip(index.weight, rewards)
     ], d
 
 
@@ -168,22 +168,29 @@ def best_response_value(
     profile: StrategyProfile,
     player: int,
     cross_check_cap: int | None = None,
+    *,
+    vector: tuple[list[int], int] | None = None,
 ) -> Fraction:
     """Best expected payoff the player can get against the others' rules.
 
     Only the value, which is all the certifier needs: the optimal stopping
-    value of :func:`deviation_reward`, by the recursion
+    value of the deviation reward, by the recursion
     ``V(v) = max(A(v), sum_k V(k))`` over the children ``k`` of ``v``, on
     ``int``.  Path weights make the children's plain sum the continuation
     value, so the root's ``V`` is the value times ``D * scale[0]``.
+    ``vector`` supplies ``(A, D)`` as :func:`_deviation_vector` builds it
+    for this profile and player, at any epsilon; when omitted it is built
+    here.
 
     Pass ``cross_check_cap`` to re-derive the value by enumerating every
     deviation rule through the raw payoff functional; a disagreement
     raises :class:`CertificationError`.
     """
     index = spec.tree.index
-    reward = deviation_reward(spec, profile, player)
-    envelope, d = _weighted_reward(index, reward, Fraction(0))
+    if vector is None:
+        vector = _deviation_vector(spec, profile, player, Fraction(0))
+    weighted, d = vector
+    envelope = weighted[:]
     children = index.children
     for pos in range(len(envelope) - 1, -1, -1):  # children before parents
         kids = children[pos]
@@ -211,14 +218,17 @@ def certify(
     epsilon: Fraction,
     *,
     best_responses: Sequence[Fraction] | None = None,
+    outcomes: list[tuple[Stage, Coalition, NodeId]] | None = None,
 ) -> NepCertificate:
     """Best-response analysis of a profile against the equilibrium bar.
 
     ``best_responses`` supplies each player's best-response value against
     this profile's other rules, as :func:`best_response_value` returns it;
-    when omitted they are computed here.
+    when omitted they are computed here.  ``outcomes`` supplies the
+    profile's :func:`~dynkin.games.leaf_outcomes`, for a caller that
+    reports them too.
     """
-    achieved = expected_payoffs(spec, profile)
+    achieved = expected_payoffs(spec, profile, outcomes)
     if best_responses is None:
         best = tuple(
             best_response_value(spec, profile, i) for i in spec.players
@@ -265,10 +275,9 @@ def _best_response_sets(
     for others in itertools.product(range(len(rules)), repeat=spec.num_players - 1):
         picks = others[:slot] + (0,) + others[slot:]
         profile = StrategyProfile(tuple(rules[k] for k in picks))
-        value = best_response_value(spec, profile, player)
-        weighted, d = _weighted_reward(
-            index, deviation_reward(spec, profile, player), epsilon
-        )
+        vector = _deviation_vector(spec, profile, player, epsilon)
+        value = best_response_value(spec, profile, player, vector=vector)
+        weighted, d = vector
         below = weighted[:]
         for pos in range(len(below) - 1, -1, -1):  # children before parents
             kids = children[pos]

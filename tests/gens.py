@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -109,6 +110,33 @@ def linked_trees(draw, max_nodes: int = 14) -> ScenarioTree:
     return ScenarioTree(tuple(nodes))
 
 
+@st.composite
+def thirds_and_sevenths(draw):
+    """A uniform-depth or ragged tree whose every sibling group splits a
+    denominator from 3, 7, 9, 21 or 49 into positive parts, so that every
+    sibling sum is exactly 1."""
+    base = draw(st.one_of(scenario_trees(max_depth=4, max_nodes=20), linked_trees()))
+    probs = {}
+    for node in base.nodes:
+        kids = base.children(node.id)
+        if kids:
+            q = draw(st.sampled_from([d for d in (3, 7, 9, 21, 49) if d >= len(kids)]))
+            cuts = sorted(
+                draw(
+                    st.sets(
+                        st.integers(1, q - 1),
+                        min_size=len(kids) - 1,
+                        max_size=len(kids) - 1,
+                    )
+                )
+            )
+            for kid, lo, hi in zip(kids, [0, *cuts], [*cuts, q]):
+                probs[kid.id] = Fraction(hi - lo, q)
+    return ScenarioTree(
+        tuple(replace(n, branch_prob=probs.get(n.id, n.branch_prob)) for n in base.nodes)
+    )
+
+
 def draw_rules(data, tree: ScenarioTree, count: int) -> tuple[StoppingRule, ...]:
     """``count`` canonical rules on ``tree``; some copy an earlier rule, so
     those players stop jointly wherever it stops."""
@@ -204,3 +232,38 @@ def late_stop_game(
                     values[node.id] = alone[node.id] - penalty[i]
             payoffs[(i, coalition)] = AdaptedProcess(values)
     return GameSpec(num_players=num_players, horizon=horizon, tree=tree, payoffs=payoffs)
+
+
+def random_tree(rng: Random, max_nodes: int = 12, max_depth: int = 3) -> ScenarioTree:
+    """Uniform-depth tree with random branching and rational branch weights.
+
+    Total node count stays within ``max_nodes`` while every path is grown
+    to the full depth: fanouts are capped so the rest of the construction
+    can still afford one descendant chain per pending branch.
+    """
+    depth = rng.randint(1, max_depth)
+    nodes = [Node(id=0, time=0, parent=None, branch_prob=Fraction(1))]
+    frontier = [0]
+    next_id = 1
+    for t in range(1, depth + 1):
+        levels_after = depth - t
+        new_frontier: list[int] = []
+        for position, parent in enumerate(frontier):
+            pending = len(frontier) - position - 1
+            # choosing fanout f consumes f + pending nodes at this level at
+            # minimum, plus levels_after more per branch alive afterwards
+            slack = max_nodes - next_id - pending - levels_after * (
+                len(new_frontier) + pending
+            )
+            largest = slack // (1 + levels_after)
+            fanout = max(1, min(rng.randint(1, 3), largest))
+            weights = [rng.randint(1, 8) for _ in range(fanout)]
+            total = sum(weights)
+            for w in weights:
+                nodes.append(
+                    Node(id=next_id, time=t, parent=parent, branch_prob=Fraction(w, total))
+                )
+                new_frontier.append(next_id)
+                next_id += 1
+        frontier = new_frontier
+    return ScenarioTree(tuple(nodes))

@@ -12,7 +12,7 @@ import pytest
 
 from dynkin.cli import main
 from dynkin.games import expected_payoffs, realized_outcome, validate_game
-from dynkin.randomgen import random_game, random_process, random_tree
+from dynkin.randomgen import random_game, random_process
 from dynkin.scheme import SchemeConfig, rounds_bound, run_scheme
 from dynkin.snell import eps_optimal_rule, snell_envelope
 from dynkin.trees import NEVER, expectation_under_rule
@@ -23,6 +23,7 @@ from dynkin.verify import (
     enumerate_rules,
     find_all_eps_neps,
 )
+from gens import random_tree
 from snell_reference import optimal_value
 
 EPS_100 = Fraction(1, 100)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynkin import cli, games, verify
+from dynkin import cli, documents, games, scheme, verify
 from dynkin.cli import _realized_json, main
 from dynkin.documents import (
     MAX_DEFAULT_PAIRS,
@@ -353,7 +353,7 @@ def test_realized_rows_equal_realized_outcome_leaf_by_leaf(data):
     horizon = data.draw(st.integers(1, 3), label="horizon")
     game = random_game(Random(data.draw(st.integers(0, 2**32 - 1))), num_players, horizon)
     profile = StrategyProfile(draw_rules(data, game.tree, num_players))
-    rows = _realized_json(game, profile)
+    rows = _realized_json(game, games.leaf_outcomes(game, profile))
     assert len(rows) == len(game.tree.leaves)
     for row, leaf in zip(rows, game.tree.leaves):
         stage, coalition = realized_outcome(game, profile, leaf.id)
@@ -368,9 +368,9 @@ def test_solve_computes_expected_payoffs_once(monkeypatch, capsys, deterministic
     real = games.expected_payoffs
     calls = []
 
-    def counting(spec, profile):
+    def counting(spec, profile, outcomes=None):
         calls.append(profile)
-        return real(spec, profile)
+        return real(spec, profile, outcomes)
 
     for module in (cli, games, verify):
         if getattr(module, "expected_payoffs", None) is real:
@@ -380,6 +380,33 @@ def test_solve_computes_expected_payoffs_once(monkeypatch, capsys, deterministic
     assert len(calls) == 1
     achieved = real(deterministic_game, calls[0])
     assert json.loads(out)["expected_payoffs"] == [str(v) for v in achieved]
+
+
+
+def test_solve_runs_each_whole_tree_pass_once(monkeypatch, capsys):
+    # one validation, one leaf_outcomes and one deviation vector per player
+    calls = {"validate_game": [], "leaf_outcomes": [], "_deviation_vector": []}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name].append(args)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name, owner in [("validate_game", games), ("leaf_outcomes", games)]:
+        real = getattr(owner, name)
+        for module in (cli, documents, games, scheme, verify):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting(name, real))
+    monkeypatch.setattr(
+        verify, "_deviation_vector", counting("_deviation_vector", verify._deviation_vector)
+    )
+    code, out, _ = run_cli(capsys, "solve", "--example", "paper-5-1", "--epsilon", "1/4")
+    assert code == 0
+    assert len(calls["validate_game"]) == 1
+    assert len(calls["leaf_outcomes"]) == 1
+    assert sorted(args[2] for args in calls["_deviation_vector"]) == [1, 2, 3]
 
 
 # sha256 of the full `solve --trace` report, recorded before the leaf-range

@@ -11,7 +11,6 @@ from dynkin.games import (
     GameSpec,
     StrategyProfile,
     all_coalitions,
-    embed_finite_horizon,
     expected_payoffs,
     realized_outcome,
     validate_game,
@@ -115,8 +114,6 @@ def test_validate_flags_terminal_mismatch():
     )
     violations = validate_game(game, enforce_assumption_a=False)
     assert any("terminal coincidence" in v for v in violations)
-    with pytest.raises(ValueError, match="cannot embed"):
-        embed_finite_horizon(game)
 
 
 def test_validate_compares_values_exactly_across_denominators():
@@ -166,13 +163,6 @@ def test_expected_payoffs_against_published_table(deterministic_game):
         Fraction(0),
         Fraction(0),
     )
-
-
-def test_embed_is_identity_plus_flag(deterministic_game):
-    embedded = embed_finite_horizon(deterministic_game)
-    assert embedded.embedded
-    assert embedded.payoffs == deterministic_game.payoffs
-    assert embedded == deterministic_game  # node-level data unchanged
 
 
 def random_profile(rng, game, density=0.2):

@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from dynkin.games import Coalition, expected_payoffs, realized_outcome, validate_game
+from dynkin.games import Coalition, GameSpec, expected_payoffs, realized_outcome, validate_game
 from dynkin.randomgen import random_game
 from dynkin import scheme
 from dynkin.scheme import (
@@ -15,6 +15,7 @@ from dynkin.scheme import (
     SchemeState,
     SchemeStep,
     SweepInvariantError,
+    advance,
     build_stage_reward,
     initial_state,
     run_scheme,
@@ -23,6 +24,7 @@ from dynkin.scheme import (
 )
 from dynkin.snell import eps_optimal_rule, snell_envelope
 from dynkin.trees import (
+    NEVER,
     NEVER_RULE,
     AdaptedProcess,
     ScenarioTree,
@@ -252,9 +254,10 @@ def test_round_must_not_move_a_rule_later(monkeypatch, deterministic_game):
     update = scheme._updated_tau
 
     def forgetful_update(tree, mu, theta, previous):
+        tau, now, then = update(tree, mu, theta, previous)
         if previous.is_never:
-            return update(tree, mu, theta, previous)
-        return NEVER_RULE
+            return tau, now, then
+        return NEVER_RULE, [NEVER] * len(now), then
 
     monkeypatch.setattr(scheme, "_updated_tau", forgetful_update)
     with pytest.raises(SweepInvariantError, match="later"):
@@ -409,3 +412,47 @@ def test_trace_audit_reads_no_sweep_values():
     audited = replace(result, trace=steps)
     assert len(steps) >= 30
     assert check_trace_invariants(steps, audited) == []
+
+
+def test_run_validates_an_unvalidated_spec(pennies_game):
+    # a library caller that passes no validated flag still gets the full list
+    violations = validate_game(pennies_game, enforce_assumption_a=True)
+    assert violations
+    with pytest.raises(ValueError) as info:
+        run_scheme(pennies_game, SchemeConfig(epsilon=Fraction(1, 2)))
+    assert str(info.value) == "game is not valid for the scheme: " + "; ".join(violations)
+
+
+def test_validated_run_skips_validation_and_agrees(monkeypatch, deterministic_game):
+    config = SchemeConfig(epsilon=Fraction(1, 100))
+    checked = run_scheme(deterministic_game, config)
+    monkeypatch.setattr(scheme, "validate_game", None)  # any call would raise
+    trusted = run_scheme(deterministic_game, config, validated=True)
+    assert trusted.uncapped == checked.uncapped
+    assert trusted.rounds_used == checked.rounds_used
+    assert trace_as_json(trusted.trace) == trace_as_json(checked.trace)
+
+
+def test_a_step_looks_each_stop_coalition_up_once(monkeypatch):
+    # many theta nodes share a few coalitions; each coalition's join and
+    # stay values are read once per step
+    game = late_stop_game(Random(4), 3, 32)
+    config = SchemeConfig()
+    state = initial_state(game)
+    solo_rewards = {}
+    lookups = []
+    lookup = GameSpec.payoff
+
+    def counting(spec, player, coalition):
+        lookups.append(coalition)
+        return lookup(spec, player, coalition)
+
+    for _ in range(3 * game.num_players):
+        step = scheme_step(game, config, state, solo_rewards)
+        state = advance(state, step)
+    assert len(solo_rewards) == game.num_players  # solo lookups are done
+    monkeypatch.setattr(GameSpec, "payoff", counting)
+    step = scheme_step(game, config, state, solo_rewards)
+    coalitions = set(step.coalition_at_theta.values())
+    assert len(step.coalition_at_theta) > len(coalitions)
+    assert len(lookups) == 2 * len(coalitions)

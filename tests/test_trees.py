@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -27,6 +26,7 @@ from gens import (
     path_process,
     scenario_trees,
     single_path_tree,
+    thirds_and_sevenths,
     tree_with_flags,
     tree_with_process,
 )
@@ -103,33 +103,6 @@ def test_validate_catches_structural_breakage():
     assert any("duplicate id" in v for v in validate_tree(dup))
 
 
-@st.composite
-def thirds_and_sevenths(draw):
-    """A uniform-depth or ragged tree whose every sibling group splits a
-    denominator from 3, 7, 9, 21 or 49 into positive parts, so that every
-    sibling sum is exactly 1."""
-    base = draw(st.one_of(scenario_trees(max_depth=4, max_nodes=20), linked_trees()))
-    probs = {}
-    for node in base.nodes:
-        kids = base.children(node.id)
-        if kids:
-            q = draw(st.sampled_from([d for d in (3, 7, 9, 21, 49) if d >= len(kids)]))
-            cuts = sorted(
-                draw(
-                    st.sets(
-                        st.integers(1, q - 1),
-                        min_size=len(kids) - 1,
-                        max_size=len(kids) - 1,
-                    )
-                )
-            )
-            for kid, lo, hi in zip(kids, [0, *cuts], [*cuts, q]):
-                probs[kid.id] = Fraction(hi - lo, q)
-    return ScenarioTree(
-        tuple(replace(n, branch_prob=probs.get(n.id, n.branch_prob)) for n in base.nodes)
-    )
-
-
 @settings(max_examples=100, deadline=None)
 @given(thirds_and_sevenths())
 def test_unit_sibling_sums_imply_unit_leaf_mass(tree):
@@ -137,9 +110,16 @@ def test_unit_sibling_sums_imply_unit_leaf_mass(tree):
     assert not any("children probabilities" in v for v in validate_tree(tree))
     index = tree.index
     scale = index.scale[0]
-    weights = [index.path_prob[index.position[leaf.id]] * scale for leaf in index.leaves]
+    weights = [index.weight[index.position[leaf.id]] for leaf in index.leaves]
     assert all(w.denominator == 1 for w in weights)
     assert sum(weights) == scale
+    # each weight is the leaf's path probability, a product of branch
+    # probabilities, times scale[0]
+    for leaf, w in zip(index.leaves, weights):
+        prob = Fraction(1)
+        for node in tree.path_to(leaf.id):
+            prob *= node.branch_prob
+        assert w == prob * scale
 
 
 def test_one_step_expectation_single_child():

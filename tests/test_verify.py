@@ -28,7 +28,6 @@ from dynkin.verify import (
     certify,
     check_trace_invariants,
     count_rules,
-    deviation_reward,
     enumerate_rules,
     find_all_eps_neps,
 )
@@ -37,8 +36,10 @@ from gens import (
     full_binary_tree,
     scenario_trees,
     single_path_tree,
+    thirds_and_sevenths,
     thirds_chain_tree,
 )
+from verify_reference import deviation_reward, weighted_reward
 
 KERNEL_DENOMINATORS = (1, 2, 3, 5, 7, 11, 13, 97)
 
@@ -348,9 +349,9 @@ def test_find_all_computes_one_best_response_per_others_rules(
 ):
     calls = []
 
-    def counting(spec, profile, player):
+    def counting(spec, profile, player, *, vector=None):
         calls.append(player)
-        return best_response_value(spec, profile, player)
+        return best_response_value(spec, profile, player, vector=vector)
 
     monkeypatch.setattr(verify, "best_response_value", counting)
     find_all_eps_neps(deterministic_game, Fraction(0))
@@ -361,7 +362,7 @@ def test_find_all_computes_one_best_response_per_others_rules(
 
 
 def test_find_all_raises_on_a_negative_gain(monkeypatch, deterministic_game):
-    def low_best_response(spec, profile, player):
+    def low_best_response(spec, profile, player, *, vector=None):
         return Fraction(-9)
 
     monkeypatch.setattr(verify, "best_response_value", low_best_response)
@@ -372,7 +373,7 @@ def test_find_all_raises_on_a_negative_gain(monkeypatch, deterministic_game):
 def test_find_all_raises_on_a_best_response_above_every_rule(
     monkeypatch, deterministic_game
 ):
-    def high_best_response(spec, profile, player):
+    def high_best_response(spec, profile, player, *, vector=None):
         return Fraction(9)
 
     monkeypatch.setattr(verify, "best_response_value", high_best_response)
@@ -387,8 +388,8 @@ def test_find_all_raises_when_a_found_profile_fails_its_certificate(
 ):
     # payoffs one lower than the integer tables price them: every profile
     # found has gains of 1 in its certificate
-    def lowered_payoffs(spec, profile):
-        return tuple(v - 1 for v in expected_payoffs(spec, profile))
+    def lowered_payoffs(spec, profile, outcomes=None):
+        return tuple(v - 1 for v in expected_payoffs(spec, profile, outcomes))
 
     monkeypatch.setattr(verify, "expected_payoffs", lowered_payoffs)
     with pytest.raises(CertificationError, match="fails its certificate"):
@@ -479,3 +480,54 @@ def test_integer_best_response_on_a_deep_path_with_thirds_near_the_root():
         for player in (1, 2):
             value = best_response_value(spec, profile, player)
             assert value == envelope_reference(spec, profile, player)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_deviation_vector_equals_w_y_d_of_the_reference(data):
+    # A(v) = w(v) * Y(v) * D, built by index position, against the Fraction
+    # deviation reward on random trees and on thirds/sevenths splits
+    num_players = data.draw(st.integers(2, 3), label="players")
+    tree = data.draw(
+        st.one_of(scenario_trees(max_depth=4, max_nodes=20, max_weight=9), thirds_and_sevenths())
+    )
+    rng = Random(data.draw(st.integers(0, 2**32 - 1), label="payoff seed"))
+    spec = GameSpec(num_players, tree.horizon, tree, random_payoffs(rng, tree, num_players))
+    profile = StrategyProfile(draw_rules(data, tree, num_players))
+    epsilon = data.draw(st.sampled_from([Fraction(0), Fraction(1, 10), Fraction(5, 21)]))
+    for player in spec.players:
+        assert verify._deviation_vector(spec, profile, player, epsilon) == weighted_reward(
+            spec, profile, player, epsilon
+        )
+
+
+def test_deviation_vector_on_a_deep_path_with_thirds_near_the_root():
+    tree = thirds_chain_tree(horizon=60, branching=20)
+    rng = Random(6)
+    spec = GameSpec(2, tree.horizon, tree, random_payoffs(rng, tree, 2))
+    ids = [node.id for node in tree.nodes]
+    profile = StrategyProfile(
+        tuple(canonicalize_rule(tree, rng.sample(ids, 5)) for _ in (1, 2))
+    )
+    for player in (1, 2):
+        assert verify._deviation_vector(
+            spec, profile, player, Fraction(1, 7)
+        ) == weighted_reward(spec, profile, player, Fraction(1, 7))
+
+
+def test_find_all_builds_one_deviation_vector_per_others_rules(
+    monkeypatch, deterministic_game
+):
+    # one integer vector per tuple serves the envelope and the epsilon sets
+    calls = []
+    build = verify._deviation_vector
+
+    def counting(spec, profile, player, epsilon):
+        calls.append(player)
+        return build(spec, profile, player, epsilon)
+
+    monkeypatch.setattr(verify, "_deviation_vector", counting)
+    find_all_eps_neps(deterministic_game, Fraction(0))
+    n = deterministic_game.num_players
+    r = count_rules(deterministic_game.tree)
+    assert len(calls) == n * r ** (n - 1)
