@@ -99,22 +99,29 @@ def _parse_tree(
         prob = rationals.get(text) if type(text) is str else None
         if prob is None:
             prob = _parse_once(rationals, text, f"{where}.nodes[{k}]", "prob")
-        nodes.append(Node(id=node_id, time=time, parent=parent, branch_prob=prob))
+        nodes.append(Node(node_id, time, parent, prob))
     return ScenarioTree(tuple(nodes))
 
 
 def _parse_values(
-    raw: Any, tree: ScenarioTree, where: str, rationals: dict[str, Fraction]
+    raw: Any, ids: dict[str, int], where: str, rationals: dict[str, Fraction]
 ) -> dict[int, Fraction]:
+    """Node id -> value; ``ids`` maps each id's canonical string to it.  A
+    table of canonical keys and strings parsed before is read in one pass;
+    any other goes entry by entry, which alone accepts or rejects it."""
     if not isinstance(raw, dict):
         raise DocumentError(f"{where}: expected an object mapping node ids to rationals")
+    try:
+        return {ids[key]: rationals[text] for key, text in raw.items()}
+    except (KeyError, TypeError):  # a key like "07", an unknown id, a new value
+        pass
     values: dict[int, Fraction] = {}
     for key, text in raw.items():
         try:
             node_id = int(key)
         except (TypeError, ValueError):
             raise DocumentError(f"{where}.{key}: node id is not an integer") from None
-        if node_id not in tree:
+        if str(node_id) not in ids:
             raise DocumentError(f"{where}.{key}: node {node_id} does not exist")
         values[node_id] = _parse_once(rationals, text, where, key)
     return values
@@ -159,6 +166,7 @@ def parse_game(text: str, enforce_assumption_a: bool = True) -> GameSpec:
     tree = _parse_tree(
         _require(doc, "tree", dict, "document"), "document.tree", rationals
     )
+    ids = {str(node.id): node.id for node in tree.nodes}
 
     payoffs: dict[tuple[int, Coalition], AdaptedProcess] = {}
     raw_payoffs = _require(doc, "payoffs", list, "document")
@@ -183,7 +191,7 @@ def parse_game(text: str, enforce_assumption_a: bool = True) -> GameSpec:
                 f"{here}: duplicate entry for player {player}, "
                 f"coalition {list(coalition)}"
             )
-        values = _parse_values(raw.get("values"), tree, f"{here}.values", rationals)
+        values = _parse_values(raw.get("values"), ids, f"{here}.values", rationals)
         payoffs[(player, coalition)] = AdaptedProcess(values)
 
     # listing every missing pair, as validation does, costs 2^N time and text
@@ -209,12 +217,13 @@ def parse_game(text: str, enforce_assumption_a: bool = True) -> GameSpec:
         if not isinstance(raw_default, dict):
             raise DocumentError("document.default_payoff: expected an object")
         default_values = _parse_values(
-            raw_default.get("values"), tree, "document.default_payoff.values",
+            raw_default.get("values"), ids, "document.default_payoff.values",
             rationals,
         )
         for i in range(1, players + 1):
             for coalition in all_coalitions(players):
-                payoffs.setdefault((i, coalition), AdaptedProcess(dict(default_values)))
+                if (i, coalition) not in payoffs:
+                    payoffs[(i, coalition)] = AdaptedProcess(dict(default_values))
 
     spec = GameSpec(num_players=players, horizon=horizon, tree=tree, payoffs=payoffs)
     violations = validate_game(spec, enforce_assumption_a=enforce_assumption_a)

@@ -140,6 +140,7 @@ def validate_game(spec: GameSpec, enforce_assumption_a: bool = True) -> list[str
         )
 
     coalitions = all_coalitions(spec.num_players)
+    index = spec.tree.index
     for i in spec.players:
         for coalition in coalitions:
             process = spec.payoffs.get((i, coalition))
@@ -147,6 +148,8 @@ def validate_game(spec: GameSpec, enforce_assumption_a: bool = True) -> list[str
                 violations.append(
                     f"payoffs not total: missing (player {i}, coalition {coalition.players})"
                 )
+                continue
+            if process.values.keys() >= index.position.keys():
                 continue
             for node_id in process.missing_on(spec.tree):
                 violations.append(
@@ -156,6 +159,8 @@ def validate_game(spec: GameSpec, enforce_assumption_a: bool = True) -> list[str
     if violations:
         return violations
 
+    # a parse shares one Fraction between equal strings, so most pairs
+    # compared below are one object; the others are compared exactly
     everyone = Coalition.everyone(spec.num_players)
     by_player = [
         (
@@ -165,18 +170,16 @@ def validate_game(spec: GameSpec, enforce_assumption_a: bool = True) -> list[str
         )
         for i in spec.players
     ]
-    # the checks compare on int: values are Fractions in lowest terms
-    for leaf in spec.tree.leaves:
+    for leaf in index.leaves:
         for i, everyone_values, coalition_values in by_player:
             terminal = everyone_values[leaf.id]
-            expected = (terminal.numerator, terminal.denominator)
             for coalition, values in coalition_values:
                 value = values[leaf.id]
-                if (value.numerator, value.denominator) != expected:
+                if value is not terminal and value != terminal:
                     violations.append(
                         f"terminal coincidence: player {i}, coalition "
                         f"{coalition.players} at leaf {leaf.id} is "
-                        f"{values[leaf.id]}, expected {terminal}"
+                        f"{value}, expected {terminal}"
                     )
 
     if enforce_assumption_a:
@@ -191,16 +194,17 @@ def validate_game(spec: GameSpec, enforce_assumption_a: bool = True) -> list[str
             for j in spec.players
             if i != j
         ]
-        for node in spec.tree.nodes:
-            if node.time >= spec.horizon:
-                continue
+        inner = [node.id for node in spec.tree.nodes if node.time < spec.horizon]
+        for node_id in inner:
             for i, j, joint_values, alone_values in pairs:
-                joint = joint_values[node.id]
-                alone = alone_values[node.id]
-                if joint.numerator * alone.denominator > alone.numerator * joint.denominator:
+                joint = joint_values[node_id]
+                alone = alone_values[node_id]
+                if joint is not alone and (
+                    joint.numerator * alone.denominator > alone.numerator * joint.denominator
+                ):
                     violations.append(
                         f"joint-stop hypothesis: player {i} vs {j} at node "
-                        f"{node.id}: X(i,{{i,j}})={joint} > X(i,{{j}})={alone}"
+                        f"{node_id}: X(i,{{i,j}})={joint} > X(i,{{j}})={alone}"
                     )
     return violations
 

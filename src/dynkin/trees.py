@@ -13,6 +13,7 @@ this package ever rounds.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -91,68 +92,66 @@ def _build_index(tree: "ScenarioTree") -> TreeIndex:
     roots = [n for n in tree.nodes if n.parent is None]
     if len(roots) != 1:
         raise ValueError(f"tree has {len(roots)} roots, expected exactly 1")
-    order = [roots[0]]
-    position = {roots[0].id: 0}
-    depth = [0]
-    parent = [-1]
-    children: list[tuple[int, ...]] = []
-    for pos, node in enumerate(order):  # grows while iterating: breadth first
-        first = len(order)
-        for kid in tree.children(node.id):
-            position[kid.id] = len(order)
-            order.append(kid)
-        added = len(order) - first
-        children.append(tuple(range(first, first + added)))
-        depth += [depth[pos] + 1] * added
-        parent += [pos] * added
-    if len(position) != len(order) or len(order) != len(tree.nodes):
+    kids_of = tree._children  # type: ignore[attr-defined]
+    # with unique ids the breadth-first pass reaches each node at most once;
+    # duplicates could close a cycle it would never leave
+    if len(kids_of) != len(tree.nodes):
         raise ValueError("tree ids are not unique or not all linked to the root")
+    order = [roots[0]]
+    for node in order:  # grows while iterating: breadth first
+        order += kids_of[node.id]
+    if len(order) != len(tree.nodes):
+        raise ValueError("tree ids are not unique or not all linked to the root")
+    n = len(order)
+    position = {node.id: pos for pos, node in enumerate(order)}
+    parent = [-1] + [position[node.parent] for node in order[1:]]
+    # the children of position p are the positions first[p]:first[p + 1]
+    first = list(itertools.accumulate([len(kids_of[node.id]) for node in order], initial=1))
+    stage_start = [0]
+    while stage_start[-1] < n:
+        stage_start.append(first[stage_start[-1]])
+    horizon = len(stage_start) - 2
+    stages = list(zip(stage_start, stage_start[1:]))
 
-    horizon = depth[-1]
-    stage_start = [0] * (horizon + 2)
-    for pos, d in enumerate(depth):
-        stage_start[d + 1] = pos + 1
-    stage_lcm = [1] * (horizon + 1)
-    for node, d in zip(order, depth):
-        if d:
-            stage_lcm[d - 1] = math.lcm(stage_lcm[d - 1], node.branch_prob.denominator)
+    # B_t, the lcm of the stage-(t + 1) denominators, and p * B_t per node
+    stage_lcm = [
+        math.lcm(*{node.branch_prob.denominator for node in order[lo:hi]})
+        for lo, hi in stages[1:]
+    ]
     scale = [1] * (horizon + 1)
     for t in range(horizon - 1, -1, -1):
         scale[t] = scale[t + 1] * stage_lcm[t]
+    unit = [1]
+    weight = [scale[0]]  # path probability times scale[0]
+    for b, (lo, hi) in zip(stage_lcm, stages[1:]):
+        probs = [node.branch_prob for node in order[lo:hi]]
+        unit += [p.numerator * (b // p.denominator) for p in probs]
+        weight += [weight[up] // b * c for up, c in zip(parent[lo:hi], unit[lo:hi])]
+    unit = tuple(unit)  # so that its slices are the child weight tuples
+    positions = tuple(range(n))
 
-    child_weights: list[tuple[int, ...]] = []
-    product = [1] * len(order)  # child weights multiplied down the path
-    for pos, kids in enumerate(children):
-        b = stage_lcm[depth[pos]]
-        above = product[pos]
-        weights = []
-        for k in kids:
-            p = order[k].branch_prob
-            c = p.numerator * (b // p.denominator)
-            product[k] = above * c
-            weights.append(c)
-        child_weights.append(tuple(weights))
-
-    count = [0 if kids else 1 for kids in children]  # leaves below each position
-    for pos in range(len(order) - 1, 0, -1):  # children before parents
+    count = [1 if lo == hi else 0 for lo, hi in zip(first, first[1:])]  # leaves below
+    for pos in range(n - 1, 0, -1):  # children before parents
         count[parent[pos]] += count[pos]
-    leaf_lo = [0] * len(order)
-    for pos, kids in enumerate(children):
-        rank = leaf_lo[pos]
-        for k in kids:
-            leaf_lo[k] = rank
-            rank += count[k]
-    leaves = tuple(n for n in tree.nodes if not tree.children(n.id))
+    # a child's first leaf rank is its parent's plus its earlier siblings' counts
+    before = list(itertools.accumulate(count, initial=0))
+    leaf_lo = [0]
+    for lo, hi in stages[1:]:
+        leaf_lo += [
+            leaf_lo[up] + before[pos] - before[first[up]]
+            for pos, up in zip(positions[lo:hi], parent[lo:hi])
+        ]
+    leaves = tuple(node for node in tree.nodes if not kids_of[node.id])
     return TreeIndex(
         nodes=tuple(order),
         position=position,
         parent=tuple(parent),
-        children=tuple(children),
-        child_weights=tuple(child_weights),
+        children=tuple([positions[lo:hi] for lo, hi in zip(first, first[1:])]),
+        child_weights=tuple([unit[lo:hi] for lo, hi in zip(first, first[1:])]),
         stage_start=tuple(stage_start),
         scale=tuple(scale),
         leaves=leaves,
-        weight=tuple(w * scale[d] for w, d in zip(product, depth)),
+        weight=tuple(weight),
         leaf_lo=tuple(leaf_lo),
         leaf_hi=tuple(lo + c for lo, c in zip(leaf_lo, count)),
         leaf_rank=tuple(leaf_lo[position[leaf.id]] for leaf in leaves),
@@ -255,7 +254,32 @@ def validate_tree(tree: ScenarioTree) -> list[str]:
     terminal stage.  The leaf path probabilities then sum to 1 without a
     check of their own: each node's path probability is the sum of its
     children's, so the mass at the root passes down to the leaves.
+
+    Validity is decided from the tree's index, whose construction already
+    proves the ids unique, the root single and every node linked to it;
+    the node loops that word the messages run only on a tree that fails.
     """
+    try:
+        index = tree.index
+    except ValueError:
+        index = None
+    if index is not None:
+        nodes, start, scale = index.nodes, index.stage_start, index.scale
+        weights = index.child_weights
+        stages = range(len(start) - 1)
+        if (
+            nodes[0].branch_prob == 1
+            and all(node.time == t for t in stages for node in nodes[start[t] : start[t + 1]])
+            # child weights are p * B_t: each position before the last stage
+            # has children, with probabilities that are positive and sum to 1
+            and all(
+                sum(kids) == scale[t] // scale[t + 1]
+                for t in stages[:-1]
+                for kids in weights[start[t] : start[t + 1]]
+            )
+            and min(itertools.chain.from_iterable(weights), default=1) > 0
+        ):
+            return []
     violations: list[str] = []
     seen: set[NodeId] = set()
     for node in tree.nodes:

@@ -1,5 +1,9 @@
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -487,3 +491,108 @@ def test_a_bad_string_at_two_paths_reports_the_first(capsys, tmp_path):
     code, _, err = run_cli(capsys, "solve", "--game", str(path), "--epsilon", "0")
     assert code == 2
     assert err == f"error: document.payoffs[1].values.2: {_NOT_RATIONAL} '0.5'\n"
+
+
+# every workload of the benchmark, through the modules in perfbench/, which
+# the test imports and never changes
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.mark.parametrize("name", ["solve-wide", "solve-late", "enumerate"])
+def test_benchmark_reports_keep_their_stored_digests(monkeypatch, capsys, tmp_path, name):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import gen
+    import run
+
+    stored = json.loads((PERFBENCH / "baseline.json").read_text())
+    workload = run.WORKLOADS[name]
+    text = gen.document_text(workload.make(Random(f"{name}:{run.DEFAULT_SEED}:0")))
+    assert hashlib.sha256(text.encode()).hexdigest() == stored["inputs"][name][0]
+    game, out = tmp_path / "game.json", tmp_path / "out.json"
+    game.write_text(text)
+    argv = [*workload.argv, "--game", str(game), "--out", str(out)]
+    if workload.trace_file:
+        argv += ["--trace", str(tmp_path / "trace.json")]
+    assert run_cli(capsys, *argv)[0] == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == stored["reports"][name][0]
+
+
+_ODD_VALUES = ["1", "1/2", "0.5", "1.0", 1, 0, -1, 1.5, True, False, None, [], [1], {}, {"a": 1}]
+
+
+def _containers(doc):
+    """The objects a mutation may change: the document, its tree, nodes,
+    payoff entries and value tables, whatever their shape by now."""
+    found = [doc]
+    for key in ("tree", "default_payoff"):
+        if isinstance(doc.get(key), dict):
+            found.append(doc[key])
+    tree, payoffs = doc.get("tree"), doc.get("payoffs")
+    if isinstance(tree, dict) and isinstance(tree.get("nodes"), list):
+        found += [node for node in tree["nodes"] if isinstance(node, dict)]
+    entries = payoffs if isinstance(payoffs, list) else []
+    entries = [e for e in entries if isinstance(e, dict)]
+    if isinstance(doc.get("default_payoff"), dict):
+        entries.append(doc["default_payoff"])
+    found += entries
+    found += [e["values"] for e in entries if isinstance(e.get("values"), dict)]
+    return [c for c in found if c]
+
+
+def _nodes(doc):
+    tree = doc.get("tree")
+    nodes = tree.get("nodes") if isinstance(tree, dict) else None
+    return [n for n in nodes if isinstance(n, dict)] if isinstance(nodes, list) else []
+
+
+def _mutate(doc, draw):
+    kind = draw(st.sampled_from(
+        ["drop", "retype", "spelling", "unknown", "duplicate", "cycle", "decimal", "bool"]
+    ))
+    containers = _containers(doc)
+    target = draw(st.sampled_from(containers))
+    key = draw(st.sampled_from(sorted(target)))
+    nodes = _nodes(doc)
+    node = draw(st.sampled_from(nodes)) if nodes else {}
+    if kind == "drop":
+        del target[key]
+    elif kind == "retype":
+        target[key] = draw(st.sampled_from(_ODD_VALUES))
+    elif kind == "spelling":
+        target[draw(st.sampled_from(["0", " ", "+", ""])) + key + draw(
+            st.sampled_from(["", ".0", " "])
+        )] = target.pop(key)
+    elif kind == "unknown":
+        target["999"] = target.pop(key)
+        node["parent"] = 999
+    elif kind == "duplicate":
+        node["id"] = draw(st.sampled_from(nodes)).get("id") if nodes else 0
+    elif kind == "cycle":
+        node["parent"] = draw(st.sampled_from(nodes)).get("id") if nodes else 0
+    elif kind == "decimal":
+        target[key] = draw(st.sampled_from(["0.5", "1.0", "1e3", ".5"]))
+        node["prob"] = "0.5"
+    else:
+        target[key] = draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mutated_documents_end_with_a_documented_exit_code(data):
+    doc = example_document(data.draw(st.sampled_from(
+        ["paper-5-1", "counterexample-a", "counterexample-b"]
+    )))
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(doc, data.draw)
+    command = data.draw(st.sampled_from(
+        [["solve", "--epsilon", "1/4"], ["enumerate", "--epsilon", "0", "--cap", "64"]]
+    ))
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "game.json"
+        path.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([*command, "--game", str(path)])
+    assert code in range(5)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")

@@ -1,3 +1,4 @@
+import itertools
 import json
 from collections import Counter
 from fractions import Fraction
@@ -75,6 +76,63 @@ def test_default_payoff_fills_missing_pairs():
     assert len(spec.payoffs) == 6
     assert spec.payoff(2, Coalition.of((1, 2))).at(1) == 0
     assert spec.payoff(1, Coalition.of((1, 2))).at(1) == 1
+
+
+def test_default_payoff_is_copied_only_for_missing_pairs(monkeypatch):
+    doc = example_document("counterexample-b")
+    doc["payoffs"] = [
+        entry for entry in doc["payoffs"]
+        if entry["player"] == 1 and entry["coalition"] == [1, 2]
+    ]
+    doc["default_payoff"] = {"values": {"0": "0", "1": "0", "2": "0", "3": "1"}}
+    built = []
+    real = documents.AdaptedProcess
+
+    def counting(values):
+        built.append(values)
+        return real(values)
+
+    monkeypatch.setattr(documents, "AdaptedProcess", counting)
+    spec = parse_game(document_text(doc), enforce_assumption_a=False)
+    # one process for the listed pair and one copy for each of the 5 others
+    assert len(built) == len(spec.payoffs) == 6
+    assert len({id(process.values) for process in spec.payoffs.values()}) == 6
+
+
+# key spellings int() accepts or rejects, and ids the tree has or lacks
+_KEY_SPELLINGS = ["7", "07", " 7", "+7", "7.0", "x", "99", "-1"]
+# a string seen before, one not seen yet, and values that are no string
+_VALUE_KINDS = ["1/2", "5/7", 3, True, ["1/2"], "0.5"]
+
+
+def _values_or_error(raw, ids, rationals):
+    try:
+        return list(documents._parse_values(raw, ids, "here", rationals).items())
+    except DocumentError as exc:
+        return str(exc)
+
+
+def test_value_tables_agree_with_the_per_key_loop():
+    ids = {str(i): i for i in (0, 7, 12, -3)}
+    seen = {"1/2": Fraction(1, 2), "-3": Fraction(-3)}
+    for spelling, value, at in itertools.product(_KEY_SPELLINGS, _VALUE_KINDS, range(3)):
+        entries = [("0", "1/2"), ("12", "-3")]
+        entries.insert(at, (spelling, value))
+        raw = dict(entries)
+        # an empty table of parsed strings sends every entry through the
+        # per-key loop; a table that has them lets the whole-table read run
+        assert _values_or_error(raw, ids, dict(seen)) == _values_or_error(raw, ids, {})
+    assert _values_or_error({"7": "1/2", "07": "-3"}, ids, dict(seen)) == [(7, -3)]
+    assert _values_or_error({" 7": "1/2", "+7": "-3"}, ids, dict(seen)) == [(7, -3)]
+    assert _values_or_error({"7.0": "1/2"}, ids, dict(seen)) == (
+        "here.7.0: node id is not an integer"
+    )
+    assert _values_or_error({"99": "1/2"}, ids, dict(seen)) == (
+        "here.99: node 99 does not exist"
+    )
+    assert _values_or_error({"7": True}, ids, dict(seen)) == (
+        f"here.7: {_NOT_RATIONAL} True"
+    )
 
 
 # full messages recorded before the node paths were built only on error

@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
+import textwrap
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import dynkin
 from dynkin.trees import (
     NEVER,
     NEVER_RULE,
@@ -31,6 +38,7 @@ from gens import (
     tree_with_process,
 )
 from snell_reference import one_step_expectation
+from trees_reference import reference_validate_tree
 
 
 def ancestor_walk_canonical(tree, flags):
@@ -101,6 +109,96 @@ def test_validate_catches_structural_breakage():
 
     dup = ScenarioTree((Node(0, 0, None, Fraction(1)), Node(0, 0, None, Fraction(1))))
     assert any("duplicate id" in v for v in validate_tree(dup))
+
+
+def _descendants(tree, node_id):
+    """Ids reachable down the child links, each once, cycles included."""
+    below, stack = set(), [node_id]
+    while stack:
+        for kid in tree.children(stack.pop()):
+            if kid.id not in below:
+                below.add(kid.id)
+                stack.append(kid.id)
+    return sorted(below)
+
+
+@st.composite
+def broken_trees(draw):
+    """A valid tree, then up to three of: a branch probability off by one
+    unit, all of a node's probability or more moved to a sibling (the sum
+    stays 1), a time shifted, a leaf cut off, a root probability other
+    than 1, a duplicate id, an orphan, a cycle through unique ids and a
+    cycle closed by a duplicate of the root's id."""
+    tree = draw(st.one_of(scenario_trees(), thirds_and_sevenths(), linked_trees()))
+    nodes = list(tree.nodes)
+    for _ in range(draw(st.integers(0, 3))):
+        current = ScenarioTree(tuple(nodes))
+        k = draw(st.integers(0, len(nodes) - 1))
+        node = nodes[k]
+        kind = draw(st.sampled_from(
+            ["prob", "move", "time", "cut", "root", "duplicate", "orphan", "cycle", "closing"]
+        ))
+        siblings = [i for i, n in enumerate(nodes) if n.parent == node.parent and i != k]
+        if kind == "prob":
+            unit = Fraction(1, node.branch_prob.denominator * draw(st.sampled_from([1, 2, 3])))
+            nodes[k] = replace(node, branch_prob=node.branch_prob + draw(st.sampled_from([unit, -unit])))
+        elif kind == "move" and siblings:
+            moved = node.branch_prob * draw(st.sampled_from([1, 2]))
+            j = draw(st.sampled_from(siblings))
+            nodes[k] = replace(node, branch_prob=node.branch_prob - moved)
+            nodes[j] = replace(nodes[j], branch_prob=nodes[j].branch_prob + moved)
+        elif kind == "time":
+            nodes[k] = replace(node, time=node.time + draw(st.sampled_from([-2, -1, 1, 2])))
+        elif kind == "cut":
+            leaves = [n for n in nodes if not current.children(n.id)]
+            if 0 < len(leaves) < len(nodes):
+                nodes.remove(draw(st.sampled_from(leaves)))
+        elif kind == "root":
+            nodes[0] = replace(nodes[0], branch_prob=draw(
+                st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(3, 2), Fraction(-1)])
+            ))
+        elif kind == "duplicate":
+            nodes[k] = replace(node, id=draw(st.sampled_from(nodes)).id)
+        elif kind == "orphan":
+            nodes[k] = replace(node, parent=max(n.id for n in nodes) + 1)
+        elif kind == "cycle":
+            nodes[k] = replace(node, parent=draw(st.sampled_from(
+                [node.id, *_descendants(current, node.id)]
+            )))
+        else:
+            leaves = [n for n in nodes if not current.children(n.id)]
+            leaf = draw(st.sampled_from(leaves or nodes))
+            nodes.append(Node(nodes[0].id, leaf.time + 1, leaf.id, Fraction(1)))
+    return ScenarioTree(tuple(nodes))
+
+
+@settings(max_examples=400, deadline=None)
+@given(broken_trees())
+def test_validate_tree_agrees_with_the_node_order_reference(tree):
+    assert validate_tree(tree) == reference_validate_tree(tree)
+
+
+def test_index_of_a_cycle_closed_by_duplicate_ids_raises():
+    # a breadth-first pass that trusted the ids would grow without end, so
+    # the check runs in a child process with its memory and time bounded
+    code = textwrap.dedent(
+        """
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from dynkin.trees import Node, ScenarioTree
+        tree = ScenarioTree((Node(0, 0, None, 1), Node(1, 1, 0, 1), Node(0, 2, 1, 1)))
+        try:
+            tree.index
+        except ValueError as exc:
+            print(exc)
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(dynkin.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30
+    )
+    assert done.returncode == 0, done.stderr[-500:]
+    assert done.stdout == "tree ids are not unique or not all linked to the root\n"
 
 
 @settings(max_examples=100, deadline=None)
