@@ -45,13 +45,20 @@ def _read_text(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc}") from None
 
 
+def _write_text(path: str | None, text: str) -> None:
+    """Write ``text`` to the file at ``path``, or to stdout without one."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from None
+
+
 def _load_spec(args: argparse.Namespace, enforce_assumption_a: bool) -> GameSpec:
-    if args.example is not None:
-        try:
-            doc = example_document(args.example)
-        except KeyError as exc:
-            raise UsageError(str(exc.args[0])) from None
-        text = document_text(doc)
+    if args.example is not None:  # argparse admits only known names
+        text = document_text(example_document(args.example))
     else:
         text = _read_text(args.game)
     return parse_game(text, enforce_assumption_a=enforce_assumption_a)
@@ -75,11 +82,7 @@ def _parse_order(text: str, num_players: int) -> tuple[int, ...]:
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def certificate_json(certificate: NepCertificate) -> dict:
@@ -112,9 +115,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         result = run_scheme(spec, config, validated=True)
     except ConvergenceError as exc:
         if args.trace:
-            Path(args.trace).write_text(
-                json.dumps(trace_as_json(exc.trace), indent=2) + "\n"
-            )
+            _write_text(args.trace, json.dumps(trace_as_json(exc.trace), indent=2) + "\n")
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 
@@ -134,7 +135,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     }
     if args.trace:
         rows = trace_as_json(result.trace)
-        Path(args.trace).write_text(json.dumps(rows, indent=2) + "\n")
+        _write_text(args.trace, json.dumps(rows, indent=2) + "\n")
         report["trace"] = rows
     _emit(report, args.out)
     return EXIT_OK if certificate.is_eps_nep else EXIT_NEGATIVE
@@ -173,15 +174,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_example(args: argparse.Namespace) -> int:
-    try:
-        doc = example_document(args.name)
-    except KeyError as exc:
-        raise UsageError(str(exc.args[0])) from None
-    text = document_text(doc)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(args.out, document_text(example_document(args.name)))  # a known name
     return EXIT_OK
 
 

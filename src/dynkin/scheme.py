@@ -194,7 +194,7 @@ def _stage_reward(
             )
         value = max(table[0][node_id], table[1][node_id])
         pos = index.position[node_id]
-        scale = index.scale[index.stage_of(pos)]
+        scale = index.scale[index.nodes[pos].time]
         den = value.denominator
         raised = math.lcm(raised, den // math.gcd(den, scale))
         frozen[pos] = (value, scale)
@@ -272,6 +272,8 @@ def scheme_step(
     state: SchemeState,
     solo_rewards: dict[int, tuple[list[int], int]] | None = None,
     leaf_times: dict[int, tuple[list[Stage], list[Stage]]] | None = None,
+    *,
+    order: tuple[int, ...] | None = None,
 ) -> SchemeStep:
     """Visit one player and compute their updated rule.
 
@@ -279,8 +281,11 @@ def scheme_step(
     first visit on; :func:`run_scheme` passes one dict for its whole run.
     ``leaf_times``, when given, receives the player's stop times after
     and before the step, leaf by leaf, as ``{player: (now, then)}``.
+    ``order`` is the config's order as :func:`run_scheme` checked it once
+    per run; left out, the step checks ``config.order_for`` itself.
     """
-    order = config.order_for(spec.num_players)
+    if order is None:
+        order = config.order_for(spec.num_players)
     position = (state.n - 1) % spec.num_players
     player = order[position]
     others = {
@@ -343,7 +348,7 @@ def run_scheme(
                 "game is not valid for the scheme: " + "; ".join(violations)
             )
 
-    config.order_for(spec.num_players)  # fail fast on a bad order
+    order = config.order_for(spec.num_players)  # fail fast on a bad order
     cap = config.max_rounds if config.max_rounds is not None else rounds_bound(spec)
     if cap < 1:
         raise ValueError(f"max_rounds must be >= 1, got {cap}")
@@ -360,7 +365,7 @@ def run_scheme(
         stationary = True
         moved: dict[int, tuple[list[Stage], list[Stage]]] = {}
         for _ in range(spec.num_players):
-            step = scheme_step(spec, config, state, solo_rewards, moved)
+            step = scheme_step(spec, config, state, solo_rewards, moved, order=order)
             if step.tau != state.taus[step.player - 1]:
                 stationary = False
             trace.append(step)

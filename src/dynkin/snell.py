@@ -11,12 +11,12 @@ Its root value is the optimal stopping value, and stopping the first time
 the threshold always triggers by the terminal stage, and ``eps = 0`` is
 allowed and exactly optimal.
 
-The sweep calls :func:`integer_snell`, which computes the envelope and the
-rule together in scaled integers, and only on the live region: a sweep
-step's reward is constant strictly below each of its frozen positions (the
-others' earliest stops), so there the envelope equals the reward and the
-rule has already stopped.  A :class:`ScaledProcess` answers for every node
-all the same, reading a node below a frozen position at that position.
+The sweep calls :func:`integer_snell`, which computes the envelope, in one
+reversed pass, and the rule in scaled integers, only on the live region: a
+sweep step's reward is constant strictly below each of its frozen positions
+(the others' earliest stops), so there the envelope equals the reward and
+the rule has already stopped.  A :class:`ScaledProcess` answers for every
+node all the same, reading a node below a frozen position at that position.
 :func:`snell_envelope` and :func:`eps_optimal_rule` keep the plain
 ``Fraction`` recursion over the whole tree, which the tests keep as the
 reference for the sweep's kernel and for the certifier's own integer best
@@ -25,7 +25,6 @@ responses in :mod:`dynkin.verify`.
 
 from __future__ import annotations
 
-import bisect
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -102,7 +101,7 @@ class ScaledProcess(NamedTuple):
                     pos = up
                     break
                 up = parent[up]
-        scale = index.scale[index.stage_of(pos)]
+        scale = index.scale[index.nodes[pos].time]
         return Fraction(self.scaled[pos], self.denominator * scale)
 
 
@@ -115,10 +114,11 @@ def integer_snell(
     return for the reward ``reward.at``, computed on ``int`` over the live
     region only: the positions not strictly below a frozen one.  A
     stage-``t`` value ``X`` is carried as ``X * D * index.scale[t]``, with
-    ``D = reward.denominator`` a multiple of epsilon's denominator, so the
-    recursion is ``W(v) = max(U(v), sum_k c_k * W(k))`` with the integer
-    child weights ``c_k`` of the tree index.  At a frozen position
-    ``W = U``: its children carry U's value, and their weights ``c_k`` sum
+    ``D = reward.denominator`` a multiple of epsilon's denominator, so W
+    is one reversed pass ``W(v) = max(U(v), sum_k unit[k] * W(k))`` over
+    the live inner positions, children before parents, and epsilon is
+    ``epsilon * D * scale[t]`` at stage ``t``.  At a frozen position
+    ``W = U``: its children carry U's value, and their ``unit`` weights sum
     to the stage scale ratio, so the sum equals U there too.  A frozen
     position is thus inside the threshold region, and the rule, one
     top-down pass to the first nodes inside the region, never passes it.
@@ -131,8 +131,10 @@ def integer_snell(
             f"reward denominator {d} is not a multiple of epsilon's {epsilon.denominator}"
         )
     index = tree.index
-    nodes, children, weights = index.nodes, index.children, index.child_weights
+    nodes, children, unit = index.nodes, index.children, index.unit
     frozen, u = reward.frozen_at, reward.scaled
+    num, den = epsilon.numerator, epsilon.denominator  # properties: read once
+    slack = [num * (d * s // den) for s in index.scale]
 
     # the live positions whose W needs their children: neither leaves nor
     # frozen, which keep W = U
@@ -146,17 +148,19 @@ def integer_snell(
 
     envelope = list(u)
     inside = [True] * len(nodes)
-    bounds = [bisect.bisect_left(inner, first) for first in index.stage_start]
-    for t in range(index.horizon - 1, -1, -1):  # children before parents
-        slack = epsilon.numerator * (d * index.scale[t] // epsilon.denominator)
-        for pos in inner[bounds[t] : bounds[t + 1]]:
+    for pos in reversed(inner):  # children before parents
+        kids = children[pos]
+        if len(kids) == 1:
+            k = kids[0]
+            w = unit[k] * envelope[k]
+        else:
             w = 0
-            for k, c in zip(children[pos], weights[pos]):
-                w += c * envelope[k]
-            here = u[pos]
-            if w > here:
-                envelope[pos] = w
-                inside[pos] = w <= here + slack
+            for k in kids:
+                w += unit[k] * envelope[k]
+        here = u[pos]
+        if w > here:
+            envelope[pos] = w
+            inside[pos] = w <= here + slack[nodes[pos].time]
 
     stops = []
     frontier = [0]

@@ -49,14 +49,15 @@ class TreeIndex(NamedTuple):
 
     The integer scales let expectations run on ``int``: with ``B_t`` the
     lcm of the branch-probability denominators of the stage-``t + 1``
-    nodes, ``child_weights[v][k] = p_k * B_t`` is an integer, and
-    ``scale[t] = B_t * ... * B_{H-1}`` (1 at the horizon) makes
-    ``sum_k c_k * X(k) * scale[t + 1] == scale[t] * sum_k p_k * X(k)``
-    with ``c_k`` the child weights of a stage-``t`` node.
+    nodes, ``unit[k] = p_k * B_t`` is an integer for each stage-``t + 1``
+    position ``k`` (1 at the root), and ``scale[t] = B_t * ... * B_{H-1}``
+    (1 at the horizon) makes
+    ``sum_k unit[k] * X(k) * scale[t + 1] == scale[t] * sum_k p_k * X(k)``
+    over the children ``k`` of a stage-``t`` node.
 
     ``weight[p]`` is the path probability of position ``p`` times
-    ``scale[0]``, an integer: the product of the child weights down the
-    path, times ``scale[t]`` at stage ``t``.  An expectation over the
+    ``scale[0]``, an integer: the product of ``unit`` down the path, times
+    ``scale[t]`` at stage ``t``.  An expectation over the
     leaves is then a sum of ``int`` divided by ``scale[0]``.
 
     Leaves are also ranked depth first (children in order), so the leaves
@@ -69,7 +70,7 @@ class TreeIndex(NamedTuple):
     position: dict[NodeId, int]
     parent: tuple[int, ...]  # parent position, -1 at the root
     children: tuple[tuple[int, ...], ...]
-    child_weights: tuple[tuple[int, ...], ...]
+    unit: tuple[int, ...]  # branch probability times B_(t-1), 1 at the root
     stage_start: tuple[int, ...]
     scale: tuple[int, ...]
     leaves: tuple[Node, ...]
@@ -81,9 +82,6 @@ class TreeIndex(NamedTuple):
     @property
     def horizon(self) -> int:
         return len(self.stage_start) - 2
-
-    def stage_of(self, pos: int) -> int:
-        return bisect.bisect_right(self.stage_start, pos) - 1
 
 
 def _build_index(tree: "ScenarioTree") -> TreeIndex:
@@ -127,7 +125,6 @@ def _build_index(tree: "ScenarioTree") -> TreeIndex:
         probs = [node.branch_prob for node in order[lo:hi]]
         unit += [p.numerator * (b // p.denominator) for p in probs]
         weight += [weight[up] // b * c for up, c in zip(parent[lo:hi], unit[lo:hi])]
-    unit = tuple(unit)  # so that its slices are the child weight tuples
     positions = tuple(range(n))
 
     count = [1 if lo == hi else 0 for lo, hi in zip(first, first[1:])]  # leaves below
@@ -147,7 +144,7 @@ def _build_index(tree: "ScenarioTree") -> TreeIndex:
         position=position,
         parent=tuple(parent),
         children=tuple([positions[lo:hi] for lo, hi in zip(first, first[1:])]),
-        child_weights=tuple([unit[lo:hi] for lo, hi in zip(first, first[1:])]),
+        unit=tuple(unit),
         stage_start=tuple(stage_start),
         scale=tuple(scale),
         leaves=leaves,
@@ -265,19 +262,19 @@ def validate_tree(tree: ScenarioTree) -> list[str]:
         index = None
     if index is not None:
         nodes, start, scale = index.nodes, index.stage_start, index.scale
-        weights = index.child_weights
+        children, unit = index.children, index.unit
         stages = range(len(start) - 1)
         if (
             nodes[0].branch_prob == 1
             and all(node.time == t for t in stages for node in nodes[start[t] : start[t + 1]])
-            # child weights are p * B_t: each position before the last stage
-            # has children, with probabilities that are positive and sum to 1
+            # unit is p * B_t: each position before the last stage has
+            # children, with probabilities that are positive and sum to 1
             and all(
-                sum(kids) == scale[t] // scale[t + 1]
+                kids and sum(unit[kids[0] : kids[-1] + 1]) == scale[t] // scale[t + 1]
                 for t in stages[:-1]
-                for kids in weights[start[t] : start[t + 1]]
+                for kids in children[start[t] : start[t + 1]]
             )
-            and min(itertools.chain.from_iterable(weights), default=1) > 0
+            and min(unit) > 0
         ):
             return []
     violations: list[str] = []

@@ -66,20 +66,24 @@ def is_supermartingale_dominating(
 
 
 def kernel_input(
-    tree: ScenarioTree, reward: AdaptedProcess, epsilon: Fraction
+    tree: ScenarioTree,
+    reward: AdaptedProcess,
+    epsilon: Fraction,
+    frozen_at: frozenset[int] = frozenset(),
 ) -> ScaledProcess:
     """``reward`` in the scaled form :func:`dynkin.snell.integer_snell`
-    reads, with no frozen positions, so the whole tree is live: stage-``t``
-    values times ``D * scale[t]``, ``D`` the lcm of the reward's and
-    epsilon's denominators."""
+    reads: stage-``t`` values times ``D * scale[t]``, ``D`` the lcm of the
+    reward's and epsilon's denominators.  With no ``frozen_at`` positions
+    the whole tree is live; below a frozen position the kernel reads
+    nothing, so the values there may be anything, as in a sweep step."""
     index = tree.index
     rewards = [reward.at(node.id) for node in index.nodes]
     d = math.lcm(epsilon.denominator, *[x.denominator for x in rewards])
     scaled = [
-        x.numerator * (d * index.scale[index.stage_of(pos)] // x.denominator)
-        for pos, x in enumerate(rewards)
+        x.numerator * (d * index.scale[node.time] // x.denominator)
+        for node, x in zip(index.nodes, rewards)
     ]
-    return ScaledProcess(index, scaled, d)
+    return ScaledProcess(index, scaled, d, frozen_at)
 
 
 def reference_stage_reward(

@@ -18,6 +18,7 @@ from dynkin.documents import (
     parse_game,
     parse_profile,
     serialize_game,
+    serialize_profile,
 )
 from dynkin.fixtures import example_document
 from dynkin.games import StrategyProfile, expected_payoffs, realized_outcome
@@ -125,6 +126,27 @@ def test_solve_rejects_bad_order(capsys):
     )
     assert code == 2
     assert "permutation" in err
+
+
+UNWRITABLE_COMMANDS = {
+    "solve-out": ["solve", "--example", "paper-5-1", "--epsilon", "1/4", "--out"],
+    "solve-trace": ["solve", "--example", "paper-5-1", "--epsilon", "1/4", "--trace"],
+    "solve-no-convergence-trace": [
+        "solve", "--example", "paper-5-1", "--epsilon", "1/100", "--max-rounds", "1", "--trace",
+    ],
+    "enumerate-out": ["enumerate", "--example", "paper-5-1", "--epsilon", "0", "--out"],
+    "example-out": ["example", "--name", "paper-5-1", "--out"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNWRITABLE_COMMANDS))
+def test_an_unwritable_output_path_is_a_usage_error(capsys, tmp_path, command):
+    path = tmp_path / "missing" / "out.json"
+    code, out, err = run_cli(capsys, *UNWRITABLE_COMMANDS[command], str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+    assert not path.parent.exists()
 
 
 def write_profile(tmp_path, *stops_per_player):
@@ -498,6 +520,11 @@ def test_a_bad_string_at_two_paths_reports_the_first(capsys, tmp_path):
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
+# sha256 of the trace files, recorded before the envelope kernel made one
+# reversed pass over the live region; baseline.json stores the reports only
+TRACE_DIGESTS = {"solve-late": "205971f777fb3463875b7d23fd3cdb432a74be892f6b3a31fe93db78ee6662c1"}
+
+
 @pytest.mark.parametrize("name", ["solve-wide", "solve-late", "enumerate"])
 def test_benchmark_reports_keep_their_stored_digests(monkeypatch, capsys, tmp_path, name):
     monkeypatch.syspath_prepend(str(PERFBENCH))
@@ -508,13 +535,16 @@ def test_benchmark_reports_keep_their_stored_digests(monkeypatch, capsys, tmp_pa
     workload = run.WORKLOADS[name]
     text = gen.document_text(workload.make(Random(f"{name}:{run.DEFAULT_SEED}:0")))
     assert hashlib.sha256(text.encode()).hexdigest() == stored["inputs"][name][0]
-    game, out = tmp_path / "game.json", tmp_path / "out.json"
+    game, out, trace = tmp_path / "game.json", tmp_path / "out.json", tmp_path / "trace.json"
     game.write_text(text)
     argv = [*workload.argv, "--game", str(game), "--out", str(out)]
     if workload.trace_file:
-        argv += ["--trace", str(tmp_path / "trace.json")]
+        argv += ["--trace", str(trace)]
     assert run_cli(capsys, *argv)[0] == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == stored["reports"][name][0]
+    assert workload.trace_file == (name in TRACE_DIGESTS)
+    if workload.trace_file:
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == TRACE_DIGESTS[name]
 
 
 _ODD_VALUES = ["1", "1/2", "0.5", "1.0", 1, 0, -1, 1.5, True, False, None, [], [1], {}, {"a": 1}]
@@ -593,6 +623,91 @@ def test_mutated_documents_end_with_a_documented_exit_code(data):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main([*command, "--game", str(path)])
+    assert code in range(5)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+
+
+# flag values, each used as --flag=value so that argparse never reads one
+# as an option; --max-rounds and --cap values all parse as int, so every
+# rejection is the program's own
+_EPSILONS = [
+    "0", "1/4", "1/100", "0.5", ".5", "1e3", "-1/3", "-0", "+1/2", "1/0", "", " 1/2", "1/2/3",
+    "abc", "9" * 5000, "1/" + "9" * 5000, "-" + "9" * 5000, "1/" + "7" * 4000,
+]
+_ORDERS = ["1,2,3", "3,1,2", "2,1", "1,2", "1,1,2", "0,1,2", "1,2,3,4", "a,b", "", "1,,2",
+           "-1,2,3", "9" * 5000]
+_COUNTS = ["0", "-1", "1", "3", "64", str(10**30)]
+
+
+def _flag(draw, name, values):
+    value = draw(st.sampled_from([None, *values]))
+    return [] if value is None else [f"{name}={value}"]
+
+
+def _output_flag(draw, name, work):
+    """``name`` left out, or set to a writable path or to one of three kinds
+    of unwritable paths."""
+    (work / "file").touch()
+    kind = draw(st.sampled_from([None, "fine", "missing dir", "a directory", "under a file"]))
+    path = {
+        "fine": work / "written.json",
+        "missing dir": work / "missing" / "o.json",
+        "a directory": work,
+        "under a file": work / "file" / "o.json",
+    }.get(kind)
+    return [] if path is None else [f"{name}={path}"]
+
+
+def _mutated_profile(draw, doc):
+    """A profile document with up to three mutations, as JSON text that is
+    sometimes cut short."""
+    for _ in range(draw(st.integers(0, 3))):
+        rules = doc.get("rules")
+        entries = [r for r in rules if isinstance(r, dict)] if isinstance(rules, list) else []
+        target = draw(st.sampled_from([doc, *entries]))
+        kind = draw(st.sampled_from(["drop", "retype", "stop", "player"]))
+        if kind == "drop" and target:
+            del target[draw(st.sampled_from(sorted(target)))]
+        elif kind == "retype" and target:
+            target[draw(st.sampled_from(sorted(target)))] = draw(st.sampled_from(_ODD_VALUES))
+        elif kind == "stop" and isinstance(target.get("stops"), list):
+            target["stops"].append(draw(st.sampled_from([0, 2, 999, -1, True, "1", 1.5, None])))
+        elif kind == "player" and isinstance(rules, list):
+            player = draw(st.sampled_from([1, 2, 3, 4, 0, -1, True, "1", None]))
+            rules.append({"player": player, "stops": []})
+    text = json.dumps(doc)
+    return text[: draw(st.integers(0, len(text)))] if draw(st.booleans()) else text
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_bad_flags_and_profiles_end_with_a_documented_exit_code(data):
+    draw = data.draw
+    command = draw(st.sampled_from(["solve", "verify", "enumerate", "example"]))
+    small = ["paper-5-1", "counterexample-a", "counterexample-b"]
+    # enumerating the 85-node paper-5-3 under a cap of 10**30 would not end
+    name = draw(st.sampled_from(small if command == "enumerate" else [*small, "paper-5-3"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        if command == "example":
+            argv = ["example", "--name", name, *_output_flag(draw, "--out", work)]
+        else:
+            argv = [command, "--example", name, f"--epsilon={draw(st.sampled_from(_EPSILONS))}"]
+        if command == "solve":
+            argv += _flag(draw, "--order", _ORDERS) + _flag(draw, "--max-rounds", _COUNTS)
+            argv += _output_flag(draw, "--trace", work) + _output_flag(draw, "--out", work)
+        elif command == "enumerate":
+            argv += _flag(draw, "--cap", _COUNTS) + _output_flag(draw, "--out", work)
+        elif command == "verify":
+            spec = parse_game(document_text(example_document(name)), enforce_assumption_a=False)
+            rules = draw_rules(data, spec.tree, spec.num_players)
+            profile = work / "profile.json"
+            profile.write_text(_mutated_profile(draw, serialize_profile(StrategyProfile(rules))))
+            argv += ["--profile", str(profile)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
     assert code in range(5)
     if code == 2:
         assert err.getvalue().startswith("error: ")

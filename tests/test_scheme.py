@@ -203,6 +203,24 @@ def test_run_rejects_games_violating_the_hypothesis(pennies_game):
 def test_config_rejects_bad_order(deterministic_game):
     with pytest.raises(ValueError, match="permutation"):
         run_scheme(deterministic_game, SchemeConfig(order=(1, 2)))
+    state = initial_state(deterministic_game)
+    with pytest.raises(ValueError, match="permutation"):
+        scheme_step(deterministic_game, SchemeConfig(order=(1, 1, 3)), state)
+
+
+def test_run_checks_the_order_once(monkeypatch, deterministic_game):
+    checks = []
+    real = SchemeConfig.order_for
+
+    def counting(config, num_players):
+        checks.append(num_players)
+        return real(config, num_players)
+
+    monkeypatch.setattr(SchemeConfig, "order_for", counting)
+    result = run_scheme(deterministic_game, SchemeConfig(order=(3, 1, 2)))
+    assert len(result.trace) > deterministic_game.num_players
+    assert [step.player for step in result.trace[:3]] == [3, 1, 2]
+    assert checks == [deterministic_game.num_players]
 
 
 def test_trace_export_shape(deterministic_game):

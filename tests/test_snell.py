@@ -178,6 +178,41 @@ def test_integer_kernel_equals_fraction_reference(data):
     assert_kernel_matches_reference(tree, reward, epsilon)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_integer_kernel_with_frozen_positions_equals_fraction_reference(data):
+    """A sweep step's shape: U is held constant strictly below an antichain
+    of frozen positions, and the kernel input carries unrelated values
+    there, which a correct kernel never reads.  Fanout 1..3 puts one-child
+    nodes beside split ones on a stage, so a one-child node's ``unit`` is
+    often that stage's lcm rather than 1."""
+    tree = data.draw(scenario_trees(max_depth=4, max_nodes=20, max_weight=9))
+    index = tree.index
+    n = len(index.nodes)
+    flags = data.draw(st.sets(st.integers(0, n - 1)))
+    below = [False] * n  # strictly below a frozen position
+    frozen = set()
+    for pos in range(n):  # parents before children
+        up = index.parent[pos]
+        below[pos] = up >= 0 and (below[up] or up in frozen)
+        if pos in flags and not below[pos]:
+            frozen.add(pos)
+    raw = [data.draw(rationals(denominators=KERNEL_DENOMINATORS)) for _ in range(n)]
+    held = list(raw)
+    for pos in range(n):
+        if below[pos]:
+            held[pos] = held[index.parent[pos]]
+    ids = [node.id for node in index.nodes]
+    reward = AdaptedProcess(dict(zip(ids, held)))
+    envelope = snell_envelope(tree, reward)
+    margins = sorted({envelope.at(i) - reward.at(i) for i in ids})
+    epsilon = data.draw(st.sampled_from([Fraction(0), Fraction(1, 3), *margins]))
+    raw_input = kernel_input(tree, AdaptedProcess(dict(zip(ids, raw))), epsilon, frozenset(frozen))
+    scaled, rule = integer_snell(tree, raw_input, epsilon)
+    assert {i: scaled.at(i) for i in ids} == envelope.values
+    assert rule == eps_optimal_rule(tree, reward, envelope, epsilon)
+
+
 def test_integer_kernel_on_a_deep_path_with_thirds_near_the_root():
     """200 stages; each of the first 20 spine nodes sends 1/3 on along the
     spine and 2/3 into a chain of its own, so the stage-0 scale is 3**20."""
