@@ -10,7 +10,7 @@ from random import Random
 
 from dynkin.randomgen import random_game
 from dynkin.scheme import SchemeConfig, run_scheme, rounds_bound
-from dynkin.trees import NEVER
+from dynkin.trees import NEVER, leaf_stop_times
 from dynkin.verify import certify, check_trace_invariants
 
 
@@ -34,8 +34,7 @@ def main():
         certificate = certify(game, result.capped, epsilon)
         violations = check_trace_invariants(result.trace, result)
         rounds[result.rounds_used] += 1
-        for leaf in game.tree.leaves:
-            stage = result.termination_rule.stop_time(game.tree, leaf.id)
+        for stage in leaf_stop_times(game.tree, result.termination_rule):
             termination["never" if stage == NEVER else int(stage)] += 1
         worst_gain = max(worst_gain, *certificate.gains)
         if not certificate.is_eps_nep or violations:

@@ -8,7 +8,7 @@ from itertools import permutations
 
 from dynkin.documents import document_text, parse_game
 from dynkin.fixtures import EXAMPLES, example_document
-from dynkin.games import expected_payoffs, realized_outcome, validate_game
+from dynkin.games import expected_payoffs, leaf_outcomes, validate_game
 from dynkin.scheme import SchemeConfig, run_scheme
 from dynkin.trees import NEVER
 from dynkin.verify import certify, check_trace_invariants
@@ -16,8 +16,7 @@ from dynkin.verify import certify, check_trace_invariants
 
 def describe(spec, result):
     per_leaf = {}
-    for leaf in spec.tree.leaves:
-        stage, coalition = realized_outcome(spec, result.capped, leaf.id)
+    for stage, coalition, _ in leaf_outcomes(spec, result.capped):
         key = (None if stage == NEVER else int(stage), coalition.players)
         per_leaf[key] = per_leaf.get(key, 0) + 1
     return per_leaf

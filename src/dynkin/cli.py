@@ -226,6 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # exact values can outgrow the interpreter's limit on int/str digit
+    # conversion (Python 3.10.7 and later): lift it for the command only
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    limit = get_limit() if get_limit else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (DocumentError, UsageError) as exc:
@@ -237,6 +243,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""JSON game documents: strict parsing, validation and canonical output.
+"""JSON game documents: strict parsing, validation and output.
 
 Rationals travel as strings like "3/4" or "-2"; decimal notation is
 rejected so no value can silently lose exactness.  Parse errors carry a
@@ -37,7 +37,10 @@ def parse_rational(text: Any, where: str = "value") -> Fraction:
             f"{where}: expected a rational string like \"1/2\" or \"-3\", got {text!r}"
         )
     numerator, denominator = match.groups()
-    return Fraction(int(numerator), int(denominator or 1))
+    try:
+        return Fraction(int(numerator), int(denominator or 1))
+    except ValueError as exc:  # more digits than the interpreter converts
+        raise DocumentError(f"{where}: {exc}") from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -232,39 +235,6 @@ def parse_game(text: str, enforce_assumption_a: bool = True) -> GameSpec:
             "document failed validation: " + "; ".join(violations)
         )
     return spec
-
-
-def serialize_game(spec: GameSpec) -> dict:
-    """Canonical document for a game: nodes by id, payoffs by (player, coalition)."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "players": spec.num_players,
-        "horizon": spec.horizon,
-        "tree": {
-            "nodes": [
-                {
-                    "id": n.id,
-                    "time": n.time,
-                    "parent": n.parent,
-                    "prob": format_rational(n.branch_prob),
-                }
-                for n in sorted(spec.tree.nodes, key=lambda n: n.id)
-            ]
-        },
-        "payoffs": [
-            {
-                "player": player,
-                "coalition": list(coalition.players),
-                "values": {
-                    str(node_id): format_rational(value)
-                    for node_id, value in sorted(process.values.items())
-                },
-            }
-            for (player, coalition), process in sorted(
-                spec.payoffs.items(), key=lambda item: (item[0][0], item[0][1])
-            )
-        ],
-    }
 
 
 def document_text(doc: dict) -> str:

@@ -209,31 +209,19 @@ def validate_game(spec: GameSpec, enforce_assumption_a: bool = True) -> list[str
     return violations
 
 
-def realized_outcome(
-    spec: GameSpec, profile: StrategyProfile, leaf_id: NodeId
-) -> tuple[Stage, Coalition]:
-    """Termination stage and stopping coalition on one path.
-
-    The stage is the minimum of the players' stop times; the coalition is
-    the set of players attaining it.  When nobody stops, the coalition is
-    all players by convention.
-    """
-    times = {i: profile.rule_for(i).stop_time(spec.tree, leaf_id) for i in spec.players}
-    stage = min(times.values())
-    if stage == NEVER:
-        return NEVER, Coalition.everyone(spec.num_players)
-    return stage, Coalition.of(i for i, t in times.items() if t == stage)
-
-
 def leaf_outcomes(
     spec: GameSpec, profile: StrategyProfile
 ) -> list[tuple[Stage, Coalition, NodeId]]:
-    """:func:`realized_outcome` on every leaf, in ``tree.leaves`` order,
-    with the node whose payoffs are collected there: the stop node at the
-    termination stage, or the leaf itself when nobody stops.
+    """Termination stage, stopping coalition and payoff node on every leaf,
+    in ``tree.leaves`` order.
 
-    Read from the players' :func:`leaf_stop_nodes` vectors instead of one
-    root walk per player and leaf.
+    The stage is the minimum of the players' stop times on the leaf's root
+    path, and the coalition is the set of players attaining it; the
+    payoffs are collected at the stop node at that stage.  When nobody
+    stops, the stage is NEVER, the coalition is all players by convention
+    and the node is the leaf itself.  Read from the players'
+    :func:`leaf_stop_nodes` vectors instead of one root walk per player and
+    leaf.
     """
     everyone = Coalition.everyone(spec.num_players)
     stops = [leaf_stop_nodes(spec.tree, rule) for rule in profile.rules]

@@ -18,10 +18,6 @@ def random_dyadic(rng: Random, lo: int = -2, hi: int = 2) -> Fraction:
     return Fraction(rng.randint(lo * denominator, hi * denominator), denominator)
 
 
-def random_process(rng: Random, tree: ScenarioTree, lo: int = -2, hi: int = 2) -> AdaptedProcess:
-    return AdaptedProcess({n.id: random_dyadic(rng, lo, hi) for n in tree.nodes})
-
-
 def random_binary_tree(rng: Random, depth: int) -> ScenarioTree:
     nodes = [Node(id=0, time=0, parent=None, branch_prob=Fraction(1))]
     frontier = [0]

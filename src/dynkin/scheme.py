@@ -23,7 +23,8 @@ on their first visit; a step copies that vector and overwrites only the
 theta nodes with their frozen values.  The envelope and mu then visit only
 the live region, the nodes not strictly below a theta node
 (:func:`dynkin.snell.integer_snell`); below one, ``U`` and ``W`` read the
-theta node's value.
+theta node's value.  The tests hold every step's U, W and mu to a
+full-tree ``Fraction`` reference (``tests/snell_reference.py``).
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .games import Coalition, GameSpec, StrategyProfile, validate_game
 from .snell import ScaledProcess, integer_snell
 from .trees import (
     NEVER_RULE,
-    AdaptedProcess,
     NodeId,
     ScenarioTree,
     Stage,
@@ -203,33 +203,6 @@ def _stage_reward(
     for pos, (value, scale) in frozen.items():
         u[pos] = value.numerator * (raised * scale // value.denominator)
     return ScaledProcess(index, u, raised, frozenset(frozen))
-
-
-def build_stage_reward(
-    spec: GameSpec,
-    player: int,
-    theta: StoppingRule,
-    others: Mapping[int, StoppingRule],
-) -> tuple[AdaptedProcess, dict[NodeId, Coalition]]:
-    """Stage reward U^n for the visited player, plus the stop coalitions.
-
-    Node by node: strictly before the path's theta stop the player earns
-    their solo payoff; at the theta node the reward freezes at
-    max(join, stay) where "join" adds the player to the coalition stopping
-    there and "stay" leaves it alone; descendants inherit the frozen value.
-    On paths the others never stop the solo payoff runs to the leaf, whose
-    value equals the all-players terminal payoff by coincidence.
-
-    Read node by node from the integer reward the sweep itself uses.
-    """
-    expected_theta = min_of_rules(spec.tree, list(others.values()))
-    if theta != expected_theta:
-        raise ValueError("theta is not the minimum of the other players' rules")
-    coalition_at = _stop_coalitions(theta, others)
-    solo = _scaled_solo(spec, player, Fraction(0))
-    reward = _stage_reward(spec, player, coalition_at, solo)
-    values = {node.id: reward.at(node.id) for node in spec.tree.index.nodes}
-    return AdaptedProcess(values), coalition_at
 
 
 def _updated_tau(

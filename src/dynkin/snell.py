@@ -17,10 +17,9 @@ sweep step's reward is constant strictly below each of its frozen positions
 (the others' earliest stops), so there the envelope equals the reward and
 the rule has already stopped.  A :class:`ScaledProcess` answers for every
 node all the same, reading a node below a frozen position at that position.
-:func:`snell_envelope` and :func:`eps_optimal_rule` keep the plain
-``Fraction`` recursion over the whole tree, which the tests keep as the
-reference for the sweep's kernel and for the certifier's own integer best
-responses in :mod:`dynkin.verify`.
+The plain ``Fraction`` recursion over the whole tree lives in the tests
+(``tests/snell_reference.py``), as the reference for this kernel and for
+the certifier's own integer best responses in :mod:`dynkin.verify`.
 """
 
 from __future__ import annotations
@@ -28,50 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .trees import (
-    AdaptedProcess,
-    NodeId,
-    ScenarioTree,
-    StoppingRule,
-    TreeIndex,
-    canonicalize_rule,
-)
-
-
-def snell_envelope(tree: ScenarioTree, reward: AdaptedProcess) -> AdaptedProcess:
-    """Backward recursion over stages, deepest first."""
-    values: dict = {}
-    for node in reversed(tree.index.nodes):  # children before parents
-        kids = tree.children(node.id)
-        if not kids:
-            values[node.id] = reward.at(node.id)
-        else:
-            continuation = sum(
-                (k.branch_prob * values[k.id] for k in kids), Fraction(0)
-            )
-            values[node.id] = max(reward.at(node.id), continuation)
-    return AdaptedProcess(values)
-
-
-def eps_optimal_rule(
-    tree: ScenarioTree,
-    reward: AdaptedProcess,
-    envelope: AdaptedProcess,
-    epsilon: Fraction,
-) -> StoppingRule:
-    """First-entry rule of the region ``envelope <= reward + epsilon``.
-
-    Ties stop.  Since envelope equals reward on leaves the rule stops every
-    path by the terminal stage, never returning NEVER.
-    """
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    flags = {
-        node.id
-        for node in tree.nodes
-        if envelope.at(node.id) <= reward.at(node.id) + epsilon
-    }
-    return canonicalize_rule(tree, flags)
+from .trees import NodeId, ScenarioTree, StoppingRule, TreeIndex
 
 
 class ScaledProcess(NamedTuple):
@@ -110,9 +66,9 @@ def integer_snell(
 ) -> tuple[ScaledProcess, StoppingRule]:
     """Envelope and first-entry rule of ``envelope <= reward + epsilon``.
 
-    Exactly what :func:`snell_envelope` then :func:`eps_optimal_rule`
-    return for the reward ``reward.at``, computed on ``int`` over the live
-    region only: the positions not strictly below a frozen one.  A
+    Exactly the module's backward recursion and its first-entry rule for
+    the reward ``reward.at``, computed on ``int`` over the live region
+    only: the positions not strictly below a frozen one.  A
     stage-``t`` value ``X`` is carried as ``X * D * index.scale[t]``, with
     ``D = reward.denominator`` a multiple of epsilon's denominator, so W
     is one reversed pass ``W(v) = max(U(v), sum_k unit[k] * W(k))`` over

@@ -8,6 +8,12 @@ antichains of nodes ("stop the first time the path hits the set").
 
 All probabilities and values are exact ``fractions.Fraction``; nothing in
 this package ever rounds.
+
+A tree's structure is read through its :class:`TreeIndex` alone: positions,
+parents, children, leaves and integer path weights.  Per-leaf questions
+(where a rule first stops) read the index's depth-first leaf ranges; the
+root walks that answer them one leaf at a time live in the tests, as the
+reference these kernels are held to.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 NodeId = int
@@ -44,8 +51,8 @@ class TreeIndex(NamedTuple):
 
     Positions ``0..n-1`` list the nodes in time order (breadth first from
     the root, so every parent precedes its children and stage ``t`` is the
-    slice ``stage_start[t]:stage_start[t + 1]``).  Children keep the order
-    of ``ScenarioTree.children``; leaves keep the order of ``tree.nodes``.
+    slice ``stage_start[t]:stage_start[t + 1]``).  Siblings and leaves keep
+    the order of ``tree.nodes``.
 
     The integer scales let expectations run on ``int``: with ``B_t`` the
     lcm of the branch-probability denominators of the stage-``t + 1``
@@ -84,15 +91,25 @@ class TreeIndex(NamedTuple):
         return len(self.stage_start) - 2
 
 
+def _children_by_id(nodes: Sequence[Node]) -> dict[NodeId, list[Node]]:
+    """Each id's child nodes in ``nodes`` order, from the parent links; a
+    duplicated id gathers the children of all its nodes."""
+    kids_of: dict[NodeId, list[Node]] = {node.id: [] for node in nodes}
+    for node in nodes:
+        if node.parent is not None and node.parent in kids_of:
+            kids_of[node.parent].append(node)
+    return kids_of
+
+
 def _build_index(tree: "ScenarioTree") -> TreeIndex:
     """Index a tree whose ids are unique and whose parent links all lead to
     a single root; raise ValueError otherwise."""
     roots = [n for n in tree.nodes if n.parent is None]
     if len(roots) != 1:
         raise ValueError(f"tree has {len(roots)} roots, expected exactly 1")
-    kids_of = tree._children  # type: ignore[attr-defined]
     # with unique ids the breadth-first pass reaches each node at most once;
     # duplicates could close a cycle it would never leave
+    kids_of = _children_by_id(tree.nodes)
     if len(kids_of) != len(tree.nodes):
         raise ValueError("tree ids are not unique or not all linked to the root")
     order = [roots[0]]
@@ -161,57 +178,19 @@ class ScenarioTree:
 
     Construction is lenient so that malformed inputs can still be inspected
     and diagnosed; every other operation in this package assumes the tree
-    validates cleanly.
+    validates cleanly, and reads its structure from :attr:`index`.
     """
 
     nodes: tuple[Node, ...]
 
-    def __post_init__(self) -> None:
-        by_id: dict[NodeId, Node] = {}
-        children: dict[NodeId, list[Node]] = {}
-        for node in self.nodes:
-            by_id.setdefault(node.id, node)
-            children.setdefault(node.id, [])
-        for node in self.nodes:
-            if node.parent is not None and node.parent in children:
-                children[node.parent].append(node)
-        object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(
-            self, "_children", {i: tuple(c) for i, c in children.items()}
-        )
-        object.__setattr__(self, "_path_cache", {})
-        object.__setattr__(self, "_index", None)
-
-    # -- structure ---------------------------------------------------------
-
-    @property
+    @cached_property
     def index(self) -> TreeIndex:
         """The tree's :class:`TreeIndex` (memoized); raises ValueError
         unless ids are unique and every node links up to a single root."""
-        index = self._index  # type: ignore[attr-defined]
-        if index is None:
-            index = _build_index(self)
-            object.__setattr__(self, "_index", index)
-        return index
-
-    def node(self, node_id: NodeId) -> Node:
-        try:
-            return self._by_id[node_id]  # type: ignore[attr-defined]
-        except KeyError:
-            raise KeyError(f"unknown node id {node_id!r}") from None
+        return _build_index(self)
 
     def __contains__(self, node_id: NodeId) -> bool:
-        return node_id in self._by_id  # type: ignore[attr-defined]
-
-    def children(self, node_id: NodeId) -> tuple[Node, ...]:
-        return self._children[node_id]  # type: ignore[attr-defined]
-
-    def is_leaf(self, node_id: NodeId) -> bool:
-        return not self.children(node_id)
-
-    @property
-    def root(self) -> Node:
-        return self.index.nodes[0]
+        return node_id in self.index.position
 
     @property
     def horizon(self) -> int:
@@ -220,26 +199,6 @@ class ScenarioTree:
     @property
     def leaves(self) -> tuple[Node, ...]:
         return self.index.leaves
-
-    def path_to(self, node_id: NodeId) -> tuple[Node, ...]:
-        """Nodes from the root down to ``node_id``, inclusive (memoized)."""
-        cache: dict = self._path_cache  # type: ignore[attr-defined]
-        path = cache.get(node_id)
-        if path is None:
-            index = self.index
-            nodes, parent = index.nodes, index.parent
-            pos = index.position[node_id]
-            below = []
-            while pos >= 0:
-                below.append(nodes[pos])
-                pos = parent[pos]
-            path = tuple(reversed(below))
-            cache[node_id] = path
-        return path
-
-    def path_probability(self, leaf_id: NodeId) -> Fraction:
-        index = self.index
-        return Fraction(index.weight[index.position[leaf_id]], index.scale[0])
 
 
 def validate_tree(tree: ScenarioTree) -> list[str]:
@@ -278,13 +237,14 @@ def validate_tree(tree: ScenarioTree) -> list[str]:
         ):
             return []
     violations: list[str] = []
-    seen: set[NodeId] = set()
+    by_id: dict[NodeId, Node] = {}  # the first node of each id
     for node in tree.nodes:
-        if node.id in seen:
+        if node.id in by_id:
             violations.append(f"node {node.id}: duplicate id")
-        seen.add(node.id)
+        by_id.setdefault(node.id, node)
     if not tree.nodes:
         return ["tree has no nodes"]
+    kids_of = _children_by_id(tree.nodes)
 
     roots = [n for n in tree.nodes if n.parent is None]
     if len(roots) != 1:
@@ -302,11 +262,11 @@ def validate_tree(tree: ScenarioTree) -> list[str]:
     linked = True
     for node in tree.nodes:
         if node.parent is not None:
-            if node.parent not in tree:
+            if node.parent not in by_id:
                 violations.append(f"node {node.id}: parent {node.parent} does not exist")
                 linked = False
             else:
-                parent = tree.node(node.parent)
+                parent = by_id[node.parent]
                 if node.time != parent.time + 1:
                     violations.append(
                         f"node {node.id}: time {node.time} is not parent time + 1"
@@ -320,7 +280,7 @@ def validate_tree(tree: ScenarioTree) -> list[str]:
     # sibling sums on int: sum_k p_k == 1 iff sum_k p_k * L == L, with L
     # the lcm of the siblings' denominators
     for node in tree.nodes:
-        kids = tree.children(node.id)
+        kids = kids_of[node.id]
         if kids:
             common = math.lcm(*[k.branch_prob.denominator for k in kids])
             total = 0
@@ -376,17 +336,6 @@ class StoppingRule:
     def is_never(self) -> bool:
         return not self.stop_set
 
-    def stop_node(self, tree: ScenarioTree, leaf_id: NodeId) -> Node | None:
-        """First stop node on the root path of ``leaf_id``, or None."""
-        for node in tree.path_to(leaf_id):
-            if node.id in self.stop_set:
-                return node
-        return None
-
-    def stop_time(self, tree: ScenarioTree, leaf_id: NodeId) -> Stage:
-        node = self.stop_node(tree, leaf_id)
-        return NEVER if node is None else node.time
-
 
 NEVER_RULE = StoppingRule(frozenset())
 
@@ -432,9 +381,9 @@ def leaf_stop_nodes(tree: ScenarioTree, rule: StoppingRule) -> list[Node | None]
     """The rule's first stop node on every leaf's root path, in
     ``tree.leaves`` order (None where it never stops).
 
-    Equal to ``rule.stop_node(tree, leaf.id)`` leaf by leaf, from the stop
-    nodes' leaf ranges instead of one root walk per leaf.  Raises
-    ValueError if the rule names nodes the tree does not have.
+    Read from the stop nodes' leaf ranges instead of one root walk per
+    leaf.  Raises ValueError if the rule names nodes the tree does not
+    have.
     """
     index = tree.index
     positions = _sorted_positions(
@@ -445,41 +394,23 @@ def leaf_stop_nodes(tree: ScenarioTree, rule: StoppingRule) -> list[Node | None]
 
 
 def leaf_stop_times(tree: ScenarioTree, rule: StoppingRule) -> list[Stage]:
-    """``rule.stop_time(tree, leaf.id)`` for every leaf, in ``tree.leaves``
-    order, read from :func:`leaf_stop_nodes`."""
+    """The rule's first stop stage on every leaf's root path, in
+    ``tree.leaves`` order (NEVER where it never stops), read from
+    :func:`leaf_stop_nodes`."""
     return [NEVER if node is None else node.time for node in leaf_stop_nodes(tree, rule)]
 
 
-def _check_rule_on_tree(tree: ScenarioTree, rule: StoppingRule) -> None:
-    unknown = [i for i in rule.stop_set if i not in tree]
-    if unknown:
-        raise ValueError(f"rule references nodes not in tree: {sorted(unknown)}")
-
-
-def expectation_under_rule(
-    tree: ScenarioTree, process: AdaptedProcess, rule: StoppingRule
-) -> Fraction:
-    """Expected process value sampled at the rule's stop node.
-
-    Paths the rule never stops contribute the value at their leaf: values
-    are treated as constant from the terminal stage on, so "never stop" and
-    "stop at the horizon" pay the same.
-    """
-    total = Fraction(0)
-    for leaf, stop in zip(tree.leaves, leaf_stop_nodes(tree, rule)):
-        node_id = leaf.id if stop is None else stop.id
-        total += tree.path_probability(leaf.id) * process.at(node_id)
-    return total
+def _antichain(tree: ScenarioTree, ids: Iterable[NodeId], unknown: str) -> StoppingRule:
+    """The rule stopping at the first of ``ids`` on every path; unknown ids
+    raise ValueError with the message ``unknown``."""
+    index = tree.index
+    kept = _first_entries(index, _sorted_positions(index, ids, unknown))[0]
+    return StoppingRule(frozenset(node.id for node in kept))
 
 
 def canonicalize_rule(tree: ScenarioTree, stop_flags: Iterable[NodeId]) -> StoppingRule:
     """Prune flags with a flagged strict ancestor; first-stop times are kept."""
-    index = tree.index
-    positions = _sorted_positions(
-        index, set(stop_flags), "unknown node ids in stop flags"
-    )
-    kept = _first_entries(index, positions)[0]
-    return StoppingRule(frozenset(node.id for node in kept))
+    return _antichain(tree, set(stop_flags), "unknown node ids in stop flags")
 
 
 def min_of_rules(tree: ScenarioTree, rules: Sequence[StoppingRule]) -> StoppingRule:
@@ -487,15 +418,15 @@ def min_of_rules(tree: ScenarioTree, rules: Sequence[StoppingRule]) -> StoppingR
 
     The first stop of the union of the stop sets is, on every path, the
     minimum of the individual first stops, so the pointwise minimum is just
-    the canonicalized union.
+    the canonicalized union.  Raises ValueError if the rules name nodes the
+    tree does not have.
     """
     if not rules:
         raise ValueError("min_of_rules needs at least one rule")
     union: set[NodeId] = set()
     for rule in rules:
-        _check_rule_on_tree(tree, rule)
         union |= rule.stop_set
-    return canonicalize_rule(tree, union)
+    return _antichain(tree, union, "rule references nodes not in tree")
 
 
 def stop_everywhere_at(tree: ScenarioTree, time: int) -> StoppingRule:

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
 import hypothesis.strategies as st
 
+from dynkin.documents import SCHEMA_VERSION, format_rational
 from dynkin.games import GameSpec, all_coalitions
+from dynkin.randomgen import random_dyadic
 from dynkin.trees import AdaptedProcess, Node, ScenarioTree, StoppingRule, canonicalize_rule
+from trees_reference import children_table
 
 
 def single_path_tree(horizon: int) -> ScenarioTree:
@@ -38,6 +43,55 @@ def full_binary_tree(depth: int) -> ScenarioTree:
 def path_process(tree: ScenarioTree, *values) -> AdaptedProcess:
     """Process on a single-path tree given values by stage."""
     return AdaptedProcess({t: Fraction(v) for t, v in enumerate(values)})
+
+
+@contextlib.contextmanager
+def int_digit_limit(limit: int):
+    """Run the block under the interpreter's limit on int/str digit
+    conversion set to ``limit`` (0: no limit), then restore the old one."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def random_process(rng: Random, tree: ScenarioTree, lo: int = -2, hi: int = 2) -> AdaptedProcess:
+    return AdaptedProcess({n.id: random_dyadic(rng, lo, hi) for n in tree.nodes})
+
+
+def serialize_game(spec: GameSpec) -> dict:
+    """Canonical document for a game: nodes by id, payoffs by (player, coalition)."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "players": spec.num_players,
+        "horizon": spec.horizon,
+        "tree": {
+            "nodes": [
+                {
+                    "id": n.id,
+                    "time": n.time,
+                    "parent": n.parent,
+                    "prob": format_rational(n.branch_prob),
+                }
+                for n in sorted(spec.tree.nodes, key=lambda n: n.id)
+            ]
+        },
+        "payoffs": [
+            {
+                "player": player,
+                "coalition": list(coalition.players),
+                "values": {
+                    str(node_id): format_rational(value)
+                    for node_id, value in sorted(process.values.items())
+                },
+            }
+            for (player, coalition), process in sorted(
+                spec.payoffs.items(), key=lambda item: (item[0][0], item[0][1])
+            )
+        ],
+    }
 
 
 @st.composite
@@ -117,8 +171,7 @@ def thirds_and_sevenths(draw):
     sibling sum is exactly 1."""
     base = draw(st.one_of(scenario_trees(max_depth=4, max_nodes=20), linked_trees()))
     probs = {}
-    for node in base.nodes:
-        kids = base.children(node.id)
+    for kids in children_table(base).values():
         if kids:
             q = draw(st.sampled_from([d for d in (3, 7, 9, 21, 49) if d >= len(kids)]))
             cuts = sorted(

@@ -1,10 +1,12 @@
 """Reference helpers for optimal stopping that only the tests use.
 
-Plain ``Fraction`` code on top of :func:`dynkin.snell.snell_envelope` and
-:func:`dynkin.snell.eps_optimal_rule`: the one-step expectation, the
-optimal value, the envelope/rule/value triple of one stopping problem and
-the supermartingale-domination check the envelope's tests assert.  Also
-the sweep's stage reward as a full-tree ``Fraction`` node loop, and the
+Plain ``Fraction`` code over the whole tree, read from its parent links:
+the Snell envelope by backward recursion (:func:`snell_envelope`), the
+first-entry rule of its epsilon threshold by root walks
+(:func:`eps_optimal_rule`), the one-step expectation, the optimal value,
+the envelope/rule/value triple of one stopping problem and the
+supermartingale-domination check the envelope's tests assert.  Also the
+sweep's stage reward as a full-tree ``Fraction`` node loop, and the
 conversion that hands a plain process to the sweep's integer kernel.
 """
 
@@ -16,8 +18,51 @@ from fractions import Fraction
 from typing import Mapping
 
 from dynkin.games import Coalition, GameSpec
-from dynkin.snell import ScaledProcess, eps_optimal_rule, snell_envelope
+from dynkin.snell import ScaledProcess
 from dynkin.trees import AdaptedProcess, NodeId, ScenarioTree, StoppingRule
+from trees_reference import children_table, first_stop, root_node, root_paths
+
+
+def snell_envelope(tree: ScenarioTree, reward: AdaptedProcess) -> AdaptedProcess:
+    """Backward recursion over stages, deepest first."""
+    kids = children_table(tree)
+    values: dict = {}
+    for node in sorted(tree.nodes, key=lambda n: n.time, reverse=True):
+        if not kids[node.id]:
+            values[node.id] = reward.at(node.id)
+        else:
+            continuation = sum(
+                (k.branch_prob * values[k.id] for k in kids[node.id]), Fraction(0)
+            )
+            values[node.id] = max(reward.at(node.id), continuation)
+    return AdaptedProcess(values)
+
+
+def eps_optimal_rule(
+    tree: ScenarioTree,
+    reward: AdaptedProcess,
+    envelope: AdaptedProcess,
+    epsilon: Fraction,
+) -> StoppingRule:
+    """First-entry rule of the region ``envelope <= reward + epsilon``: the
+    first node of the region on every leaf's root path.
+
+    Ties stop.  Since envelope equals reward on leaves the rule stops every
+    path by the terminal stage, never returning NEVER.
+    """
+    if epsilon < 0:
+        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    region = StoppingRule(
+        frozenset(
+            node.id
+            for node in tree.nodes
+            if envelope.at(node.id) <= reward.at(node.id) + epsilon
+        )
+    )
+    paths = root_paths(tree)
+    return StoppingRule(
+        frozenset(first_stop(paths[leaf.id], region).id for leaf in tree.leaves)
+    )
 
 
 @dataclass(frozen=True)
@@ -33,7 +78,7 @@ def one_step_expectation(
     tree: ScenarioTree, process: AdaptedProcess, node_id: NodeId
 ) -> Fraction:
     """Conditional expectation of the next-stage value given ``node_id``."""
-    kids = tree.children(node_id)
+    kids = children_table(tree)[node_id]
     if not kids:
         raise ValueError(f"node {node_id!r} has no successor stage")
     return sum((k.branch_prob * process.at(k.id) for k in kids), Fraction(0))
@@ -41,7 +86,7 @@ def one_step_expectation(
 
 def optimal_value(tree: ScenarioTree, reward: AdaptedProcess) -> Fraction:
     """Best expected reward over all stopping rules (envelope at the root)."""
-    return snell_envelope(tree, reward).at(tree.root.id)
+    return snell_envelope(tree, reward).at(root_node(tree).id)
 
 
 def solve_stopping(
@@ -49,17 +94,18 @@ def solve_stopping(
 ) -> SnellResult:
     envelope = snell_envelope(tree, reward)
     rule = eps_optimal_rule(tree, reward, envelope, epsilon)
-    return SnellResult(envelope=envelope, eps_rule=rule, value=envelope.at(tree.root.id))
+    return SnellResult(envelope=envelope, eps_rule=rule, value=envelope.at(root_node(tree).id))
 
 
 def is_supermartingale_dominating(
     tree: ScenarioTree, candidate: AdaptedProcess, reward: AdaptedProcess
 ) -> bool:
     """True iff candidate dominates the reward and one-step decreases in mean."""
+    kids = children_table(tree)
     for node in tree.nodes:
         if candidate.at(node.id) < reward.at(node.id):
             return False
-        if not tree.is_leaf(node.id):
+        if kids[node.id]:
             if candidate.at(node.id) < one_step_expectation(tree, candidate, node.id):
                 return False
     return True

@@ -11,11 +11,9 @@ from random import Random
 import pytest
 
 from dynkin.cli import main
-from dynkin.games import expected_payoffs, realized_outcome, validate_game
-from dynkin.randomgen import random_game, random_process
+from dynkin.games import expected_payoffs, validate_game
+from dynkin.randomgen import random_game
 from dynkin.scheme import SchemeConfig, rounds_bound, run_scheme
-from dynkin.snell import eps_optimal_rule, snell_envelope
-from dynkin.trees import NEVER, expectation_under_rule
 from dynkin.verify import (
     best_response_value,
     certify,
@@ -23,36 +21,22 @@ from dynkin.verify import (
     enumerate_rules,
     find_all_eps_neps,
 )
-from gens import random_tree
-from snell_reference import optimal_value
+from games_reference import realized_outcome, walk_payoff
+from gens import random_process, random_tree
+from snell_reference import eps_optimal_rule, optimal_value, snell_envelope
+from trees_reference import RootWalks, children_table, expectation_under_rule, path_to, stop_time
 
 EPS_100 = Fraction(1, 100)
 
 
 def stop_times(spec, profile, leaf_id):
-    return tuple(
-        profile.rule_for(i).stop_time(spec.tree, leaf_id) for i in spec.players
-    )
-
-
-def player_payoff(spec, profile, player):
-    """Raw payoff functional for one player; the enumeration-side oracle."""
-    total = Fraction(0)
-    for leaf in spec.tree.leaves:
-        stage, coalition = realized_outcome(spec, profile, leaf.id)
-        node_id = (
-            leaf.id if stage == NEVER else spec.tree.path_to(leaf.id)[int(stage)].id
-        )
-        total += spec.tree.path_probability(leaf.id) * spec.payoff(
-            player, coalition
-        ).at(node_id)
-    return total
+    return tuple(stop_time(spec.tree, rule, leaf_id) for rule in profile.rules)
 
 
 def walk_case(tree, leaf_id):
     draws = []
-    for node in tree.path_to(leaf_id)[1:]:
-        siblings = [s.id for s in tree.children(node.parent)]
+    for node in path_to(tree, leaf_id)[1:]:
+        siblings = [s.id for s in children_table(tree)[node.parent]]
         draws.append([1, -1, 1, -1][siblings.index(node.id)])
     if draws[0] == 1:
         return "i"
@@ -202,10 +186,11 @@ def test_criterion_7_equilibrium_property_sweep(random_sweep):
             f"gains {certificate.gains} exceed {epsilon}"
         )
         rules = enumerate_rules(game.tree, cap=100_000)
+        walks = RootWalks(game.tree)  # each rule's root walks, shared by the players
         for player in game.players:
             snell_value = best_response_value(game, result.capped, player)
             brute = max(
-                player_payoff(game, result.capped.with_rule(player, rule), player)
+                walk_payoff(game, result.capped.with_rule(player, rule), player, walks)
                 for rule in rules
             )
             assert snell_value == brute

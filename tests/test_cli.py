@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 from random import Random
@@ -17,16 +18,17 @@ from dynkin.documents import (
     document_text,
     parse_game,
     parse_profile,
-    serialize_game,
     serialize_profile,
 )
 from dynkin.fixtures import example_document
-from dynkin.games import StrategyProfile, expected_payoffs, realized_outcome
+from dynkin.games import StrategyProfile, expected_payoffs
 from dynkin.randomgen import random_game
+from dynkin.scheme import SchemeConfig, run_scheme
 from dynkin.trees import NEVER
 from dynkin.verify import certify
 from fractions import Fraction
-from gens import draw_rules, late_stop_game
+from games_reference import realized_outcome
+from gens import draw_rules, int_digit_limit, late_stop_game, serialize_game
 
 
 def run_cli(capsys, *argv):
@@ -711,3 +713,63 @@ def test_bad_flags_and_profiles_end_with_a_documented_exit_code(data):
     assert code in range(5)
     if code == 2:
         assert err.getvalue().startswith("error: ")
+
+
+def wide_denominator_document(q):
+    """A depth-2 binary game whose every split is ``1/q`` against
+    ``(q - 1)/q``; all coalitions pay -10 before the horizon and 0, 1, 2, 0
+    at the leaves."""
+    nodes = [{"id": 0, "time": 0, "parent": None, "prob": "1"}]
+    for k in range(1, 7):
+        parent = 0 if k < 3 else (k - 1) // 2
+        prob = f"1/{q}" if k % 2 else f"{q - 1}/{q}"
+        nodes.append({"id": k, "time": 1 if k < 3 else 2, "parent": parent, "prob": prob})
+    values = {"0": "-10", "1": "-10", "2": "-10", "3": "0", "4": "1", "5": "2", "6": "0"}
+    return {
+        "schema_version": "1",
+        "players": 2,
+        "horizon": 2,
+        "tree": {"nodes": nodes},
+        "payoffs": [],
+        "default_payoff": {"values": values},
+    }
+
+
+def test_values_past_the_int_str_digit_limit_are_reported_exactly(capsys, tmp_path):
+    # each value of the document fits the interpreter's 4300-digit limit on
+    # int/str conversion, but the expected payoffs have about 5000 digits
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(wide_denominator_document(10**2500 + 1)))
+    spec = parse_game(path.read_text())
+    achieved = expected_payoffs(spec, run_scheme(spec, SchemeConfig()).capped)
+    with int_digit_limit(0):
+        expected = [str(v) for v in achieved]
+    assert len(expected[0]) > 5000
+
+    code, out, err = run_cli(capsys, "solve", "--game", str(path), "--epsilon", "0")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["expected_payoffs"] == expected
+    code, out, err = run_cli(capsys, "enumerate", "--game", str(path), "--epsilon", "0")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["count"] > 0
+
+    epsilon = "1/" + "7" * 5000
+    code, out, err = run_cli(capsys, "solve", "--example", "paper-5-1", "--epsilon", epsilon)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["epsilon"] == epsilon
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (["solve", "--example", "paper-5-1", "--epsilon", "0"], 0),
+        (["solve", "--example", "paper-5-1", "--epsilon", "-1"], 2),
+        (["solve", "--example", "paper-5-1", "--epsilon", "0", "--max-rounds", "1"], 3),
+        (["enumerate", "--example", "paper-5-3", "--epsilon", "0"], 4),
+    ],
+    ids=["solved", "usage", "round-cap", "rule-cap"],
+)
+def test_main_restores_the_digit_limit(capsys, argv, exit_code):
+    with int_digit_limit(5000):
+        assert run_cli(capsys, *argv)[0] == exit_code
+        assert sys.get_int_max_str_digits() == 5000

@@ -15,12 +15,12 @@ from dynkin.documents import (
     parse_game,
     parse_profile,
     parse_rational,
-    serialize_game,
     serialize_profile,
 )
 from dynkin.fixtures import EXAMPLES, example_document
 from dynkin.games import Coalition
 from dynkin.randomgen import random_game
+from gens import int_digit_limit, serialize_game
 
 
 def test_parse_rational_strict_grammar():
@@ -314,3 +314,21 @@ def test_documents_round_trip_through_text(seed, players, horizon, rewrite):
         for key, text in entry["values"].items():
             entry["values"][key] = _rewritten(text, rng.choice((1, 2, 3)))
     assert parse_game(document_text(doc)) == spec
+
+
+@pytest.mark.parametrize(
+    "where, text",
+    [("tree.nodes[1].prob", "7" * 5000 + "/" + "7" * 5001), ("payoffs[0].values.1", "7" * 5000)],
+    ids=["prob", "value"],
+)
+def test_values_past_the_digit_limit_name_their_path(where, text):
+    doc = example_document("paper-5-1")
+    if where.startswith("tree"):
+        doc["tree"]["nodes"][1]["prob"] = text
+    else:
+        doc["payoffs"][0]["values"]["1"] = text
+    with int_digit_limit(4300), pytest.raises(DocumentError) as info:
+        parse_game(json.dumps(doc))
+    assert str(info.value).startswith(f"document.{where}: Exceeds the limit (4300 digits)")
+    with int_digit_limit(4300), pytest.raises(DocumentError, match="^--epsilon: Exceeds"):
+        parse_rational(text, "--epsilon")

@@ -12,7 +12,6 @@ from dynkin.games import (
     StrategyProfile,
     all_coalitions,
     expected_payoffs,
-    realized_outcome,
     validate_game,
 )
 from dynkin.randomgen import random_game
@@ -25,7 +24,16 @@ from dynkin.trees import (
     canonicalize_rule,
     stop_everywhere_at,
 )
+from games_reference import realized_outcome, walk_payoff
 from gens import draw_rules, single_path_tree
+from trees_reference import (
+    RootWalks,
+    children_table,
+    path_probability,
+    path_to,
+    root_node,
+    stop_time,
+)
 
 
 def path_profile(tree, *stop_times):
@@ -199,7 +207,7 @@ def test_exactly_one_coalition_event_fires_per_leaf(deterministic_game):
         active = []
         for coalition in all_coalitions(3):
             times = {
-                i: profile.rule_for(i).stop_time(tree, leaf.id)
+                i: stop_time(tree, profile.rule_for(i), leaf.id)
                 for i in deterministic_game.players
             }
             if all(times[j] == stage for j in coalition) and all(
@@ -212,16 +220,17 @@ def test_exactly_one_coalition_event_fires_per_leaf(deterministic_game):
 def test_stop_everywhere_at_covers_every_path(walk_game):
     tree = walk_game.tree
     rule = stop_everywhere_at(tree, 2)
-    assert all(rule.stop_time(tree, leaf.id) == 2 for leaf in tree.leaves)
+    assert all(stop_time(tree, rule, leaf.id) == 2 for leaf in tree.leaves)
 
 
 def with_odd_denominators(game, rng):
     """The game's tree and players with sibling probabilities in thirds or
     sevenths and every payoff value over 3, 7 or 97, so neither the path
     weights nor the values are dyadic."""
-    nodes = [game.tree.root]
+    nodes = [root_node(game.tree)]
+    kids_of = children_table(game.tree)
     for node in game.tree.index.nodes:
-        kids = game.tree.children(node.id)
+        kids = kids_of[node.id]
         if kids:
             denominator = rng.choice((3, 7))
             cuts = sorted(rng.sample(range(1, denominator), len(kids) - 1))
@@ -255,12 +264,15 @@ def test_expected_payoffs_equal_the_realized_outcome_sum(data):
     reference = [Fraction(0)] * num_players
     for leaf in tree.leaves:
         stage, coalition = realized_outcome(game, profile, leaf.id)
-        node_id = leaf.id if stage == NEVER else tree.path_to(leaf.id)[int(stage)].id
+        node_id = leaf.id if stage == NEVER else path_to(tree, leaf.id)[int(stage)].id
         for i in game.players:
-            reference[i - 1] += tree.path_probability(leaf.id) * game.payoff(
+            reference[i - 1] += path_probability(tree, leaf.id) * game.payoff(
                 i, coalition
             ).at(node_id)
     assert expected_payoffs(game, profile) == tuple(reference)
+    # criterion 7's oracle, one walk per rule and leaf, sums the same
+    walks = RootWalks(tree)
+    assert tuple(walk_payoff(game, profile, i, walks) for i in game.players) == tuple(reference)
 
 
 def test_expected_payoffs_reject_rules_naming_unknown_nodes(deterministic_game):

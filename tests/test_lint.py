@@ -1,11 +1,32 @@
 """Source rules that no single behaviour test would catch."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import dynkin
 
 SOURCES = sorted(Path(dynkin.__file__).parent.glob("*.py"))
+TESTS = Path(__file__).resolve().parent
+SCRIPTS = sorted((TESTS.parent / "scripts").glob("*.py"))
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _names(tree):
+    """Every identifier a syntax tree reads, imports or looks up as an
+    attribute, with its number of occurrences."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name.rsplit(".", 1)[-1]] += 1
+    return names
 
 
 def test_sources_use_no_assert_statements():
@@ -56,3 +77,39 @@ def test_verify_shares_no_sweep_code():
         "EquilibriumProfile",
         "SchemeStep",
     }
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    # a module-level function that only the tests name belongs in tests/;
+    # methods are left out, since names like ``at`` cannot be matched
+    modules = {path: _parse(path) for path in SOURCES if path.name != "__init__.py"}
+    named = Counter()
+    for tree in [*modules.values(), *map(_parse, SCRIPTS)]:
+        named += _names(tree)
+    unused = [
+        f"{path.name}:{node.name}"
+        for path, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and named[node.name] == _names(node)[node.name]  # only its own body
+    ]
+    assert SCRIPTS and unused == []
+
+
+def test_reference_code_reads_none_of_the_kernels_it_checks():
+    kernels = {
+        "integer_snell",
+        "leaf_stop_nodes",
+        "leaf_stop_times",
+        "leaf_outcomes",
+        "expected_payoffs",
+        "best_response_value",
+    }
+    references = sorted(TESTS.glob("*_reference.py"))
+    found = [
+        f"{path.name}:{name}"
+        for path in references
+        for name in sorted(_names(_parse(path)).keys() & kernels)
+    ]
+    assert references and found == []

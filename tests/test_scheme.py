@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from dynkin.games import Coalition, GameSpec, expected_payoffs, realized_outcome, validate_game
+from dynkin.games import Coalition, GameSpec, expected_payoffs, validate_game
 from dynkin.randomgen import random_game
 from dynkin import scheme
 from dynkin.scheme import (
@@ -16,13 +16,11 @@ from dynkin.scheme import (
     SchemeStep,
     SweepInvariantError,
     advance,
-    build_stage_reward,
     initial_state,
     run_scheme,
     scheme_step,
     trace_as_json,
 )
-from dynkin.snell import eps_optimal_rule, snell_envelope
 from dynkin.trees import (
     NEVER,
     NEVER_RULE,
@@ -33,47 +31,55 @@ from dynkin.trees import (
     stop_everywhere_at,
 )
 from dynkin.verify import certify, check_trace_invariants
+from games_reference import realized_outcome
 from gens import late_stop_game
-from snell_reference import reference_stage_reward
+from snell_reference import eps_optimal_rule, reference_stage_reward, snell_envelope
+from trees_reference import children_table, path_to, root_node, stop_time
 
 
 def capped_times(result, spec):
     leaf = spec.tree.leaves[0].id
     return tuple(
-        int(result.capped.rule_for(i).stop_time(spec.tree, leaf)) for i in spec.players
+        int(stop_time(spec.tree, result.capped.rule_for(i), leaf)) for i in spec.players
     )
 
 
+def stage_reward_step(spec, player, taus):
+    """The sweep step visiting ``player`` against the rules ``taus``, with
+    its stage reward checked against the full-tree reference."""
+    state = SchemeState(n=player, taus=taus)
+    step = scheme_step(spec, SchemeConfig(), state)
+    others = {p: taus[p - 1] for p in spec.players if p != player}
+    reference = reference_stage_reward(spec, player, step.theta, others)
+    assert step.player == player
+    assert all(
+        step.stage_reward.at(node.id) == reference.at(node.id) for node in spec.tree.nodes
+    )
+    return step
+
+
 def test_stage_reward_with_no_opponent_stop(deterministic_game):
-    theta = NEVER_RULE
-    others = {2: NEVER_RULE, 3: NEVER_RULE}
-    reward, coalitions = build_stage_reward(deterministic_game, 1, theta, others)
+    step = stage_reward_step(deterministic_game, 1, (NEVER_RULE,) * 3)
+    reward = step.stage_reward
     assert [reward.at(t) for t in range(3)] == [Fraction(1, 8), Fraction(1, 2), 0]
-    assert coalitions == {}
+    assert step.coalition_at_theta == {}
 
 
 def test_stage_reward_freezes_at_opponent_stop(deterministic_game):
     stop1 = StoppingRule(frozenset({1}))
-    others = {1: stop1, 3: NEVER_RULE}
-    reward, coalitions = build_stage_reward(deterministic_game, 2, stop1, others)
+    step = stage_reward_step(deterministic_game, 2, (stop1, NEVER_RULE, NEVER_RULE))
+    reward = step.stage_reward
     # before the stop: own payoff; at stage 1: max(join {1,2}, stay {1}) = 1/2
     assert reward.at(0) == Fraction(1, 8)
     assert reward.at(1) == Fraction(1, 2)
     assert reward.at(2) == Fraction(1, 2)
-    assert coalitions == {1: Coalition.of((1,))}
+    assert step.coalition_at_theta == {1: Coalition.of((1,))}
 
 
 def test_stage_reward_frozen_from_root(deterministic_game):
     root_stop = StoppingRule(frozenset({0}))
-    others = {1: root_stop, 3: NEVER_RULE}
-    reward, _ = build_stage_reward(deterministic_game, 2, root_stop, others)
-    assert all(reward.at(t) == Fraction(1, 8) for t in range(3))
-
-
-def test_stage_reward_rejects_wrong_theta(deterministic_game):
-    others = {2: NEVER_RULE, 3: NEVER_RULE}
-    with pytest.raises(ValueError, match="minimum"):
-        build_stage_reward(deterministic_game, 1, StoppingRule(frozenset({0})), others)
+    step = stage_reward_step(deterministic_game, 2, (root_stop, NEVER_RULE, NEVER_RULE))
+    assert all(step.stage_reward.at(t) == Fraction(1, 8) for t in range(3))
 
 
 def test_first_step_stops_player_one_at_stage_one(deterministic_game):
@@ -131,8 +137,8 @@ def test_run_reproduces_reversed_order_profile(deterministic_game):
 def walk_case(tree, leaf_id):
     """Which up/down pattern of the second coordinate a walk-game leaf saw."""
     draws = []
-    for node in tree.path_to(leaf_id)[1:]:
-        siblings = [s.id for s in tree.children(node.parent)]
+    for node in path_to(tree, leaf_id)[1:]:
+        siblings = [s.id for s in children_table(tree)[node.parent]]
         draws.append([1, -1, 1, -1][siblings.index(node.id)])
     if draws[0] == 1:
         return "first-up"
@@ -146,7 +152,7 @@ def test_walk_game_casewise_profiles(walk_game):
     per_case = {}
     for leaf in walk_game.tree.leaves:
         times = tuple(
-            int(result.capped.rule_for(i).stop_time(walk_game.tree, leaf.id))
+            int(stop_time(walk_game.tree, result.capped.rule_for(i), leaf.id))
             for i in (1, 2)
         )
         per_case.setdefault(walk_case(walk_game.tree, leaf.id), set()).add(times)
@@ -160,8 +166,8 @@ def test_walk_game_casewise_profiles(walk_game):
 def test_walk_game_large_epsilon_stops_player_one_first(walk_game):
     result = run_scheme(walk_game, SchemeConfig(epsilon=Fraction(1, 2), order=(1, 2)))
     for leaf in walk_game.tree.leaves:
-        assert result.capped.rule_for(1).stop_time(walk_game.tree, leaf.id) == 1
-        assert result.capped.rule_for(2).stop_time(walk_game.tree, leaf.id) == 3
+        assert stop_time(walk_game.tree, result.capped.rule_for(1), leaf.id) == 1
+        assert stop_time(walk_game.tree, result.capped.rule_for(2), leaf.id) == 3
 
 
 def test_walk_game_order_does_not_matter_below_half(walk_game):
@@ -246,7 +252,7 @@ def test_random_games_converge_and_only_move_earlier():
         by_player = {}
         for step in result.trace:
             for leaf in game.tree.leaves:
-                t = step.tau.stop_time(game.tree, leaf.id)
+                t = stop_time(game.tree, step.tau, leaf.id)
                 key = (step.player, leaf.id)
                 if key in by_player:
                     assert t <= by_player[key]
@@ -287,9 +293,10 @@ def with_thirds_and_sevenths(game, rng):
     or sevenths."""
     splits = [(Fraction(1, 3), Fraction(2, 3)), (Fraction(3, 7), Fraction(4, 7)),
               (Fraction(6, 7), Fraction(1, 7))]
-    nodes = [game.tree.root]
+    nodes = [root_node(game.tree)]
+    kids_of = children_table(game.tree)
     for node in game.tree.index.nodes:
-        kids = game.tree.children(node.id)
+        kids = kids_of[node.id]
         if kids:
             for kid, prob in zip(kids, rng.choice(splits)):
                 nodes.append(replace(kid, branch_prob=prob))
@@ -351,7 +358,7 @@ def observed_gaps(spec, result):
 
 def assert_root_theta_step(spec, epsilon):
     """A step whose others all stop at the root: only the root is live."""
-    root = StoppingRule(frozenset({spec.tree.root.id}))
+    root = StoppingRule(frozenset({root_node(spec.tree).id}))
     taus = (NEVER_RULE,) + (root,) * (spec.num_players - 1)
     state = SchemeState(n=spec.num_players + 1, taus=taus)
     step = scheme_step(spec, SchemeConfig(epsilon=epsilon), state)

@@ -5,8 +5,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from dynkin.snell import eps_optimal_rule, integer_snell, snell_envelope
-from dynkin.trees import AdaptedProcess, Node, ScenarioTree, expectation_under_rule
+from dynkin.snell import integer_snell
+from dynkin.trees import AdaptedProcess, Node, ScenarioTree
 from dynkin.verify import enumerate_rules
 from gens import (
     path_process,
@@ -16,12 +16,15 @@ from gens import (
     tree_with_process,
 )
 from snell_reference import (
+    eps_optimal_rule,
     is_supermartingale_dominating,
     kernel_input,
     one_step_expectation,
     optimal_value,
+    snell_envelope,
     solve_stopping,
 )
+from trees_reference import children_table, expectation_under_rule, path_to, stop_node, stop_time
 
 KERNEL_DENOMINATORS = (1, 2, 3, 5, 7, 11, 13, 97)
 
@@ -95,8 +98,9 @@ def test_envelope_dominates_and_is_supermartingale(tp):
     tree, reward = tp
     envelope = snell_envelope(tree, reward)
     assert is_supermartingale_dominating(tree, envelope, reward)
+    kids = children_table(tree)
     for node in tree.nodes:
-        if not tree.is_leaf(node.id):
+        if kids[node.id]:
             continuation = one_step_expectation(tree, envelope, node.id)
             if envelope.at(node.id) > reward.at(node.id):
                 assert envelope.at(node.id) == continuation
@@ -125,7 +129,7 @@ def test_eps_rule_loses_at_most_eps(tp):
         rule = eps_optimal_rule(tree, reward, envelope, epsilon)
         assert not rule.is_never
         for leaf in tree.leaves:
-            assert rule.stop_time(tree, leaf.id) <= tree.horizon
+            assert stop_time(tree, rule, leaf.id) <= tree.horizon
         achieved = expectation_under_rule(tree, reward, rule)
         assert Fraction(0) <= result_value - achieved <= epsilon
 
@@ -136,9 +140,9 @@ def test_envelope_is_martingale_before_the_stop(tp):
     tree, reward = tp
     result = solve_stopping(tree, reward, Fraction(1, 7))
     for leaf in tree.leaves:
-        stop = result.eps_rule.stop_node(tree, leaf.id)
+        stop = stop_node(tree, result.eps_rule, leaf.id)
         assert stop is not None
-        for node in tree.path_to(leaf.id):
+        for node in path_to(tree, leaf.id):
             if node.time >= stop.time:
                 break
             assert result.envelope.at(node.id) == one_step_expectation(

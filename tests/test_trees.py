@@ -19,7 +19,6 @@ from dynkin.trees import (
     ScenarioTree,
     StoppingRule,
     canonicalize_rule,
-    expectation_under_rule,
     leaf_stop_nodes,
     leaf_stop_times,
     min_of_rules,
@@ -38,17 +37,26 @@ from gens import (
     tree_with_process,
 )
 from snell_reference import one_step_expectation
-from trees_reference import reference_validate_tree
+from trees_reference import (
+    children_table,
+    expectation_under_rule,
+    path_probability,
+    path_to,
+    reference_validate_tree,
+    stop_node,
+    stop_time,
+)
 
 
 def ancestor_walk_canonical(tree, flags):
     """Reference canonical form: keep each flag unless one of its strict
     ancestors is flagged, found by walking the parent links."""
+    by_id = {node.id: node for node in tree.nodes}
     kept = set()
     for node_id in flags:
-        node = tree.node(node_id)
+        node = by_id[node_id]
         while node.parent is not None:
-            node = tree.node(node.parent)
+            node = by_id[node.parent]
             if node.id in flags:
                 break
         else:
@@ -113,9 +121,10 @@ def test_validate_catches_structural_breakage():
 
 def _descendants(tree, node_id):
     """Ids reachable down the child links, each once, cycles included."""
+    kids = children_table(tree)
     below, stack = set(), [node_id]
     while stack:
-        for kid in tree.children(stack.pop()):
+        for kid in kids[stack.pop()]:
             if kid.id not in below:
                 below.add(kid.id)
                 stack.append(kid.id)
@@ -150,7 +159,7 @@ def broken_trees(draw):
         elif kind == "time":
             nodes[k] = replace(node, time=node.time + draw(st.sampled_from([-2, -1, 1, 2])))
         elif kind == "cut":
-            leaves = [n for n in nodes if not current.children(n.id)]
+            leaves = [n for n in nodes if not children_table(current)[n.id]]
             if 0 < len(leaves) < len(nodes):
                 nodes.remove(draw(st.sampled_from(leaves)))
         elif kind == "root":
@@ -166,7 +175,7 @@ def broken_trees(draw):
                 [node.id, *_descendants(current, node.id)]
             )))
         else:
-            leaves = [n for n in nodes if not current.children(n.id)]
+            leaves = [n for n in nodes if not children_table(current)[n.id]]
             leaf = draw(st.sampled_from(leaves or nodes))
             nodes.append(Node(nodes[0].id, leaf.time + 1, leaf.id, Fraction(1)))
     return ScenarioTree(tuple(nodes))
@@ -215,7 +224,7 @@ def test_unit_sibling_sums_imply_unit_leaf_mass(tree):
     # probabilities, times scale[0]
     for leaf, w in zip(index.leaves, weights):
         prob = Fraction(1)
-        for node in tree.path_to(leaf.id):
+        for node in path_to(tree, leaf.id):
             prob *= node.branch_prob
         assert w == prob * scale
 
@@ -285,7 +294,7 @@ def test_expectation_under_rule_matches_path_enumeration(tp):
     for leaf in tree.leaves:
         prob = Fraction(1)
         value = None
-        for node in tree.path_to(leaf.id):
+        for node in path_to(tree, leaf.id):
             prob *= node.branch_prob
             if value is None and node.id in rule.stop_set:
                 value = process.at(node.id)
@@ -293,6 +302,13 @@ def test_expectation_under_rule_matches_path_enumeration(tp):
             value = process.at(leaf.id)
         total += prob * value
     assert expectation_under_rule(tree, process, rule) == total
+    # the same sum from the index: first stops by leaf range, integer weights
+    index = tree.index
+    assert total == sum(
+        Fraction(index.weight[index.position[leaf.id]], index.scale[0])
+        * process.at(leaf.id if stop is None else stop.id)
+        for leaf, stop in zip(tree.leaves, leaf_stop_nodes(tree, rule))
+    )
 
 
 def test_canonicalize_root_dominates_everything():
@@ -307,7 +323,7 @@ def test_canonicalize_fixpoint_on_antichain():
 
 def test_canonicalize_prunes_descendants_only():
     tree = full_binary_tree(2)
-    child_of_1 = tree.children(1)[0].id
+    child_of_1 = children_table(tree)[1][0].id
     assert canonicalize_rule(tree, {1, child_of_1, 2}).stop_set == frozenset({1, 2})
 
 
@@ -325,11 +341,11 @@ def test_canonicalize_idempotent_and_time_preserving(tf):
     assert again == rule
     for leaf in tree.leaves:
         naive = NEVER
-        for node in tree.path_to(leaf.id):
+        for node in path_to(tree, leaf.id):
             if node.id in flags:
                 naive = node.time
                 break
-        assert rule.stop_time(tree, leaf.id) == naive
+        assert stop_time(tree, rule, leaf.id) == naive
 
 
 def test_min_never_is_neutral():
@@ -357,6 +373,14 @@ def test_min_of_rules_rejects_empty():
         min_of_rules(single_path_tree(1), [])
 
 
+def test_min_of_rules_rejects_unknown_nodes():
+    # the unknown ids of all the rules, sorted, in one message
+    tree = full_binary_tree(2)
+    rules = [StoppingRule(frozenset({1, 43})), NEVER_RULE, StoppingRule(frozenset({42, 2}))]
+    with pytest.raises(ValueError, match=r"^rule references nodes not in tree: \[42, 43\]$"):
+        min_of_rules(tree, rules)
+
+
 @settings(max_examples=50, deadline=None)
 @given(tree_with_flags(), tree_with_flags())
 def test_min_of_rules_is_pointwise_min_and_commutes(tf_a, tf_b):
@@ -370,8 +394,8 @@ def test_min_of_rules_is_pointwise_min_and_commutes(tf_a, tf_b):
     assert min_of_rules(tree, [a, b, NEVER_RULE]) == ab
     assert min_of_rules(tree, [min_of_rules(tree, [a, b]), b]) == ab  # idempotent fold
     for leaf in tree.leaves:
-        assert ab.stop_time(tree, leaf.id) == min(
-            a.stop_time(tree, leaf.id), b.stop_time(tree, leaf.id)
+        assert stop_time(tree, ab, leaf.id) == min(
+            stop_time(tree, a, leaf.id), stop_time(tree, b, leaf.id)
         )
 
 
@@ -379,13 +403,13 @@ def test_min_of_rules_is_pointwise_min_and_commutes(tf_a, tf_b):
 @given(scenario_trees())
 def test_generated_trees_validate_and_paths_sum_to_one(tree):
     assert validate_tree(tree) == []
-    assert sum(tree.path_probability(l.id) for l in tree.leaves) == 1
+    assert sum(path_probability(tree, l.id) for l in tree.leaves) == 1
 
 
 def test_rule_from_path_times_round_trips():
     tree = full_binary_tree(2)
     rule = canonicalize_rule(tree, {1, 4})
-    times = {leaf.id: rule.stop_time(tree, leaf.id) for leaf in tree.leaves}
+    times = {leaf.id: stop_time(tree, rule, leaf.id) for leaf in tree.leaves}
     assert rule_from_path_times(tree, times) == rule
 
 
@@ -405,7 +429,7 @@ def test_leaf_stop_nodes_match_the_root_walks(tf):
     tree, flags = tf
     for rule in (canonicalize_rule(tree, flags), StoppingRule(frozenset(flags))):
         assert leaf_stop_nodes(tree, rule) == [
-            rule.stop_node(tree, leaf.id) for leaf in tree.leaves
+            stop_node(tree, rule, leaf.id) for leaf in tree.leaves
         ]
 
 
@@ -439,7 +463,7 @@ def test_leaf_ranges_hold_on_trees_of_any_shape(tree, data):
         below = {
             leaf.id
             for leaf in index.leaves
-            if node.id in {n.id for n in tree.path_to(leaf.id)}
+            if node.id in {n.id for n in path_to(tree, leaf.id)}
         }
         assert set(by_rank[index.leaf_lo[pos] : index.leaf_hi[pos]]) == below
         assert index.leaf_hi[pos] - index.leaf_lo[pos] == len(below)
@@ -449,10 +473,10 @@ def test_leaf_ranges_hold_on_trees_of_any_shape(tree, data):
     assert rule == ancestor_walk_canonical(tree, flags)
     for candidate in (rule, StoppingRule(frozenset(flags))):
         assert leaf_stop_nodes(tree, candidate) == [
-            candidate.stop_node(tree, leaf.id) for leaf in tree.leaves
+            stop_node(tree, candidate, leaf.id) for leaf in tree.leaves
         ]
     times = dict(zip((leaf.id for leaf in tree.leaves), leaf_stop_times(tree, rule)))
-    assert times == {leaf.id: rule.stop_time(tree, leaf.id) for leaf in tree.leaves}
+    assert times == {leaf.id: stop_time(tree, rule, leaf.id) for leaf in tree.leaves}
     assert rule_from_path_times(tree, times) == rule
 
 

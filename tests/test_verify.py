@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from dynkin.games import GameSpec, StrategyProfile, all_coalitions, expected_payoffs
 from dynkin.randomgen import random_game
 from dynkin.scheme import SchemeConfig, run_scheme
-from dynkin.snell import eps_optimal_rule, snell_envelope
 from dynkin.trees import (
     NEVER,
     NEVER_RULE,
@@ -39,6 +38,8 @@ from gens import (
     thirds_and_sevenths,
     thirds_chain_tree,
 )
+from snell_reference import eps_optimal_rule, snell_envelope
+from trees_reference import children_table, root_node, stop_time
 from verify_reference import deviation_reward, weighted_reward
 
 KERNEL_DENOMINATORS = (1, 2, 3, 5, 7, 11, 13, 97)
@@ -47,9 +48,9 @@ KERNEL_DENOMINATORS = (1, 2, 3, 5, 7, 11, 13, 97)
 def independent_antichain_count(tree, node_id=None):
     """Reference count, written as the textbook product recursion."""
     if node_id is None:
-        node_id = tree.root.id
+        node_id = root_node(tree).id
     product = 1
-    for kid in tree.children(node_id):
+    for kid in children_table(tree)[node_id]:
         product *= independent_antichain_count(tree, kid.id)
     return product + 1
 
@@ -67,7 +68,7 @@ def test_enumerate_single_path():
     tree = single_path_tree(2)
     rules = enumerate_rules(tree)
     assert len(rules) == 4
-    times = sorted(rule.stop_time(tree, 2) for rule in rules)
+    times = sorted(stop_time(tree, rule, 2) for rule in rules)
     assert times == [0, 1, 2, float("inf")]
 
 
@@ -90,7 +91,7 @@ def test_enumerate_matches_reference_count():
         assert len(rules) == independent_antichain_count(tree) == count_rules(tree)
         # all canonical, all inducing distinct stop-time functions
         signatures = {
-            tuple(rule.stop_time(tree, leaf.id) for leaf in tree.leaves)
+            tuple(stop_time(tree, rule, leaf.id) for leaf in tree.leaves)
             for rule in rules
         }
         assert len(signatures) == len(rules)
@@ -174,7 +175,7 @@ def test_find_all_contains_published_equilibria(deterministic_game):
     found = find_all_eps_neps(deterministic_game, Fraction(0))
     times = {
         tuple(
-            profile.rule_for(i).stop_time(deterministic_game.tree, 2) for i in (1, 2, 3)
+            stop_time(deterministic_game.tree, profile.rule_for(i), 2) for i in (1, 2, 3)
         )
         for profile, _ in found
     }
@@ -188,7 +189,7 @@ def test_find_all_empty_for_matching_game(pennies_game):
 def test_find_all_simultaneous_stops_in_one_sided_game(one_sided_game):
     found = find_all_eps_neps(one_sided_game, Fraction(0))
     times = {
-        tuple(profile.rule_for(i).stop_time(one_sided_game.tree, 3) for i in (1, 2))
+        tuple(stop_time(one_sided_game.tree, profile.rule_for(i), 3) for i in (1, 2))
         for profile, _ in found
     }
     assert {(t, t) for t in range(4)} <= times
@@ -229,7 +230,7 @@ def root_walk_trace_audit(trace, profile):
     num_players = len(profile.uncapped.rules)
 
     def t(rule, leaf_id):
-        return rule.stop_time(tree, leaf_id)
+        return stop_time(tree, rule, leaf_id)
 
     for step in trace:
         previous = by_n.get(step.n - num_players)
@@ -436,7 +437,7 @@ def test_find_all_at_an_epsilon_off_the_payoff_grid(num_players, epsilon):
 
 def envelope_reference(spec, profile, player):
     reward = deviation_reward(spec, profile, player)
-    return snell_envelope(spec.tree, reward).at(spec.tree.root.id)
+    return snell_envelope(spec.tree, reward).at(root_node(spec.tree).id)
 
 
 def random_payoffs(rng, tree, num_players):

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from dynkin.games import Coalition, GameSpec, StrategyProfile
 from dynkin.trees import AdaptedProcess, NodeId
+from trees_reference import probability, root_paths
 
 
 def deviation_reward(
@@ -64,12 +65,10 @@ def weighted_reward(
     reward = deviation_reward(spec, profile, player)
     values = [reward.at(node.id) for node in index.nodes]
     d = math.lcm(epsilon.denominator, *[y.denominator for y in values])
+    paths = root_paths(tree)
     vector = []
     for node, y in zip(index.nodes, values):
-        prob = Fraction(1)
-        for step in tree.path_to(node.id):
-            prob *= step.branch_prob
-        a = prob * index.scale[0] * y * d
+        a = probability(paths[node.id]) * index.scale[0] * y * d
         if a.denominator != 1:
             raise ValueError(f"A is not an integer at node {node.id}: {a}")
         vector.append(a.numerator)
