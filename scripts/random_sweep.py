@@ -1,9 +1,13 @@
 """Random-game sweep: solve, certify, audit traces, summarize.
 
 Usage: python scripts/random_sweep.py [--games 200] [--seed 7] [--eps 1/10]
+
+Exits 1 when any game fails its certificate, its trace audit or the
+worst-case round bound.
 """
 
 import argparse
+import sys
 from collections import Counter
 from fractions import Fraction
 from random import Random
@@ -37,16 +41,20 @@ def main():
         for stage in leaf_stop_times(game.tree, result.termination_rule):
             termination["never" if stage == NEVER else int(stage)] += 1
         worst_gain = max(worst_gain, *certificate.gains)
-        if not certificate.is_eps_nep or violations:
+        bound = rounds_bound(game)
+        if not certificate.is_eps_nep or violations or result.rounds_used > bound:
             failures += 1
-            print(f"game {k}: FAILED gains={certificate.gains} violations={violations}")
-        assert result.rounds_used <= rounds_bound(game)
+            print(
+                f"game {k}: FAILED gains={certificate.gains} violations={violations} "
+                f"rounds={result.rounds_used} bound={bound}"
+            )
 
     print(f"\n{args.games} games at eps={epsilon}: {failures} failures")
     print(f"rounds distribution: {dict(sorted(rounds.items()))}")
     print(f"termination stages over paths: {dict(sorted(termination.items(), key=str))}")
     print(f"worst best-response gain: {worst_gain} (must be <= {epsilon})")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -155,6 +155,8 @@ def parse_game(text: str, enforce_assumption_a: bool = True) -> GameSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"document is not valid JSON: {exc}") from None
+    except ValueError as exc:  # an integer past the int/str digit limit
+        raise DocumentError(f"document: {exc}") from None
     if not isinstance(doc, dict):
         raise DocumentError("document root: expected a JSON object")
 
@@ -247,6 +249,8 @@ def parse_profile(text: str, spec: GameSpec) -> StrategyProfile:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"profile is not valid JSON: {exc}") from None
+    except ValueError as exc:  # an integer past the int/str digit limit
+        raise DocumentError(f"profile: {exc}") from None
     if not isinstance(doc, dict):
         raise DocumentError("profile root: expected a JSON object")
     raw_rules = _require(doc, "rules", list, "profile")

@@ -23,8 +23,11 @@ on their first visit; a step copies that vector and overwrites only the
 theta nodes with their frozen values.  The envelope and mu then visit only
 the live region, the nodes not strictly below a theta node
 (:func:`dynkin.snell.integer_snell`); below one, ``U`` and ``W`` read the
-theta node's value.  The tests hold every step's U, W and mu to a
-full-tree ``Fraction`` reference (``tests/snell_reference.py``).
+theta node's value.  The tau update and the round check decide on stop
+sets with :func:`dynkin.trees.min_of_rules`; per-leaf stop times only word
+a check that failed.  The tests hold every step's U, W and mu to a
+full-tree ``Fraction`` reference, and the tau update to a leaf-by-leaf
+one (``tests/snell_reference.py``).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .games import Coalition, GameSpec, StrategyProfile, validate_game
 from .snell import ScaledProcess, integer_snell
@@ -40,11 +43,9 @@ from .trees import (
     NEVER_RULE,
     NodeId,
     ScenarioTree,
-    Stage,
     StoppingRule,
     leaf_stop_times,
     min_of_rules,
-    rule_from_path_times,
     stop_everywhere_at,
 )
 
@@ -205,38 +206,48 @@ def _stage_reward(
     return ScaledProcess(index, u, raised, frozenset(frozen))
 
 
+def _first_leaf(
+    tree: ScenarioTree, rules: Sequence[StoppingRule], broken: Callable[..., bool]
+) -> tuple:
+    """``(leaf, *times)`` for the first leaf, in ``tree.leaves`` order, whose
+    stop times under ``rules`` satisfy ``broken``: the wording of a check
+    that failed on stop sets, the only place the sweep reads leaf times."""
+    for leaf, *times in zip(tree.leaves, *[leaf_stop_times(tree, r) for r in rules]):
+        if broken(*times):
+            return (leaf, *times)
+    raise SweepInvariantError("a check failed on stop sets but on no leaf")
+
+
 def _updated_tau(
     tree: ScenarioTree,
     mu: StoppingRule,
     theta: StoppingRule,
     previous: StoppingRule,
-) -> tuple[StoppingRule, list[Stage], list[Stage]]:
+) -> StoppingRule:
     """Pathwise update: mu where it strictly precedes theta, else previous.
 
-    Also evaluates the unsimplified update
-    (mu & previous) where that precedes theta, else previous
-    and raises :class:`SweepInvariantError` unless both agree; they
-    provably do because the fresh answer never comes later than the
-    player's previous rule.  Returns the updated rule with its and the
-    previous rule's stop times, leaf by leaf in ``tree.leaves`` order.
+    Decided on stop sets.  ``fresh``, the stop nodes of min(mu, theta) that
+    theta lacks, are the mu nodes strictly before theta on their paths
+    (exact even for a mu that stops below a theta node).  The rule
+    returned, min(previous, fresh), is the unsimplified form: mu & previous
+    where that precedes theta, else previous.  A fresh node drops out of it
+    exactly when a previous stop lies strictly above it, that is, where
+    previous < mu < theta on its leaves, which is exactly where the
+    simplified form disagrees.  The fresh answer never comes later than
+    the player's previous rule, so this cannot happen; if it does,
+    :class:`SweepInvariantError` names the first such leaf.
     """
-    times: dict[NodeId, Stage] = {}
-    before = leaf_stop_times(tree, previous)
-    for leaf, m, th, prev in zip(
-        tree.leaves,
-        leaf_stop_times(tree, mu),
-        leaf_stop_times(tree, theta),
-        before,
-    ):
-        simplified = m if m < th else prev
-        raw = min(m, prev) if min(m, prev) < th else prev
-        if simplified != raw:
-            raise SweepInvariantError(
-                f"tau update forms disagree on leaf {leaf.id}: "
-                f"mu={m} theta={th} previous={prev}"
-            )
-        times[leaf.id] = simplified
-    return rule_from_path_times(tree, times), list(times.values()), before
+    fresh = min_of_rules(tree, [mu, theta]).stop_set - theta.stop_set
+    tau = min_of_rules(tree, [previous, StoppingRule(fresh)])
+    if fresh <= tau.stop_set:
+        return tau
+    leaf, m, th, prev = _first_leaf(
+        tree, (mu, theta, previous), lambda m, th, prev: prev < m < th
+    )
+    raise SweepInvariantError(
+        f"tau update forms disagree on leaf {leaf.id}: "
+        f"mu={m} theta={th} previous={prev}"
+    )
 
 
 def scheme_step(
@@ -244,7 +255,6 @@ def scheme_step(
     config: SchemeConfig,
     state: SchemeState,
     solo_rewards: dict[int, tuple[list[int], int]] | None = None,
-    leaf_times: dict[int, tuple[list[Stage], list[Stage]]] | None = None,
     *,
     order: tuple[int, ...] | None = None,
 ) -> SchemeStep:
@@ -252,8 +262,6 @@ def scheme_step(
 
     ``solo_rewards`` keeps each player's scaled solo payoff from their
     first visit on; :func:`run_scheme` passes one dict for its whole run.
-    ``leaf_times``, when given, receives the player's stop times after
-    and before the step, leaf by leaf, as ``{player: (now, then)}``.
     ``order`` is the config's order as :func:`run_scheme` checked it once
     per run; left out, the step checks ``config.order_for`` itself.
     """
@@ -273,9 +281,7 @@ def scheme_step(
         solo = solo_rewards[player] = _scaled_solo(spec, player, config.epsilon)
     stage_reward = _stage_reward(spec, player, coalition_at, solo)
     envelope, mu = integer_snell(spec.tree, stage_reward, config.epsilon)
-    tau, now, then = _updated_tau(spec.tree, mu, theta, state.taus[player - 1])
-    if leaf_times is not None:
-        leaf_times[player] = (now, then)
+    tau = _updated_tau(spec.tree, mu, theta, state.taus[player - 1])
     return SchemeStep(
         n=state.n,
         player=player,
@@ -335,26 +341,26 @@ def run_scheme(
             raise ConvergenceError(
                 f"no stationary round within {cap} rounds", tuple(trace)
             )
-        stationary = True
-        moved: dict[int, tuple[list[Stage], list[Stage]]] = {}
+        start = state.taus
         for _ in range(spec.num_players):
-            step = scheme_step(spec, config, state, solo_rewards, moved, order=order)
-            if step.tau != state.taus[step.player - 1]:
-                stationary = False
+            step = scheme_step(spec, config, state, solo_rewards, order=order)
             trace.append(step)
             state = advance(state, step)
         rounds += 1
-        if stationary:
+        if state.taus == start:
             break
-        # a round must never push any player's rule later; a round visits
-        # every player once, so their step's stop times span the round
-        for p in spec.players:
-            for leaf, now, then in zip(spec.tree.leaves, *moved[p]):
-                if now > then:
-                    raise SweepInvariantError(
-                        f"round {rounds} moved player {p}'s stop on leaf "
-                        f"{leaf.id} later ({then} -> {now})"
-                    )
+        # a round visits every player once and must never push a rule
+        # later; on canonical antichains min(now, then) == now exactly when
+        # now stops no later than then on every leaf
+        for p, now, then in zip(spec.players, state.taus, start):
+            if min_of_rules(spec.tree, [now, then]) != now:
+                leaf, was, later = _first_leaf(
+                    spec.tree, (then, now), lambda was, later: later > was
+                )
+                raise SweepInvariantError(
+                    f"round {rounds} moved player {p}'s stop on leaf "
+                    f"{leaf.id} later ({was} -> {later})"
+                )
 
     uncapped = StrategyProfile(state.taus)
     return EquilibriumProfile(

@@ -18,13 +18,12 @@ reference these kernels are held to.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 NodeId = int
 
@@ -436,34 +435,3 @@ def stop_everywhere_at(tree: ScenarioTree, time: int) -> StoppingRule:
         raise ValueError(f"tree has no nodes at time {time}")
     nodes = index.nodes[index.stage_start[time] : index.stage_start[time + 1]]
     return StoppingRule(frozenset(n.id for n in nodes))
-
-
-def rule_from_path_times(
-    tree: ScenarioTree, times: Mapping[NodeId, Stage]
-) -> StoppingRule:
-    """Build the rule realizing a per-leaf stop time assignment.
-
-    ``times`` maps every leaf id to an integer stage or NEVER.  Raises if
-    the assignment is not realizable by an adapted rule, i.e. if two paths
-    sharing their time-t node disagree about stopping there.
-    """
-    index = tree.index
-    lo, start = index.leaf_lo, index.stage_start
-    wanted = [times[leaf.id] for leaf in index.leaves]
-    flags: set[int] = set()
-    for t, rank in zip(wanted, index.leaf_rank):
-        if t != NEVER:
-            # a stage lists its nodes in depth-first order, so the last one
-            # whose leaf range starts at or before the rank holds it
-            t = int(t)
-            flags.add(bisect.bisect_right(lo, rank, start[t], start[t + 1]) - 1)
-    kept, first = _first_entries(index, sorted(flags))
-    for leaf, rank, t in zip(index.leaves, index.leaf_rank, wanted):
-        node = first[rank]
-        induced = NEVER if node is None else node.time
-        if induced != t:
-            raise ValueError(
-                f"stop times are not adapted: leaf {leaf.id} wants "
-                f"{t}, rule induces {induced}"
-            )
-    return StoppingRule(frozenset(node.id for node in kept))

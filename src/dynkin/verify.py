@@ -167,7 +167,6 @@ def best_response_value(
     spec: GameSpec,
     profile: StrategyProfile,
     player: int,
-    cross_check_cap: int | None = None,
     *,
     vector: tuple[list[int], int] | None = None,
 ) -> Fraction:
@@ -181,10 +180,6 @@ def best_response_value(
     ``vector`` supplies ``(A, D)`` as :func:`_deviation_vector` builds it
     for this profile and player, at any epsilon; when omitted it is built
     here.
-
-    Pass ``cross_check_cap`` to re-derive the value by enumerating every
-    deviation rule through the raw payoff functional; a disagreement
-    raises :class:`CertificationError`.
     """
     index = spec.tree.index
     if vector is None:
@@ -198,18 +193,7 @@ def best_response_value(
             continuation = sum([envelope[k] for k in kids])
             if continuation > envelope[pos]:
                 envelope[pos] = continuation
-    best = Fraction(envelope[0], d * index.scale[0])
-    if cross_check_cap is not None:
-        enumerated = max(
-            expected_payoffs(spec, profile.with_rule(player, r))[player - 1]
-            for r in enumerate_rules(spec.tree, cross_check_cap)
-        )
-        if enumerated != best:
-            raise CertificationError(
-                f"best response mismatch for player {player}: "
-                f"envelope {best}, enumeration {enumerated}"
-            )
-    return best
+    return Fraction(envelope[0], d * index.scale[0])
 
 
 def certify(

@@ -6,8 +6,9 @@ first-entry rule of its epsilon threshold by root walks
 (:func:`eps_optimal_rule`), the one-step expectation, the optimal value,
 the envelope/rule/value triple of one stopping problem and the
 supermartingale-domination check the envelope's tests assert.  Also the
-sweep's stage reward as a full-tree ``Fraction`` node loop, and the
-conversion that hands a plain process to the sweep's integer kernel.
+sweep's stage reward as a full-tree ``Fraction`` node loop, its tau update
+leaf by leaf on root walks, and the conversion that hands a plain process
+to the sweep's integer kernel.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from fractions import Fraction
 from typing import Mapping
 
 from dynkin.games import Coalition, GameSpec
+from dynkin.scheme import SweepInvariantError
 from dynkin.snell import ScaledProcess
-from dynkin.trees import AdaptedProcess, NodeId, ScenarioTree, StoppingRule
+from dynkin.trees import NEVER, AdaptedProcess, NodeId, ScenarioTree, StoppingRule
 from trees_reference import children_table, first_stop, root_node, root_paths
 
 
@@ -161,3 +163,29 @@ def reference_stage_reward(
         else:
             values[node.id] = solo.at(node.id)
     return AdaptedProcess(values)
+
+
+def reference_updated_tau(
+    tree: ScenarioTree, mu: StoppingRule, theta: StoppingRule, previous: StoppingRule
+) -> StoppingRule:
+    """tau_n leaf by leaf on root walks: mu's stop where it comes strictly
+    before theta's, else the previous rule's.  On the first leaf, in
+    ``tree.leaves`` order, where that differs from the unsimplified
+    (mu & previous) where that precedes theta, else previous, raises the
+    sweep's :class:`SweepInvariantError` with the sweep's message."""
+    paths = root_paths(tree)
+    kept = set()
+    for leaf in tree.leaves:
+        stops = [first_stop(paths[leaf.id], rule) for rule in (mu, theta, previous)]
+        m, th, prev = [NEVER if node is None else node.time for node in stops]
+        simplified = m if m < th else prev
+        raw = min(m, prev) if min(m, prev) < th else prev
+        if simplified != raw:
+            raise SweepInvariantError(
+                f"tau update forms disagree on leaf {leaf.id}: "
+                f"mu={m} theta={th} previous={prev}"
+            )
+        node = stops[0] if m < th else stops[2]
+        if node is not None:
+            kept.add(node.id)
+    return StoppingRule(frozenset(kept))

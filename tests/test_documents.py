@@ -332,3 +332,17 @@ def test_values_past_the_digit_limit_name_their_path(where, text):
     assert str(info.value).startswith(f"document.{where}: Exceeds the limit (4300 digits)")
     with int_digit_limit(4300), pytest.raises(DocumentError, match="^--epsilon: Exceeds"):
         parse_rational(text, "--epsilon")
+
+
+def test_json_integers_past_the_digit_limit_are_document_errors():
+    text = json.dumps(example_document("paper-5-1"))
+    assert '"players": 3,' in text
+    text = text.replace('"players": 3,', f'"players": {"9" * 5000},')
+    with int_digit_limit(4300), pytest.raises(DocumentError, match="^document: Exceeds the limit"):
+        parse_game(text)
+
+
+def test_profile_integers_past_the_digit_limit_are_document_errors(deterministic_game):
+    text = '{"rules": [{"player": ' + "9" * 5000 + ', "stops": []}]}'
+    with int_digit_limit(4300), pytest.raises(DocumentError, match="^profile: Exceeds the limit"):
+        parse_profile(text, deterministic_game)

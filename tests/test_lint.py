@@ -30,14 +30,15 @@ def _names(tree):
 
 
 def test_sources_use_no_assert_statements():
-    # python -O strips assert, so a load-bearing check must raise explicitly
+    # python -O strips assert, so a load-bearing check must raise explicitly;
+    # the scripts' checks too
     found = [
         f"{path.name}:{node.lineno}"
-        for path in SOURCES
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for path in [*SOURCES, *SCRIPTS]
+        for node in ast.walk(_parse(path))
         if isinstance(node, ast.Assert)
     ]
-    assert SOURCES and found == []
+    assert SOURCES and SCRIPTS and found == []
 
 
 def _inexact(node):

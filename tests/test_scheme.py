@@ -22,18 +22,23 @@ from dynkin.scheme import (
     trace_as_json,
 )
 from dynkin.trees import (
-    NEVER,
     NEVER_RULE,
     AdaptedProcess,
     ScenarioTree,
     StoppingRule,
+    canonicalize_rule,
     min_of_rules,
     stop_everywhere_at,
 )
 from dynkin.verify import certify, check_trace_invariants
 from games_reference import realized_outcome
-from gens import late_stop_game
-from snell_reference import eps_optimal_rule, reference_stage_reward, snell_envelope
+from gens import full_binary_tree, late_stop_game, scenario_trees
+from snell_reference import (
+    eps_optimal_rule,
+    reference_stage_reward,
+    reference_updated_tau,
+    snell_envelope,
+)
 from trees_reference import children_table, path_to, root_node, stop_time
 
 
@@ -274,18 +279,72 @@ def test_tau_update_forms_must_agree(monkeypatch, deterministic_game):
         run_scheme(deterministic_game, SchemeConfig())
 
 
-def test_round_must_not_move_a_rule_later(monkeypatch, deterministic_game):
+def test_round_must_not_move_a_rule_later(monkeypatch, deterministic_game, walk_game):
     update = scheme._updated_tau
 
     def forgetful_update(tree, mu, theta, previous):
-        tau, now, then = update(tree, mu, theta, previous)
+        # from the second visit on, drop the stop node with the largest id
         if previous.is_never:
-            return tau, now, then
-        return NEVER_RULE, [NEVER] * len(now), then
+            return update(tree, mu, theta, previous)
+        return StoppingRule(previous.stop_set - {max(previous.stop_set)})
 
     monkeypatch.setattr(scheme, "_updated_tau", forgetful_update)
-    with pytest.raises(SweepInvariantError, match="later"):
-        run_scheme(deterministic_game, SchemeConfig())
+    # the message names the first leaf, in tree.leaves order, that moved
+    # later: on the walk game leaves 21 to 83 keep their stops
+    for game, leaf, times in [(deterministic_game, 2, "1 -> inf"), (walk_game, 84, "3 -> inf")]:
+        message = f"^round 2 moved player 1's stop on leaf {leaf} later \\({times}\\)$"
+        with pytest.raises(SweepInvariantError, match=message):
+            run_scheme(game, SchemeConfig())
+
+
+@settings(max_examples=400, deadline=None)
+@given(scenario_trees(max_depth=4, max_nodes=20), st.data())
+def test_tau_update_equals_the_leaf_by_leaf_reference(tree, data):
+    # arbitrary canonical triples, so the update also meets previous < mu
+    # < theta, where it must raise the reference's message; drawn from a
+    # few shared nodes, so the rules often stop at the same node
+    ids = [node.id for node in tree.nodes]
+    pool = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=8, unique=True))
+    mu, theta, previous = [
+        canonicalize_rule(tree, data.draw(st.sets(st.sampled_from(pool)))) for _ in range(3)
+    ]
+    # often previous also stops just above a mu node, so previous < mu there
+    above = sorted({n.parent for n in tree.nodes if n.id in mu.stop_set} - {None})
+    if above and data.draw(st.booleans()):
+        previous = canonicalize_rule(tree, previous.stop_set | {data.draw(st.sampled_from(above))})
+    try:
+        expected = reference_updated_tau(tree, mu, theta, previous)
+    except SweepInvariantError as exc:
+        with pytest.raises(SweepInvariantError) as info:
+            scheme._updated_tau(tree, mu, theta, previous)
+        assert str(info.value) == str(exc)
+    else:
+        assert scheme._updated_tau(tree, mu, theta, previous) == expected
+
+
+def test_tau_update_names_the_first_leaf_where_its_forms_disagree():
+    # leaves 3 and 4 have previous == mu < theta, where the forms agree;
+    # leaves 5 and 6 have previous < mu < theta
+    tree = full_binary_tree(2)
+    mu, previous = StoppingRule(frozenset({1, 5, 6})), StoppingRule(frozenset({1, 2}))
+    message = "^tau update forms disagree on leaf 5: mu=2 theta=inf previous=1$"
+    with pytest.raises(SweepInvariantError, match=message):
+        scheme._updated_tau(tree, mu, NEVER_RULE, previous)
+
+
+def test_a_passing_run_reads_no_leaf_stop_times(monkeypatch, deterministic_game, walk_game):
+    # the sweep decides its update and round check on stop sets; per-leaf
+    # times only word a failure
+    def banned(tree, rule):
+        raise AssertionError("a passing run read per-leaf stop times")
+
+    monkeypatch.setattr(scheme, "leaf_stop_times", banned)
+    late = late_stop_game(Random(3), 3, 30)
+    for game in (deterministic_game, walk_game, late):
+        for order in (None, tuple(reversed(game.players))):
+            result = run_scheme(game, SchemeConfig(order=order))
+            assert check_trace_invariants(result.trace, result) == []
+    assert result.rounds_used >= 10
 
 
 def with_thirds_and_sevenths(game, rng):

@@ -32,3 +32,15 @@ def test_script_runs_clean(argv, expected):
     assert expected in result.stdout
     assert "certified=False" not in result.stdout
     assert "VIOLATIONS" not in result.stdout
+
+
+def test_random_sweep_fails_a_game_over_the_round_bound(monkeypatch, capsys):
+    # the bound is an explicit check that python -O keeps, and a failed game
+    # makes the sweep exit 1
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    monkeypatch.setattr(sys, "argv", ["random_sweep.py", "--games", "2"])
+    import random_sweep
+
+    monkeypatch.setattr(random_sweep, "rounds_bound", lambda game: 0)
+    assert random_sweep.main() == 1
+    assert "2 games at eps=1/10: 2 failures" in capsys.readouterr().out

@@ -22,7 +22,6 @@ from dynkin.trees import (
     leaf_stop_nodes,
     leaf_stop_times,
     min_of_rules,
-    rule_from_path_times,
     stop_everywhere_at,
     validate_tree,
 )
@@ -406,23 +405,6 @@ def test_generated_trees_validate_and_paths_sum_to_one(tree):
     assert sum(path_probability(tree, l.id) for l in tree.leaves) == 1
 
 
-def test_rule_from_path_times_round_trips():
-    tree = full_binary_tree(2)
-    rule = canonicalize_rule(tree, {1, 4})
-    times = {leaf.id: stop_time(tree, rule, leaf.id) for leaf in tree.leaves}
-    assert rule_from_path_times(tree, times) == rule
-
-
-def test_rule_from_path_times_rejects_non_adapted_assignment():
-    tree = full_binary_tree(2)
-    # two leaves share their time-1 ancestor yet disagree about stopping there
-    leaves = [l.id for l in tree.leaves]
-    times = {leaf: NEVER for leaf in leaves}
-    times[leaves[0]] = 1
-    with pytest.raises(ValueError, match="not adapted"):
-        rule_from_path_times(tree, times)
-
-
 @settings(max_examples=100, deadline=None)
 @given(tree_with_flags())
 def test_leaf_stop_nodes_match_the_root_walks(tf):
@@ -477,7 +459,20 @@ def test_leaf_ranges_hold_on_trees_of_any_shape(tree, data):
         ]
     times = dict(zip((leaf.id for leaf in tree.leaves), leaf_stop_times(tree, rule)))
     assert times == {leaf.id: stop_time(tree, rule, leaf.id) for leaf in tree.leaves}
-    assert rule_from_path_times(tree, times) == rule
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario_trees(max_depth=4, max_nodes=20), st.data())
+def test_min_of_two_rules_moves_the_first_iff_it_stops_later_somewhere(tree, data):
+    # the sweep's round check: on canonical rules min(a, b) != a exactly
+    # when a stops after b on some leaf
+    ids = [node.id for node in tree.nodes]
+    b = canonicalize_rule(tree, data.draw(st.sets(st.sampled_from(ids))))
+    flags = data.draw(st.sets(st.sampled_from(ids)))
+    # half the time a adds flags to b, so it stops no later anywhere
+    a = canonicalize_rule(tree, b.stop_set | flags if data.draw(st.booleans()) else flags)
+    later = any(stop_time(tree, a, l.id) > stop_time(tree, b, l.id) for l in tree.leaves)
+    assert (min_of_rules(tree, [a, b]) != a) == later
 
 
 def test_leaf_stop_nodes_rejects_unknown_nodes():
