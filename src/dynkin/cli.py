@@ -41,7 +41,7 @@ class UsageError(ValueError):
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
 
 

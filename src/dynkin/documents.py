@@ -110,13 +110,24 @@ def _parse_values(
     raw: Any, ids: dict[str, int], where: str, rationals: dict[str, Fraction]
 ) -> dict[int, Fraction]:
     """Node id -> value; ``ids`` maps each id's canonical string to it.  A
-    table of canonical keys and strings parsed before is read in one pass;
-    any other goes entry by entry, which alone accepts or rejects it."""
+    table of canonical keys and strings parsed before is read in one pass.
+    Failing that, the table's new strings that parse are added to
+    ``rationals`` and the pass is tried again; any other table goes entry
+    by entry, which alone accepts or rejects it."""
     if not isinstance(raw, dict):
         raise DocumentError(f"{where}: expected an object mapping node ids to rationals")
     try:
         return {ids[key]: rationals[text] for key, text in raw.items()}
     except (KeyError, TypeError):  # a key like "07", an unknown id, a new value
+        pass
+    for text in {text for text in raw.values() if type(text) is str} - rationals.keys():
+        try:
+            rationals[text] = parse_rational(text)
+        except DocumentError:  # worded by the loop below, in document order
+            pass
+    try:
+        return {ids[key]: rationals[text] for key, text in raw.items()}
+    except (KeyError, TypeError):
         pass
     values: dict[int, Fraction] = {}
     for key, text in raw.items():
@@ -155,7 +166,7 @@ def parse_game(text: str, enforce_assumption_a: bool = True) -> GameSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"document is not valid JSON: {exc}") from None
-    except ValueError as exc:  # an integer past the int/str digit limit
+    except (ValueError, RecursionError) as exc:  # past the digit or nesting limit
         raise DocumentError(f"document: {exc}") from None
     if not isinstance(doc, dict):
         raise DocumentError("document root: expected a JSON object")
@@ -249,7 +260,7 @@ def parse_profile(text: str, spec: GameSpec) -> StrategyProfile:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"profile is not valid JSON: {exc}") from None
-    except ValueError as exc:  # an integer past the int/str digit limit
+    except (ValueError, RecursionError) as exc:  # past the digit or nesting limit
         raise DocumentError(f"profile: {exc}") from None
     if not isinstance(doc, dict):
         raise DocumentError("profile root: expected a JSON object")

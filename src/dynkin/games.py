@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from functools import total_ordering
+from typing import Iterable, Iterator, NamedTuple
 
 from .trees import (
     NEVER,
@@ -34,11 +34,38 @@ from .trees import (
 )
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class Coalition:
-    """Non-empty sorted set of player indices."""
+    """Non-empty sorted set of player indices.
 
-    players: tuple[int, ...]
+    Immutable, hashable and ordered by ``players``.  A plain class, not a
+    ``NamedTuple``: its own iteration, length and membership are over the
+    players, and it never equals a plain tuple.
+    """
+
+    __slots__ = ("players",)
+
+    def __init__(self, players: tuple[int, ...]) -> None:
+        object.__setattr__(self, "players", players)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.players == other.players
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.players < other.players
+
+    def __hash__(self) -> int:
+        return hash(self.players)
+
+    def __repr__(self) -> str:
+        return f"Coalition(players={self.players!r})"
 
     @classmethod
     def of(cls, players: Iterable[int]) -> "Coalition":
@@ -75,8 +102,7 @@ def all_coalitions(num_players: int) -> list[Coalition]:
     return sorted(out)
 
 
-@dataclass(frozen=True)
-class GameSpec:
+class GameSpec(NamedTuple):
     """Players, horizon, tree and one payoff process per (player, coalition)."""
 
     num_players: int
@@ -95,19 +121,13 @@ class GameSpec:
         return range(1, self.num_players + 1)
 
 
-@dataclass(frozen=True)
-class StrategyProfile:
+class StrategyProfile(NamedTuple):
     """One stopping rule per player, index i-1 for player i."""
 
     rules: tuple[StoppingRule, ...]
 
     def rule_for(self, player: int) -> StoppingRule:
         return self.rules[player - 1]
-
-    def with_rule(self, player: int, rule: StoppingRule) -> "StrategyProfile":
-        rules = list(self.rules)
-        rules[player - 1] = rule
-        return StrategyProfile(tuple(rules))
 
     def capped(self, tree: ScenarioTree) -> "StrategyProfile":
         """Replace every rule by its minimum with stop-at-horizon."""

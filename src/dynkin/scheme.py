@@ -33,9 +33,8 @@ one (``tests/snell_reference.py``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .games import Coalition, GameSpec, StrategyProfile, validate_game
 from .snell import ScaledProcess, integer_snell
@@ -50,8 +49,7 @@ from .trees import (
 )
 
 
-@dataclass(frozen=True)
-class SchemeConfig:
+class SchemeConfig(NamedTuple):
     """Tolerance, visiting order and a safety cap on sweep rounds.
 
     ``order[k]`` is the player visited at the (k+1)-th step of every round;
@@ -72,8 +70,7 @@ class SchemeConfig:
         return order
 
 
-@dataclass(frozen=True)
-class SchemeStep:
+class SchemeStep(NamedTuple):
     """Everything computed while one player was visited at step ``n``."""
 
     n: int
@@ -86,16 +83,14 @@ class SchemeStep:
     tau: StoppingRule
 
 
-@dataclass(frozen=True)
-class SchemeState:
+class SchemeState(NamedTuple):
     """Step counter plus each player's current rule (index i-1 = player i)."""
 
     n: int
     taus: tuple[StoppingRule, ...]
 
 
-@dataclass(frozen=True)
-class EquilibriumProfile:
+class EquilibriumProfile(NamedTuple):
     """Fixed point of the sweep, with the full trace for auditing."""
 
     uncapped: StrategyProfile

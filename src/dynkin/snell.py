@@ -15,11 +15,12 @@ The sweep calls :func:`integer_snell`, which computes the envelope, in one
 reversed pass, and the rule in scaled integers, only on the live region: a
 sweep step's reward is constant strictly below each of its frozen positions
 (the others' earliest stops), so there the envelope equals the reward and
-the rule has already stopped.  A :class:`ScaledProcess` answers for every
-node all the same, reading a node below a frozen position at that position.
-The plain ``Fraction`` recursion over the whole tree lives in the tests
-(``tests/snell_reference.py``), as the reference for this kernel and for
-the certifier's own integer best responses in :mod:`dynkin.verify`.
+the rule has already stopped.  A :class:`ScaledProcess` holds a value for
+every node all the same: a node below a frozen position has that
+position's value.  The plain ``Fraction`` recursion over the whole tree
+lives in the tests (``tests/snell_reference.py``), as the reference for
+this kernel and for the certifier's own integer best responses in
+:mod:`dynkin.verify`.
 """
 
 from __future__ import annotations
@@ -27,38 +28,23 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .trees import NodeId, ScenarioTree, StoppingRule, TreeIndex
+from .trees import ScenarioTree, StoppingRule, TreeIndex
 
 
 class ScaledProcess(NamedTuple):
     """One sweep step's values per node, kept as the integers computed.
 
     The node at position ``p`` of ``index``, at stage ``t``, has the value
-    ``scaled[p] / (denominator * index.scale[t])``; it becomes a
-    ``Fraction`` only when read.  Strictly below a position in
-    ``frozen_at`` (an antichain) the process is constant, so ``scaled`` is
-    read only at the positions not strictly below one: a node below a
-    frozen position reads that position's value.
+    ``scaled[p] / (denominator * index.scale[t])``.  Strictly below a
+    position in ``frozen_at`` (an antichain) the process is constant, so
+    ``scaled`` is read only at the positions not strictly below one: a node
+    below a frozen position reads that position's value.
     """
 
     index: TreeIndex
     scaled: Sequence[int]
     denominator: int
     frozen_at: frozenset[int] = frozenset()
-
-    def at(self, node_id: NodeId) -> Fraction:
-        index = self.index
-        pos = index.position[node_id]
-        if self.frozen_at:
-            parent = index.parent
-            up = parent[pos]
-            while up >= 0:
-                if up in self.frozen_at:
-                    pos = up
-                    break
-                up = parent[up]
-        scale = index.scale[index.nodes[pos].time]
-        return Fraction(self.scaled[pos], self.denominator * scale)
 
 
 def integer_snell(
@@ -67,7 +53,7 @@ def integer_snell(
     """Envelope and first-entry rule of ``envelope <= reward + epsilon``.
 
     Exactly the module's backward recursion and its first-entry rule for
-    the reward ``reward.at``, computed on ``int`` over the live region
+    the node values of ``reward``, computed on ``int`` over the live region
     only: the positions not strictly below a frozen one.  A
     stage-``t`` value ``X`` is carried as ``X * D * index.scale[t]``, with
     ``D = reward.denominator`` a multiple of epsilon's denominator, so W

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -35,8 +34,7 @@ NEVER: float = math.inf
 Stage = float  # an int stage or NEVER
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     """One tree node: stage, parent link and conditional branch probability."""
 
     id: NodeId
@@ -171,16 +169,32 @@ def _build_index(tree: "ScenarioTree") -> TreeIndex:
     )
 
 
-@dataclass(frozen=True)
 class ScenarioTree:
     """Rooted uniform-depth tree; see :func:`validate_tree` for the invariants.
 
     Construction is lenient so that malformed inputs can still be inspected
     and diagnosed; every other operation in this package assumes the tree
-    validates cleanly, and reads its structure from :attr:`index`.
+    validates cleanly, and reads its structure from :attr:`index`.  Trees
+    are immutable and compare by their nodes.  A plain class, not a
+    ``NamedTuple``, because the memoized index lives in its ``__dict__``.
     """
 
-    nodes: tuple[Node, ...]
+    def __init__(self, nodes: tuple[Node, ...]) -> None:
+        object.__setattr__(self, "nodes", nodes)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.nodes == other.nodes
+
+    def __hash__(self) -> int:
+        return hash(self.nodes)
+
+    def __repr__(self) -> str:
+        return f"ScenarioTree(nodes={self.nodes!r})"
 
     @cached_property
     def index(self) -> TreeIndex:
@@ -302,26 +316,18 @@ def validate_tree(tree: ScenarioTree) -> list[str]:
     return violations
 
 
-@dataclass(frozen=True)
-class AdaptedProcess:
+class AdaptedProcess(NamedTuple):
     """One exact value per node.  Adaptedness is structural: a value hangs
     on a node, hence depends only on the information revealed by that node.
     """
 
     values: dict[NodeId, Fraction]
 
-    def at(self, node_id: NodeId) -> Fraction:
-        try:
-            return self.values[node_id]
-        except KeyError:
-            raise KeyError(f"process has no value at node {node_id!r}") from None
-
     def missing_on(self, tree: ScenarioTree) -> list[NodeId]:
         return [n.id for n in tree.nodes if n.id not in self.values]
 
 
-@dataclass(frozen=True)
-class StoppingRule:
+class StoppingRule(NamedTuple):
     """Pure strategy: stop the first time the path enters ``stop_set``.
 
     Canonical form is an antichain (no stop node strictly below another);
@@ -330,10 +336,6 @@ class StoppingRule:
     """
 
     stop_set: frozenset[NodeId]
-
-    @property
-    def is_never(self) -> bool:
-        return not self.stop_set
 
 
 NEVER_RULE = StoppingRule(frozenset())

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .games import (
     Coalition,
@@ -51,8 +50,7 @@ class CertificationError(RuntimeError):
     """The certifier's own computations contradict each other."""
 
 
-@dataclass(frozen=True)
-class NepCertificate:
+class NepCertificate(NamedTuple):
     """Per-player best-response gap report for one profile.
 
     ``gains[i-1]`` is how much player i could improve by deviating alone;

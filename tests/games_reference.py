@@ -5,7 +5,8 @@ Each player's first stop on a path is read by a root walk
 path probability, a product of branch probabilities, times the payoff at
 the realized outcome: the path the tests hold
 :func:`dynkin.games.leaf_outcomes` and
-:func:`dynkin.games.expected_payoffs` to.
+:func:`dynkin.games.expected_payoffs` to.  :func:`with_rule` swaps one
+player's rule in a profile.
 """
 
 from __future__ import annotations
@@ -13,8 +14,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 from dynkin.games import Coalition, GameSpec, StrategyProfile
-from dynkin.trees import NEVER, NodeId, Stage
+from dynkin.trees import NEVER, NodeId, Stage, StoppingRule
 from trees_reference import RootWalks, stop_time
+
+
+def with_rule(
+    profile: StrategyProfile, player: int, rule: StoppingRule
+) -> StrategyProfile:
+    """The profile with the player's rule replaced by ``rule``."""
+    rules = list(profile.rules)
+    rules[player - 1] = rule
+    return StrategyProfile(tuple(rules))
 
 
 def realized_outcome(

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import contextlib
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -186,7 +185,7 @@ def thirds_and_sevenths(draw):
             for kid, lo, hi in zip(kids, [0, *cuts], [*cuts, q]):
                 probs[kid.id] = Fraction(hi - lo, q)
     return ScenarioTree(
-        tuple(replace(n, branch_prob=probs.get(n.id, n.branch_prob)) for n in base.nodes)
+        tuple(n._replace(branch_prob=probs.get(n.id, n.branch_prob)) for n in base.nodes)
     )
 
 

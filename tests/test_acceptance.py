@@ -21,7 +21,7 @@ from dynkin.verify import (
     enumerate_rules,
     find_all_eps_neps,
 )
-from games_reference import realized_outcome, walk_payoff
+from games_reference import realized_outcome, walk_payoff, with_rule
 from gens import random_process, random_tree
 from snell_reference import eps_optimal_rule, optimal_value, snell_envelope
 from trees_reference import RootWalks, children_table, expectation_under_rule, path_to, stop_time
@@ -190,7 +190,7 @@ def test_criterion_7_equilibrium_property_sweep(random_sweep):
         for player in game.players:
             snell_value = best_response_value(game, result.capped, player)
             brute = max(
-                walk_payoff(game, result.capped.with_rule(player, rule), player, walks)
+                walk_payoff(game, with_rule(result.capped, player, rule), player, walks)
                 for rule in rules
             )
             assert snell_value == brute

@@ -517,6 +517,37 @@ def test_a_bad_string_at_two_paths_reports_the_first(capsys, tmp_path):
     assert err == f"error: document.payoffs[1].values.2: {_NOT_RATIONAL} '0.5'\n"
 
 
+_NESTED = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize(
+    "argv,text,where",
+    [
+        (["solve", "--epsilon", "0", "--game"], _NESTED, "document"),
+        (
+            ["verify", "--example", "paper-5-1", "--epsilon", "0", "--profile"],
+            '{"rules": ' + _NESTED + "}",
+            "profile",
+        ),
+    ],
+    ids=["game", "profile"],
+)
+def test_deeply_nested_json_is_a_document_error(capsys, tmp_path, argv, text, where):
+    path = tmp_path / "nested.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {where}: maximum recursion depth exceeded")
+
+
+def test_an_undecodable_file_is_a_usage_error_naming_it(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"schema_version": "\xe9"}')
+    code, out, err = run_cli(capsys, "solve", "--game", str(path), "--epsilon", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
+
+
 # every workload of the benchmark, through the modules in perfbench/, which
 # the test imports and never changes
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"

@@ -21,6 +21,7 @@ from dynkin.fixtures import EXAMPLES, example_document
 from dynkin.games import Coalition
 from dynkin.randomgen import random_game
 from gens import int_digit_limit, serialize_game
+from trees_reference import is_never, value_at
 
 
 def test_parse_rational_strict_grammar():
@@ -36,7 +37,7 @@ def test_parse_fixture_dimensions(deterministic_game):
     assert deterministic_game.num_players == 3
     assert deterministic_game.horizon == 2
     assert len(deterministic_game.payoffs) == 21
-    assert deterministic_game.payoff(2, Coalition.of((2,))).at(1) == Fraction(3, 2)
+    assert value_at(deterministic_game.payoff(2, Coalition.of((2,))), 1) == Fraction(3, 2)
 
 
 def test_decimal_probability_is_rejected():
@@ -74,8 +75,8 @@ def test_default_payoff_fills_missing_pairs():
     doc["default_payoff"] = {"values": {"0": "0", "1": "0", "2": "0", "3": "1"}}
     spec = parse_game(document_text(doc), enforce_assumption_a=False)
     assert len(spec.payoffs) == 6
-    assert spec.payoff(2, Coalition.of((1, 2))).at(1) == 0
-    assert spec.payoff(1, Coalition.of((1, 2))).at(1) == 1
+    assert value_at(spec.payoff(2, Coalition.of((1, 2))), 1) == 0
+    assert value_at(spec.payoff(1, Coalition.of((1, 2))), 1) == 1
 
 
 def test_default_payoff_is_copied_only_for_missing_pairs(monkeypatch):
@@ -119,8 +120,8 @@ def test_value_tables_agree_with_the_per_key_loop():
         entries = [("0", "1/2"), ("12", "-3")]
         entries.insert(at, (spelling, value))
         raw = dict(entries)
-        # an empty table of parsed strings sends every entry through the
-        # per-key loop; a table that has them lets the whole-table read run
+        # an empty table of parsed strings makes the whole-table read fail
+        # first; a table that has them lets it run at once
         assert _values_or_error(raw, ids, dict(seen)) == _values_or_error(raw, ids, {})
     assert _values_or_error({"7": "1/2", "07": "-3"}, ids, dict(seen)) == [(7, -3)]
     assert _values_or_error({" 7": "1/2", "+7": "-3"}, ids, dict(seen)) == [(7, -3)]
@@ -132,6 +133,38 @@ def test_value_tables_agree_with_the_per_key_loop():
     )
     assert _values_or_error({"7": True}, ids, dict(seen)) == (
         f"here.7: {_NOT_RATIONAL} True"
+    )
+
+
+def test_the_first_value_table_is_read_in_one_pass(monkeypatch):
+    # its strings are all new: they are parsed once each, not entry by entry
+    doc = example_document("paper-5-3")
+    calls = []
+    real = documents._parse_once
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(documents, "_parse_once", counting)
+    parse_game(document_text(doc))
+    # only the tree's distinct probability strings go through the table
+    assert len(calls) == len({node["prob"] for node in doc["tree"]["nodes"]})
+
+
+def test_a_first_table_with_new_and_bad_strings_names_the_first_bad_path():
+    doc = example_document("paper-5-3")
+    values = doc["payoffs"][0]["values"]
+    keys = list(values)
+    for k, key in enumerate(keys):  # strings no earlier part of the document has
+        values[key] = f"{k + 1}/9973"
+    values[keys[40]] = "x"
+    values[keys[10]] = "0.5"
+    values[keys[60]] = "0.5"
+    with pytest.raises(DocumentError) as info:
+        parse_game(json.dumps(doc))
+    assert str(info.value) == (
+        f"document.payoffs[0].values.{keys[10]}: {_NOT_RATIONAL} '0.5'"
     )
 
 
@@ -240,7 +273,7 @@ def test_profile_round_trip(deterministic_game):
     )
     profile = parse_profile(text, deterministic_game)
     assert profile.rule_for(1).stop_set == frozenset({1})
-    assert profile.rule_for(2).is_never
+    assert is_never(profile.rule_for(2))
     # canonicalized: the stage-2 flag is dominated by the root flag
     assert profile.rule_for(3).stop_set == frozenset({0})
     assert serialize_profile(profile) == {

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -33,6 +32,7 @@ from trees_reference import (
     path_to,
     root_node,
     stop_time,
+    value_at,
 )
 
 
@@ -67,6 +67,25 @@ def test_coalition_canonical_form():
         Coalition.of([])
     with pytest.raises(ValueError):
         Coalition.of([0, 1])
+
+
+def test_plain_classes_keep_the_frozen_record_semantics():
+    # Coalition and ScenarioTree are hand-written classes, not tuples: they
+    # equal only their own kind, hash by value, sort and print as before,
+    # and refuse assignment
+    c = Coalition.of((2, 1))
+    assert c == Coalition((1, 2)) and hash(c) == hash(Coalition((1, 2)))
+    assert c != (1, 2) and (1, 2) != c and {c: 1}.get((1, 2)) is None
+    assert Coalition((1,)) < c < Coalition((2,)) and c <= c and c >= Coalition((1,))
+    assert repr(c) == "Coalition(players=(1, 2))"
+    tree = single_path_tree(1)
+    assert tree == single_path_tree(1) and hash(tree) == hash(single_path_tree(1))
+    assert tree != tree.nodes and tree != single_path_tree(2)
+    assert repr(tree) == f"ScenarioTree(nodes={tree.nodes!r})"
+    for record, field in ((c, "players"), (tree, "nodes"), (tree, "index")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    assert c.players == (1, 2) and tree.index.horizon == 1
 
 
 def test_all_coalitions_counts():
@@ -236,7 +255,7 @@ def with_odd_denominators(game, rng):
             cuts = sorted(rng.sample(range(1, denominator), len(kids) - 1))
             shares = [b - a for a, b in zip([0] + cuts, cuts + [denominator])]
             nodes.extend(
-                replace(kid, branch_prob=Fraction(share, denominator))
+                kid._replace(branch_prob=Fraction(share, denominator))
                 for kid, share in zip(kids, shares)
             )
     payoffs = {}
@@ -246,7 +265,7 @@ def with_odd_denominators(game, rng):
             denominator = rng.choice((3, 7, 97))
             values[node_id] = Fraction(rng.randint(-2 * denominator, 2 * denominator), denominator)
         payoffs[key] = AdaptedProcess(values)
-    return replace(game, tree=ScenarioTree(tuple(nodes)), payoffs=payoffs)
+    return game._replace(tree=ScenarioTree(tuple(nodes)), payoffs=payoffs)
 
 
 @settings(max_examples=100, deadline=None)
@@ -266,9 +285,9 @@ def test_expected_payoffs_equal_the_realized_outcome_sum(data):
         stage, coalition = realized_outcome(game, profile, leaf.id)
         node_id = leaf.id if stage == NEVER else path_to(tree, leaf.id)[int(stage)].id
         for i in game.players:
-            reference[i - 1] += path_probability(tree, leaf.id) * game.payoff(
-                i, coalition
-            ).at(node_id)
+            reference[i - 1] += path_probability(tree, leaf.id) * value_at(
+                game.payoff(i, coalition), node_id
+            )
     assert expected_payoffs(game, profile) == tuple(reference)
     # criterion 7's oracle, one walk per rule and leaf, sums the same
     walks = RootWalks(tree)

@@ -1,6 +1,9 @@
 """Source rules that no single behaviour test would catch."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -81,8 +84,8 @@ def test_verify_shares_no_sweep_code():
 
 
 def test_every_public_function_has_a_caller_outside_the_tests():
-    # a module-level function that only the tests name belongs in tests/;
-    # methods are left out, since names like ``at`` cannot be matched
+    # a module-level function, method or property that only the tests name
+    # belongs in tests/; private and dunder methods start with "_"
     modules = {path: _parse(path) for path in SOURCES if path.name != "__init__.py"}
     named = Counter()
     for tree in [*modules.values(), *map(_parse, SCRIPTS)]:
@@ -90,12 +93,46 @@ def test_every_public_function_has_a_caller_outside_the_tests():
     unused = [
         f"{path.name}:{node.name}"
         for path, tree in modules.items()
-        for node in tree.body
+        for top in tree.body
+        for node in [top, *(top.body if isinstance(top, ast.ClassDef) else [])]
         if isinstance(node, ast.FunctionDef)
         and not node.name.startswith("_")
         and named[node.name] == _names(node)[node.name]  # only its own body
     ]
     assert SCRIPTS and unused == []
+
+
+def test_sources_import_only_the_standard_library():
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:  # not an import, or a relative one: the package itself
+                continue
+            found += [
+                f"{path.name}:{node.lineno}:{name}"
+                for name in names
+                if name.split(".")[0] not in {"dynkin", *sys.stdlib_module_names}
+            ]
+    assert SOURCES and found == []
+
+
+def test_importing_the_package_loads_no_dataclasses_or_inspect():
+    # every command pays for its imports first: dataclasses pulls in
+    # inspect, ast, dis and tokenize, and each dataclass is slow to create
+    code = (
+        "import sys; before = set(sys.modules); import dynkin, dynkin.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (sys.modules.keys() - before)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(dynkin.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr[-500:]
+    assert done.stdout == "[]\n"
 
 
 def test_reference_code_reads_none_of_the_kernels_it_checks():

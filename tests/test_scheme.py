@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -37,9 +36,10 @@ from snell_reference import (
     eps_optimal_rule,
     reference_stage_reward,
     reference_updated_tau,
+    scaled_value,
     snell_envelope,
 )
-from trees_reference import children_table, path_to, root_node, stop_time
+from trees_reference import children_table, is_never, path_to, root_node, stop_time, value_at
 
 
 def capped_times(result, spec):
@@ -58,7 +58,7 @@ def stage_reward_step(spec, player, taus):
     reference = reference_stage_reward(spec, player, step.theta, others)
     assert step.player == player
     assert all(
-        step.stage_reward.at(node.id) == reference.at(node.id) for node in spec.tree.nodes
+        scaled_value(step.stage_reward, node.id) == value_at(reference, node.id) for node in spec.tree.nodes
     )
     return step
 
@@ -66,7 +66,7 @@ def stage_reward_step(spec, player, taus):
 def test_stage_reward_with_no_opponent_stop(deterministic_game):
     step = stage_reward_step(deterministic_game, 1, (NEVER_RULE,) * 3)
     reward = step.stage_reward
-    assert [reward.at(t) for t in range(3)] == [Fraction(1, 8), Fraction(1, 2), 0]
+    assert [scaled_value(reward, t) for t in range(3)] == [Fraction(1, 8), Fraction(1, 2), 0]
     assert step.coalition_at_theta == {}
 
 
@@ -75,16 +75,16 @@ def test_stage_reward_freezes_at_opponent_stop(deterministic_game):
     step = stage_reward_step(deterministic_game, 2, (stop1, NEVER_RULE, NEVER_RULE))
     reward = step.stage_reward
     # before the stop: own payoff; at stage 1: max(join {1,2}, stay {1}) = 1/2
-    assert reward.at(0) == Fraction(1, 8)
-    assert reward.at(1) == Fraction(1, 2)
-    assert reward.at(2) == Fraction(1, 2)
+    assert scaled_value(reward, 0) == Fraction(1, 8)
+    assert scaled_value(reward, 1) == Fraction(1, 2)
+    assert scaled_value(reward, 2) == Fraction(1, 2)
     assert step.coalition_at_theta == {1: Coalition.of((1,))}
 
 
 def test_stage_reward_frozen_from_root(deterministic_game):
     root_stop = StoppingRule(frozenset({0}))
     step = stage_reward_step(deterministic_game, 2, (root_stop, NEVER_RULE, NEVER_RULE))
-    assert all(step.stage_reward.at(t) == Fraction(1, 8) for t in range(3))
+    assert all(scaled_value(step.stage_reward, t) == Fraction(1, 8) for t in range(3))
 
 
 def test_first_step_stops_player_one_at_stage_one(deterministic_game):
@@ -112,7 +112,7 @@ def test_first_step_under_reversed_order(deterministic_game):
     config = SchemeConfig(epsilon=Fraction(1, 100), order=(2, 3, 1))
     step = scheme_step(deterministic_game, config, initial_state(deterministic_game))
     assert step.player == 2
-    assert step.stage_reward.at(1) == Fraction(3, 2)
+    assert scaled_value(step.stage_reward, 1) == Fraction(3, 2)
     assert step.tau.stop_set == frozenset({1})
 
 
@@ -284,7 +284,7 @@ def test_round_must_not_move_a_rule_later(monkeypatch, deterministic_game, walk_
 
     def forgetful_update(tree, mu, theta, previous):
         # from the second visit on, drop the stop node with the largest id
-        if previous.is_never:
+        if is_never(previous):
             return update(tree, mu, theta, previous)
         return StoppingRule(previous.stop_set - {max(previous.stop_set)})
 
@@ -358,8 +358,8 @@ def with_thirds_and_sevenths(game, rng):
         kids = kids_of[node.id]
         if kids:
             for kid, prob in zip(kids, rng.choice(splits)):
-                nodes.append(replace(kid, branch_prob=prob))
-    return replace(game, tree=ScenarioTree(tuple(nodes)))
+                nodes.append(kid._replace(branch_prob=prob))
+    return game._replace(tree=ScenarioTree(tuple(nodes)))
 
 
 def with_frozen_values_off_grid(game, denominator):
@@ -374,11 +374,11 @@ def with_frozen_values_off_grid(game, denominator):
             continue
         payoffs[(i, coalition)] = AdaptedProcess(
             {
-                node.id: process.at(node.id) - (shift if node.time < game.horizon else 0)
+                node.id: value_at(process, node.id) - (shift if node.time < game.horizon else 0)
                 for node in game.tree.nodes
             }
         )
-    return replace(game, payoffs=payoffs)
+    return game._replace(payoffs=payoffs)
 
 
 def assert_step_matches_reference(spec, step, others, epsilon):
@@ -387,8 +387,8 @@ def assert_step_matches_reference(spec, step, others, epsilon):
     reward = reference_stage_reward(spec, step.player, step.theta, others)
     envelope = snell_envelope(tree, reward)
     for node in tree.nodes:
-        assert step.stage_reward.at(node.id) == reward.at(node.id)
-        assert step.envelope.at(node.id) == envelope.at(node.id)
+        assert scaled_value(step.stage_reward, node.id) == value_at(reward, node.id)
+        assert scaled_value(step.envelope, node.id) == value_at(envelope, node.id)
     assert step.mu == eps_optimal_rule(tree, reward, envelope, epsilon)
 
 
@@ -407,7 +407,7 @@ def observed_gaps(spec, result):
     """The positive margins W - U the run's steps met, at every node."""
     return sorted(
         {
-            step.envelope.at(node.id) - step.stage_reward.at(node.id)
+            scaled_value(step.envelope, node.id) - scaled_value(step.stage_reward, node.id)
             for step in result.trace
             for node in spec.tree.nodes
         }
@@ -457,7 +457,7 @@ def test_frozen_values_off_the_solo_grid_raise_the_step_denominator():
     game = with_frozen_values_off_grid(random_game(Random(3), 2, 3), 17)
     result = run_scheme(game, SchemeConfig(epsilon=Fraction(1, 4)))
     raised = [s for s in result.trace if s.stage_reward.denominator % 17 == 0]
-    assert raised and all(not s.theta.is_never for s in raised)
+    assert raised and all(not is_never(s.theta) for s in raised)
     assert_run_matches_reference(game, result)
 
 
@@ -493,7 +493,7 @@ def test_trace_audit_reads_no_sweep_values():
         )
         for step in result.trace
     )
-    audited = replace(result, trace=steps)
+    audited = result._replace(trace=steps)
     assert len(steps) >= 30
     assert check_trace_invariants(steps, audited) == []
 

@@ -2,7 +2,6 @@ import os
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,6 +43,7 @@ from trees_reference import (
     reference_validate_tree,
     stop_node,
     stop_time,
+    value_at,
 )
 
 
@@ -149,28 +149,28 @@ def broken_trees(draw):
         siblings = [i for i, n in enumerate(nodes) if n.parent == node.parent and i != k]
         if kind == "prob":
             unit = Fraction(1, node.branch_prob.denominator * draw(st.sampled_from([1, 2, 3])))
-            nodes[k] = replace(node, branch_prob=node.branch_prob + draw(st.sampled_from([unit, -unit])))
+            nodes[k] = node._replace(branch_prob=node.branch_prob + draw(st.sampled_from([unit, -unit])))
         elif kind == "move" and siblings:
             moved = node.branch_prob * draw(st.sampled_from([1, 2]))
             j = draw(st.sampled_from(siblings))
-            nodes[k] = replace(node, branch_prob=node.branch_prob - moved)
-            nodes[j] = replace(nodes[j], branch_prob=nodes[j].branch_prob + moved)
+            nodes[k] = node._replace(branch_prob=node.branch_prob - moved)
+            nodes[j] = nodes[j]._replace(branch_prob=nodes[j].branch_prob + moved)
         elif kind == "time":
-            nodes[k] = replace(node, time=node.time + draw(st.sampled_from([-2, -1, 1, 2])))
+            nodes[k] = node._replace(time=node.time + draw(st.sampled_from([-2, -1, 1, 2])))
         elif kind == "cut":
             leaves = [n for n in nodes if not children_table(current)[n.id]]
             if 0 < len(leaves) < len(nodes):
                 nodes.remove(draw(st.sampled_from(leaves)))
         elif kind == "root":
-            nodes[0] = replace(nodes[0], branch_prob=draw(
+            nodes[0] = nodes[0]._replace(branch_prob=draw(
                 st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(3, 2), Fraction(-1)])
             ))
         elif kind == "duplicate":
-            nodes[k] = replace(node, id=draw(st.sampled_from(nodes)).id)
+            nodes[k] = node._replace(id=draw(st.sampled_from(nodes)).id)
         elif kind == "orphan":
-            nodes[k] = replace(node, parent=max(n.id for n in nodes) + 1)
+            nodes[k] = node._replace(parent=max(n.id for n in nodes) + 1)
         elif kind == "cycle":
-            nodes[k] = replace(node, parent=draw(st.sampled_from(
+            nodes[k] = node._replace(parent=draw(st.sampled_from(
                 [node.id, *_descendants(current, node.id)]
             )))
         else:
@@ -296,16 +296,16 @@ def test_expectation_under_rule_matches_path_enumeration(tp):
         for node in path_to(tree, leaf.id):
             prob *= node.branch_prob
             if value is None and node.id in rule.stop_set:
-                value = process.at(node.id)
+                value = value_at(process, node.id)
         if value is None:
-            value = process.at(leaf.id)
+            value = value_at(process, leaf.id)
         total += prob * value
     assert expectation_under_rule(tree, process, rule) == total
     # the same sum from the index: first stops by leaf range, integer weights
     index = tree.index
     assert total == sum(
         Fraction(index.weight[index.position[leaf.id]], index.scale[0])
-        * process.at(leaf.id if stop is None else stop.id)
+        * value_at(process, leaf.id if stop is None else stop.id)
         for leaf, stop in zip(tree.leaves, leaf_stop_nodes(tree, rule))
     )
 

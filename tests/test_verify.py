@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -39,7 +38,8 @@ from gens import (
     thirds_chain_tree,
 )
 from snell_reference import eps_optimal_rule, snell_envelope
-from trees_reference import children_table, root_node, stop_time
+from games_reference import with_rule
+from trees_reference import children_table, root_node, stop_time, value_at
 from verify_reference import deviation_reward, weighted_reward
 
 KERNEL_DENOMINATORS = (1, 2, 3, 5, 7, 11, 13, 97)
@@ -108,13 +108,13 @@ def test_enumerate_cap_fails_loudly():
 def test_deviation_reward_join_stay_split(deterministic_game):
     profile = path_profile(deterministic_game.tree, 1, 2, 2)
     reward = deviation_reward(deterministic_game, profile, 2)
-    assert reward.at(0) == Fraction(1, 8)  # solo payoff before the others stop
-    assert reward.at(1) == Fraction(1, 4)  # joining player 1 at stage 1
-    assert reward.at(2) == Fraction(1, 2)  # frozen: player 1 stopped alone
+    assert value_at(reward, 0) == Fraction(1, 8)  # solo payoff before the others stop
+    assert value_at(reward, 1) == Fraction(1, 4)  # joining player 1 at stage 1
+    assert value_at(reward, 2) == Fraction(1, 2)  # frozen: player 1 stopped alone
     value = best_response_value(deterministic_game, profile, 2)
     assert value == Fraction(1, 2)
     assert value == max(
-        expected_payoffs(deterministic_game, profile.with_rule(2, rule))[1]
+        expected_payoffs(deterministic_game, with_rule(profile, 2, rule))[1]
         for rule in enumerate_rules(deterministic_game.tree, 64)
     )
     achieved = expected_payoffs(deterministic_game, profile)[1]
@@ -127,7 +127,7 @@ def test_best_response_fixpoint_gain_is_zero(deterministic_game):
     reward = deviation_reward(deterministic_game, profile, 3)
     envelope = snell_envelope(deterministic_game.tree, reward)
     rule = eps_optimal_rule(deterministic_game.tree, reward, envelope, Fraction(0))
-    replayed = expected_payoffs(deterministic_game, profile.with_rule(3, rule))[2]
+    replayed = expected_payoffs(deterministic_game, with_rule(profile, 3, rule))[2]
     assert replayed == value
 
 
@@ -219,7 +219,7 @@ def test_trace_invariants_catch_injected_fault(deterministic_game):
     result = run_scheme(deterministic_game, SchemeConfig(epsilon=Fraction(1, 100)))
     trace = list(result.trace)
     # player 1 stopped at stage 1 in step 4; pretend step 7 moved back to 2
-    corrupted = replace(trace[3], tau=stop_everywhere_at(deterministic_game.tree, 2))
+    corrupted = trace[3]._replace(tau=stop_everywhere_at(deterministic_game.tree, 2))
     trace[3] = corrupted
     violations = check_trace_invariants(tuple(trace), result)
     assert any("tau increased" in v for v in violations)
@@ -300,15 +300,14 @@ def test_trace_audit_equals_the_root_walk_reference(data):
     for k in data.draw(st.sets(st.sampled_from(range(len(trace))), max_size=4)):
         field = data.draw(st.sampled_from(("mu", "tau", "theta")))
         (rule,) = draw_rules(data, game.tree, 1)
-        trace[k] = replace(trace[k], **{field: rule})
+        trace[k] = trace[k]._replace(**{field: rule})
     if data.draw(st.booleans(), label="joint final stops"):
         rules = draw_rules(data, game.tree, num_players)
-        result = replace(
-            result,
+        result = result._replace(
             uncapped=StrategyProfile(rules),
             termination_rule=min_of_rules(game.tree, list(rules)),
         )
-    result = replace(result, initialized_at_horizon=data.draw(st.booleans()))
+    result = result._replace(initialized_at_horizon=data.draw(st.booleans()))
     audit = check_trace_invariants(tuple(trace), result)
     assert audit == root_walk_trace_audit(tuple(trace), result)
 
@@ -430,7 +429,7 @@ def test_find_all_at_an_epsilon_off_the_payoff_grid(num_players, epsilon):
 
 def envelope_reference(spec, profile, player):
     reward = deviation_reward(spec, profile, player)
-    return snell_envelope(spec.tree, reward).at(root_node(spec.tree).id)
+    return value_at(snell_envelope(spec.tree, reward), root_node(spec.tree).id)
 
 
 def random_payoffs(rng, tree, num_players):
