@@ -110,24 +110,19 @@ def _parse_values(
     raw: Any, ids: dict[str, int], where: str, rationals: dict[str, Fraction]
 ) -> dict[int, Fraction]:
     """Node id -> value; ``ids`` maps each id's canonical string to it.  A
-    table of canonical keys and strings parsed before is read in one pass.
-    Failing that, the table's new strings that parse are added to
-    ``rationals`` and the pass is tried again; any other table goes entry
-    by entry, which alone accepts or rejects it."""
+    table of canonical keys is read in one pass, which parses each new
+    string once and words a bad value as the loop would; any other table
+    goes entry by entry."""
     if not isinstance(raw, dict):
         raise DocumentError(f"{where}: expected an object mapping node ids to rationals")
     try:
-        return {ids[key]: rationals[text] for key, text in raw.items()}
-    except (KeyError, TypeError):  # a key like "07", an unknown id, a new value
-        pass
-    for text in {text for text in raw.values() if type(text) is str} - rationals.keys():
-        try:
-            rationals[text] = parse_rational(text)
-        except DocumentError:  # worded by the loop below, in document order
-            pass
-    try:
-        return {ids[key]: rationals[text] for key, text in raw.items()}
-    except (KeyError, TypeError):
+        return {
+            ids[key]: rationals[text]
+            if text in rationals
+            else _parse_once(rationals, text, where, key)
+            for key, text in raw.items()
+        }
+    except (KeyError, TypeError):  # a key like "07", an unknown id, a list value
         pass
     values: dict[int, Fraction] = {}
     for key, text in raw.items():

@@ -23,7 +23,7 @@ from dynkin.games import Coalition, GameSpec
 from dynkin.scheme import SweepInvariantError
 from dynkin.snell import ScaledProcess
 from dynkin.trees import NEVER, AdaptedProcess, NodeId, ScenarioTree, StoppingRule
-from trees_reference import children_table, first_stop, root_node, root_paths, value_at
+from trees_reference import children_table, first_stop, root_node, root_paths
 
 
 def snell_envelope(tree: ScenarioTree, reward: AdaptedProcess) -> AdaptedProcess:
@@ -32,12 +32,12 @@ def snell_envelope(tree: ScenarioTree, reward: AdaptedProcess) -> AdaptedProcess
     values: dict = {}
     for node in sorted(tree.nodes, key=lambda n: n.time, reverse=True):
         if not kids[node.id]:
-            values[node.id] = value_at(reward, node.id)
+            values[node.id] = reward.values[node.id]
         else:
             continuation = sum(
                 (k.branch_prob * values[k.id] for k in kids[node.id]), Fraction(0)
             )
-            values[node.id] = max(value_at(reward, node.id), continuation)
+            values[node.id] = max(reward.values[node.id], continuation)
     return AdaptedProcess(values)
 
 
@@ -59,7 +59,7 @@ def eps_optimal_rule(
         frozenset(
             node.id
             for node in tree.nodes
-            if value_at(envelope, node.id) <= value_at(reward, node.id) + epsilon
+            if envelope.values[node.id] <= reward.values[node.id] + epsilon
         )
     )
     paths = root_paths(tree)
@@ -101,12 +101,12 @@ def one_step_expectation(
     kids = children_table(tree)[node_id]
     if not kids:
         raise ValueError(f"node {node_id!r} has no successor stage")
-    return sum((k.branch_prob * value_at(process, k.id) for k in kids), Fraction(0))
+    return sum((k.branch_prob * process.values[k.id] for k in kids), Fraction(0))
 
 
 def optimal_value(tree: ScenarioTree, reward: AdaptedProcess) -> Fraction:
     """Best expected reward over all stopping rules (envelope at the root)."""
-    return value_at(snell_envelope(tree, reward), root_node(tree).id)
+    return snell_envelope(tree, reward).values[root_node(tree).id]
 
 
 def solve_stopping(
@@ -114,7 +114,7 @@ def solve_stopping(
 ) -> SnellResult:
     envelope = snell_envelope(tree, reward)
     rule = eps_optimal_rule(tree, reward, envelope, epsilon)
-    return SnellResult(envelope=envelope, eps_rule=rule, value=value_at(envelope, root_node(tree).id))
+    return SnellResult(envelope=envelope, eps_rule=rule, value=envelope.values[root_node(tree).id])
 
 
 def is_supermartingale_dominating(
@@ -123,10 +123,10 @@ def is_supermartingale_dominating(
     """True iff candidate dominates the reward and one-step decreases in mean."""
     kids = children_table(tree)
     for node in tree.nodes:
-        if value_at(candidate, node.id) < value_at(reward, node.id):
+        if candidate.values[node.id] < reward.values[node.id]:
             return False
         if kids[node.id]:
-            if value_at(candidate, node.id) < one_step_expectation(tree, candidate, node.id):
+            if candidate.values[node.id] < one_step_expectation(tree, candidate, node.id):
                 return False
     return True
 
@@ -143,7 +143,7 @@ def kernel_input(
     the whole tree is live; below a frozen position the kernel reads
     nothing, so the values there may be anything, as in a sweep step."""
     index = tree.index
-    rewards = [value_at(reward, node.id) for node in index.nodes]
+    rewards = [reward.values[node.id] for node in index.nodes]
     d = math.lcm(epsilon.denominator, *[x.denominator for x in rewards])
     scaled = [
         x.numerator * (d * index.scale[node.time] // x.denominator)
@@ -171,15 +171,15 @@ def reference_stage_reward(
     for node in spec.tree.index.nodes:
         if node.id in coalition_at:
             coalition = coalition_at[node.id]
-            join = value_at(spec.payoff(player, coalition.with_member(player)), node.id)
-            stay = value_at(spec.payoff(player, coalition), node.id)
+            join = spec.payoff(player, coalition.with_member(player)).values[node.id]
+            stay = spec.payoff(player, coalition).values[node.id]
             frozen[node.id] = max(join, stay)
             values[node.id] = frozen[node.id]
         elif node.parent is not None and node.parent in frozen:
             frozen[node.id] = frozen[node.parent]
             values[node.id] = frozen[node.id]
         else:
-            values[node.id] = value_at(solo, node.id)
+            values[node.id] = solo.values[node.id]
     return AdaptedProcess(values)
 
 

@@ -21,7 +21,6 @@ from dynkin.fixtures import EXAMPLES, example_document
 from dynkin.games import Coalition
 from dynkin.randomgen import random_game
 from gens import int_digit_limit, serialize_game
-from trees_reference import is_never, value_at
 
 
 def test_parse_rational_strict_grammar():
@@ -37,7 +36,7 @@ def test_parse_fixture_dimensions(deterministic_game):
     assert deterministic_game.num_players == 3
     assert deterministic_game.horizon == 2
     assert len(deterministic_game.payoffs) == 21
-    assert value_at(deterministic_game.payoff(2, Coalition.of((2,))), 1) == Fraction(3, 2)
+    assert deterministic_game.payoff(2, Coalition.of((2,))).values[1] == Fraction(3, 2)
 
 
 def test_decimal_probability_is_rejected():
@@ -75,8 +74,8 @@ def test_default_payoff_fills_missing_pairs():
     doc["default_payoff"] = {"values": {"0": "0", "1": "0", "2": "0", "3": "1"}}
     spec = parse_game(document_text(doc), enforce_assumption_a=False)
     assert len(spec.payoffs) == 6
-    assert value_at(spec.payoff(2, Coalition.of((1, 2))), 1) == 0
-    assert value_at(spec.payoff(1, Coalition.of((1, 2))), 1) == 1
+    assert spec.payoff(2, Coalition.of((1, 2))).values[1] == 0
+    assert spec.payoff(1, Coalition.of((1, 2))).values[1] == 1
 
 
 def test_default_payoff_is_copied_only_for_missing_pairs(monkeypatch):
@@ -113,6 +112,24 @@ def _values_or_error(raw, ids, rationals):
         return str(exc)
 
 
+def _per_key_loop(raw, ids):
+    """The entry-by-entry read, written out without a table of parsed
+    strings: the first bad key or value in document order is the error."""
+    values = {}
+    for key, text in raw.items():
+        try:
+            node_id = int(key)
+        except (TypeError, ValueError):
+            return f"here.{key}: node id is not an integer"
+        if str(node_id) not in ids:
+            return f"here.{key}: node {node_id} does not exist"
+        try:
+            values[node_id] = parse_rational(text, f"here.{key}")
+        except DocumentError as exc:
+            return str(exc)
+    return list(values.items())
+
+
 def test_value_tables_agree_with_the_per_key_loop():
     ids = {str(i): i for i in (0, 7, 12, -3)}
     seen = {"1/2": Fraction(1, 2), "-3": Fraction(-3)}
@@ -120,9 +137,11 @@ def test_value_tables_agree_with_the_per_key_loop():
         entries = [("0", "1/2"), ("12", "-3")]
         entries.insert(at, (spelling, value))
         raw = dict(entries)
-        # an empty table of parsed strings makes the whole-table read fail
-        # first; a table that has them lets it run at once
-        assert _values_or_error(raw, ids, dict(seen)) == _values_or_error(raw, ids, {})
+        # with the table's strings parsed before, with none of them, and
+        # with no table at all, the result or first error is the same
+        expected = _per_key_loop(raw, ids)
+        assert _values_or_error(raw, ids, dict(seen)) == expected
+        assert _values_or_error(raw, ids, {}) == expected
     assert _values_or_error({"7": "1/2", "07": "-3"}, ids, dict(seen)) == [(7, -3)]
     assert _values_or_error({" 7": "1/2", "+7": "-3"}, ids, dict(seen)) == [(7, -3)]
     assert _values_or_error({"7.0": "1/2"}, ids, dict(seen)) == (
@@ -139,17 +158,19 @@ def test_value_tables_agree_with_the_per_key_loop():
 def test_the_first_value_table_is_read_in_one_pass(monkeypatch):
     # its strings are all new: they are parsed once each, not entry by entry
     doc = example_document("paper-5-3")
-    calls = []
+    texts = []
     real = documents._parse_once
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(rationals, text, where, key):
+        texts.append(text)
+        return real(rationals, text, where, key)
 
     monkeypatch.setattr(documents, "_parse_once", counting)
     parse_game(document_text(doc))
-    # only the tree's distinct probability strings go through the table
-    assert len(calls) == len({node["prob"] for node in doc["tree"]["nodes"]})
+    distinct = {node["prob"] for node in doc["tree"]["nodes"]}
+    distinct |= {text for table in doc["payoffs"] for text in table["values"].values()}
+    # each distinct string of the document goes through the table once
+    assert Counter(texts) == Counter(distinct)
 
 
 def test_a_first_table_with_new_and_bad_strings_names_the_first_bad_path():
@@ -273,7 +294,7 @@ def test_profile_round_trip(deterministic_game):
     )
     profile = parse_profile(text, deterministic_game)
     assert profile.rule_for(1).stop_set == frozenset({1})
-    assert is_never(profile.rule_for(2))
+    assert not profile.rule_for(2).stop_set
     # canonicalized: the stage-2 flag is dominated by the root flag
     assert profile.rule_for(3).stop_set == frozenset({0})
     assert serialize_profile(profile) == {

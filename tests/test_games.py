@@ -32,7 +32,6 @@ from trees_reference import (
     path_to,
     root_node,
     stop_time,
-    value_at,
 )
 
 
@@ -285,9 +284,8 @@ def test_expected_payoffs_equal_the_realized_outcome_sum(data):
         stage, coalition = realized_outcome(game, profile, leaf.id)
         node_id = leaf.id if stage == NEVER else path_to(tree, leaf.id)[int(stage)].id
         for i in game.players:
-            reference[i - 1] += path_probability(tree, leaf.id) * value_at(
-                game.payoff(i, coalition), node_id
-            )
+            value = game.payoff(i, coalition).values[node_id]
+            reference[i - 1] += path_probability(tree, leaf.id) * value
     assert expected_payoffs(game, profile) == tuple(reference)
     # criterion 7's oracle, one walk per rule and leaf, sums the same
     walks = RootWalks(tree)

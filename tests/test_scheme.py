@@ -39,7 +39,7 @@ from snell_reference import (
     scaled_value,
     snell_envelope,
 )
-from trees_reference import children_table, is_never, path_to, root_node, stop_time, value_at
+from trees_reference import children_table, path_to, root_node, stop_time
 
 
 def capped_times(result, spec):
@@ -58,7 +58,7 @@ def stage_reward_step(spec, player, taus):
     reference = reference_stage_reward(spec, player, step.theta, others)
     assert step.player == player
     assert all(
-        scaled_value(step.stage_reward, node.id) == value_at(reference, node.id) for node in spec.tree.nodes
+        scaled_value(step.stage_reward, node.id) == reference.values[node.id] for node in spec.tree.nodes
     )
     return step
 
@@ -284,7 +284,7 @@ def test_round_must_not_move_a_rule_later(monkeypatch, deterministic_game, walk_
 
     def forgetful_update(tree, mu, theta, previous):
         # from the second visit on, drop the stop node with the largest id
-        if is_never(previous):
+        if not previous.stop_set:
             return update(tree, mu, theta, previous)
         return StoppingRule(previous.stop_set - {max(previous.stop_set)})
 
@@ -374,7 +374,7 @@ def with_frozen_values_off_grid(game, denominator):
             continue
         payoffs[(i, coalition)] = AdaptedProcess(
             {
-                node.id: value_at(process, node.id) - (shift if node.time < game.horizon else 0)
+                node.id: process.values[node.id] - (shift if node.time < game.horizon else 0)
                 for node in game.tree.nodes
             }
         )
@@ -387,8 +387,8 @@ def assert_step_matches_reference(spec, step, others, epsilon):
     reward = reference_stage_reward(spec, step.player, step.theta, others)
     envelope = snell_envelope(tree, reward)
     for node in tree.nodes:
-        assert scaled_value(step.stage_reward, node.id) == value_at(reward, node.id)
-        assert scaled_value(step.envelope, node.id) == value_at(envelope, node.id)
+        assert scaled_value(step.stage_reward, node.id) == reward.values[node.id]
+        assert scaled_value(step.envelope, node.id) == envelope.values[node.id]
     assert step.mu == eps_optimal_rule(tree, reward, envelope, epsilon)
 
 
@@ -457,7 +457,7 @@ def test_frozen_values_off_the_solo_grid_raise_the_step_denominator():
     game = with_frozen_values_off_grid(random_game(Random(3), 2, 3), 17)
     result = run_scheme(game, SchemeConfig(epsilon=Fraction(1, 4)))
     raised = [s for s in result.trace if s.stage_reward.denominator % 17 == 0]
-    assert raised and all(not is_never(s.theta) for s in raised)
+    assert raised and all(s.theta.stop_set for s in raised)
     assert_run_matches_reference(game, result)
 
 

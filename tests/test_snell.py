@@ -25,15 +25,7 @@ from snell_reference import (
     snell_envelope,
     solve_stopping,
 )
-from trees_reference import (
-    children_table,
-    expectation_under_rule,
-    is_never,
-    path_to,
-    stop_node,
-    stop_time,
-    value_at,
-)
+from trees_reference import children_table, expectation_under_rule, path_to, stop_node, stop_time
 
 KERNEL_DENOMINATORS = (1, 2, 3, 5, 7, 11, 13, 97)
 
@@ -42,21 +34,21 @@ def test_envelope_single_path_small_peak():
     tree = single_path_tree(2)
     reward = path_process(tree, "1/8", "1/2", 0)
     envelope = snell_envelope(tree, reward)
-    assert [value_at(envelope, t) for t in range(3)] == [Fraction(1, 2), Fraction(1, 2), 0]
+    assert [envelope.values[t] for t in range(3)] == [Fraction(1, 2), Fraction(1, 2), 0]
 
 
 def test_envelope_single_path_tall_peak():
     tree = single_path_tree(2)
     reward = path_process(tree, "1/8", "3/2", 0)
     envelope = snell_envelope(tree, reward)
-    assert [value_at(envelope, t) for t in range(3)] == [Fraction(3, 2), Fraction(3, 2), 0]
+    assert [envelope.values[t] for t in range(3)] == [Fraction(3, 2), Fraction(3, 2), 0]
 
 
 def test_envelope_of_constant_reward_is_constant():
     tree = single_path_tree(3)
     reward = path_process(tree, "2/3", "2/3", "2/3", "2/3")
     envelope = snell_envelope(tree, reward)
-    assert all(value_at(envelope, t) == Fraction(2, 3) for t in range(4))
+    assert all(envelope.values[t] == Fraction(2, 3) for t in range(4))
 
 
 def test_eps_rule_waits_for_small_epsilon():
@@ -111,8 +103,8 @@ def test_envelope_dominates_and_is_supermartingale(tp):
     for node in tree.nodes:
         if kids[node.id]:
             continuation = one_step_expectation(tree, envelope, node.id)
-            if value_at(envelope, node.id) > value_at(reward, node.id):
-                assert value_at(envelope, node.id) == continuation
+            if envelope.values[node.id] > reward.values[node.id]:
+                assert envelope.values[node.id] == continuation
 
 
 @settings(max_examples=40, deadline=None)
@@ -136,7 +128,7 @@ def test_eps_rule_loses_at_most_eps(tp):
     envelope = snell_envelope(tree, reward)
     for epsilon in (Fraction(0), Fraction(1, 7), Fraction(1, 2)):
         rule = eps_optimal_rule(tree, reward, envelope, epsilon)
-        assert not is_never(rule)
+        assert rule.stop_set
         for leaf in tree.leaves:
             assert stop_time(tree, rule, leaf.id) <= tree.horizon
         achieved = expectation_under_rule(tree, reward, rule)
@@ -154,7 +146,7 @@ def test_envelope_is_martingale_before_the_stop(tp):
         for node in path_to(tree, leaf.id):
             if node.time >= stop.time:
                 break
-            assert value_at(result.envelope, node.id) == one_step_expectation(
+            assert result.envelope.values[node.id] == one_step_expectation(
                 tree, result.envelope, node.id
             )
 
@@ -186,7 +178,7 @@ def test_integer_kernel_equals_fraction_reference(data):
     )
     envelope = snell_envelope(tree, reward)
     # the tree's own margins put ties exactly at epsilon, and ties stop
-    margins = sorted({value_at(envelope, n.id) - value_at(reward, n.id) for n in tree.nodes})
+    margins = sorted({envelope.values[n.id] - reward.values[n.id] for n in tree.nodes})
     epsilon = data.draw(st.sampled_from([Fraction(0), Fraction(1, 3), *margins]))
     assert_kernel_matches_reference(tree, reward, epsilon)
 
@@ -218,7 +210,7 @@ def test_integer_kernel_with_frozen_positions_equals_fraction_reference(data):
     ids = [node.id for node in index.nodes]
     reward = AdaptedProcess(dict(zip(ids, held)))
     envelope = snell_envelope(tree, reward)
-    margins = sorted({value_at(envelope, i) - value_at(reward, i) for i in ids})
+    margins = sorted({envelope.values[i] - reward.values[i] for i in ids})
     epsilon = data.draw(st.sampled_from([Fraction(0), Fraction(1, 3), *margins]))
     raw_input = kernel_input(tree, AdaptedProcess(dict(zip(ids, raw))), epsilon, frozenset(frozen))
     scaled, rule = integer_snell(tree, raw_input, epsilon)
@@ -250,6 +242,6 @@ def test_integer_kernel_on_a_deep_path_with_thirds_near_the_root():
         }
     )
     envelope = snell_envelope(tree, reward)
-    margin = value_at(envelope, 0) - value_at(reward, 0)
+    margin = envelope.values[0] - reward.values[0]
     for epsilon in (Fraction(0), Fraction(1, 3), margin):
         assert_kernel_matches_reference(tree, reward, epsilon)

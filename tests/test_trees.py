@@ -43,7 +43,6 @@ from trees_reference import (
     reference_validate_tree,
     stop_node,
     stop_time,
-    value_at,
 )
 
 
@@ -296,16 +295,16 @@ def test_expectation_under_rule_matches_path_enumeration(tp):
         for node in path_to(tree, leaf.id):
             prob *= node.branch_prob
             if value is None and node.id in rule.stop_set:
-                value = value_at(process, node.id)
+                value = process.values[node.id]
         if value is None:
-            value = value_at(process, leaf.id)
+            value = process.values[leaf.id]
         total += prob * value
     assert expectation_under_rule(tree, process, rule) == total
     # the same sum from the index: first stops by leaf range, integer weights
     index = tree.index
     assert total == sum(
         Fraction(index.weight[index.position[leaf.id]], index.scale[0])
-        * value_at(process, leaf.id if stop is None else stop.id)
+        * process.values[leaf.id if stop is None else stop.id]
         for leaf, stop in zip(tree.leaves, leaf_stop_nodes(tree, rule))
     )
 

@@ -39,7 +39,7 @@ from gens import (
 )
 from snell_reference import eps_optimal_rule, snell_envelope
 from games_reference import with_rule
-from trees_reference import children_table, root_node, stop_time, value_at
+from trees_reference import children_table, root_node, stop_time
 from verify_reference import deviation_reward, weighted_reward
 
 KERNEL_DENOMINATORS = (1, 2, 3, 5, 7, 11, 13, 97)
@@ -108,9 +108,9 @@ def test_enumerate_cap_fails_loudly():
 def test_deviation_reward_join_stay_split(deterministic_game):
     profile = path_profile(deterministic_game.tree, 1, 2, 2)
     reward = deviation_reward(deterministic_game, profile, 2)
-    assert value_at(reward, 0) == Fraction(1, 8)  # solo payoff before the others stop
-    assert value_at(reward, 1) == Fraction(1, 4)  # joining player 1 at stage 1
-    assert value_at(reward, 2) == Fraction(1, 2)  # frozen: player 1 stopped alone
+    assert reward.values[0] == Fraction(1, 8)  # solo payoff before the others stop
+    assert reward.values[1] == Fraction(1, 4)  # joining player 1 at stage 1
+    assert reward.values[2] == Fraction(1, 2)  # frozen: player 1 stopped alone
     value = best_response_value(deterministic_game, profile, 2)
     assert value == Fraction(1, 2)
     assert value == max(
@@ -429,7 +429,7 @@ def test_find_all_at_an_epsilon_off_the_payoff_grid(num_players, epsilon):
 
 def envelope_reference(spec, profile, player):
     reward = deviation_reward(spec, profile, player)
-    return value_at(snell_envelope(spec.tree, reward), root_node(spec.tree).id)
+    return snell_envelope(spec.tree, reward).values[root_node(spec.tree).id]
 
 
 def random_payoffs(rng, tree, num_players):

@@ -3,7 +3,6 @@
 Everything here reads a tree's parent links, never its index, so the
 tests can hold the index-based kernels of :mod:`dynkin.trees` to it:
 
-* :func:`value_at` and :func:`is_never` read a process and a rule.
 * :func:`reference_validate_tree` is the node-by-node routine
   :func:`dynkin.trees.validate_tree` ran before it decided validity from
   the tree index; it also words the errors of trees whose index cannot be
@@ -20,20 +19,6 @@ import math
 from fractions import Fraction
 
 from dynkin.trees import NEVER, AdaptedProcess, Node, NodeId, ScenarioTree, Stage, StoppingRule
-
-
-def value_at(process: AdaptedProcess, node_id: NodeId) -> Fraction:
-    """The process's value at ``node_id``; a missing node raises KeyError
-    naming it."""
-    try:
-        return process.values[node_id]
-    except KeyError:
-        raise KeyError(f"process has no value at node {node_id!r}") from None
-
-
-def is_never(rule: StoppingRule) -> bool:
-    """True for the rule that stops nowhere."""
-    return not rule.stop_set
 
 
 def children_table(tree: ScenarioTree) -> dict[NodeId, list[Node]]:
@@ -127,7 +112,7 @@ def expectation_under_rule(
     for leaf in tree.leaves:
         path = paths[leaf.id]
         stop = first_stop(path, rule)
-        total += probability(path) * value_at(process, leaf.id if stop is None else stop.id)
+        total += probability(path) * process.values[leaf.id if stop is None else stop.id]
     return total
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from dynkin.games import Coalition, GameSpec, StrategyProfile
 from dynkin.trees import AdaptedProcess, NodeId
-from trees_reference import probability, root_paths, value_at
+from trees_reference import probability, root_paths
 
 
 def deviation_reward(
@@ -63,7 +63,7 @@ def weighted_reward(
     tree = spec.tree
     index = tree.index
     reward = deviation_reward(spec, profile, player)
-    values = [value_at(reward, node.id) for node in index.nodes]
+    values = [reward.values[node.id] for node in index.nodes]
     d = math.lcm(epsilon.denominator, *[y.denominator for y in values])
     paths = root_paths(tree)
     vector = []
