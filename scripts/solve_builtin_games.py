@@ -16,7 +16,7 @@ from dynkin.verify import certify, check_trace_invariants
 
 def describe(spec, result):
     per_leaf = {}
-    for stage, coalition, _ in leaf_outcomes(spec, result.capped):
+    for stage, coalition in leaf_outcomes(spec, result.capped):
         key = (None if stage == NEVER else int(stage), coalition.players)
         per_leaf[key] = per_leaf.get(key, 0) + 1
     return per_leaf

@@ -102,7 +102,7 @@ def _realized_json(spec: GameSpec, outcomes: list) -> list[dict]:
             "stage": None if stage == NEVER else int(stage),
             "coalition": list(coalition.players),
         }
-        for leaf, (stage, coalition, _) in zip(spec.tree.leaves, outcomes)
+        for leaf, (stage, coalition) in zip(spec.tree.leaves, outcomes)
     ]
 
 
@@ -119,8 +119,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 
-    outcomes = leaf_outcomes(spec, result.capped)
-    certificate = certify(spec, result.capped, epsilon, outcomes=outcomes)
+    certificate = certify(spec, result.capped, epsilon)
     report = {
         "order": list(config.order_for(spec.num_players)),
         "epsilon": str(epsilon),
@@ -129,7 +128,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "uncapped": serialize_profile(result.uncapped)["rules"],
             "capped": serialize_profile(result.capped)["rules"],
         },
-        "realized": _realized_json(spec, outcomes),
+        "realized": _realized_json(spec, leaf_outcomes(spec, result.capped)),
         "expected_payoffs": [str(v) for v in certificate.achieved],
         "certificate": certificate_json(certificate),
     }

@@ -43,10 +43,6 @@ def parse_rational(text: Any, where: str = "value") -> Fraction:
         raise DocumentError(f"{where}: {exc}") from None
 
 
-def format_rational(value: Fraction) -> str:
-    return str(value)
-
-
 def _require(doc: dict, key: str, kind: type, where: str) -> Any:
     if key not in doc:
         raise DocumentError(f"{where}: missing required field \"{key}\"")
@@ -189,9 +185,12 @@ def parse_game(text: str, enforce_assumption_a: bool = True) -> GameSpec:
         if not 1 <= player <= players:
             raise DocumentError(f"{here}.player: {player} outside 1..{players}")
         raw_coalition = _require(raw, "coalition", list, here)
+        for member in raw_coalition:
+            if type(member) is not int:  # True == 1.0 == 1 would load as player 1
+                raise DocumentError(f"{here}.coalition: expected player indices, got {member!r}")
         try:
             coalition = Coalition.of(raw_coalition)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise DocumentError(f"{here}.coalition: {exc}") from None
         if any(p > players for p in coalition):
             raise DocumentError(

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
-from .documents import SCHEMA_VERSION, format_rational
+from .documents import SCHEMA_VERSION
 from .games import all_coalitions
 
 
@@ -30,7 +30,7 @@ def _payoff_entry(player: int, coalition, values: dict[int, Fraction]) -> dict:
     return {
         "player": player,
         "coalition": list(coalition.players),
-        "values": {str(k): format_rational(v) for k, v in sorted(values.items())},
+        "values": {str(k): str(v) for k, v in sorted(values.items())},
     }
 
 

@@ -171,11 +171,12 @@ def validate_game(spec: GameSpec, enforce_assumption_a: bool = True) -> list[str
                 continue
             if process.values.keys() >= index.position.keys():
                 continue
-            for node_id in process.missing_on(spec.tree):
-                violations.append(
-                    f"payoff (player {i}, coalition {coalition.players}): "
-                    f"no value at node {node_id}"
-                )
+            for node in spec.tree.nodes:
+                if node.id not in process.values:
+                    violations.append(
+                        f"payoff (player {i}, coalition {coalition.players}): "
+                        f"no value at node {node.id}"
+                    )
     if violations:
         return violations
 
@@ -229,62 +230,60 @@ def validate_game(spec: GameSpec, enforce_assumption_a: bool = True) -> list[str
     return violations
 
 
-def leaf_outcomes(
-    spec: GameSpec, profile: StrategyProfile
-) -> list[tuple[Stage, Coalition, NodeId]]:
-    """Termination stage, stopping coalition and payoff node on every leaf,
-    in ``tree.leaves`` order.
+def _ends(spec: GameSpec, profile: StrategyProfile) -> dict[NodeId, tuple[Stage, Coalition]]:
+    """Termination stage and stopping coalition at each node where the game
+    ends: the termination rule capped at the horizon, an antichain that
+    covers every leaf once.
 
-    The stage is the minimum of the players' stop times on the leaf's root
-    path, and the coalition is the set of players attaining it; the
-    payoffs are collected at the stop node at that stage.  When nobody
-    stops, the stage is NEVER, the coalition is all players by convention
-    and the node is the leaf itself.  Read from the players'
-    :func:`leaf_stop_nodes` vectors instead of one root walk per player and
-    leaf.
+    No rule stops strictly above an end node, so the players stopping on
+    its leaves are exactly those whose stop set holds it.  An end that no
+    stop set holds is a leaf nobody stops on: stage NEVER, all players by
+    convention.
+    Raises ValueError if a rule names nodes the tree does not have.
     """
-    everyone = Coalition.everyone(spec.num_players)
-    stops = [leaf_stop_nodes(spec.tree, rule) for rule in profile.rules]
-    outcomes = []
-    for leaf, *row in zip(spec.tree.leaves, *stops):
-        times = [NEVER if node is None else node.time for node in row]
-        stage = min(times)
-        if stage == NEVER:
-            outcomes.append((NEVER, everyone, leaf.id))
-        else:
-            members = tuple(i for i, t in enumerate(times, start=1) if t == stage)
-            outcomes.append((stage, Coalition(members), row[members[0] - 1].id))
+    tree = spec.tree
+    nodes, position = tree.index.nodes, tree.index.position
+    ends = min_of_rules(tree, [*profile.rules, stop_everywhere_at(tree, tree.horizon)])
+    never = (NEVER, Coalition.everyone(spec.num_players))
+    stop_sets = [rule.stop_set for rule in profile.rules]
+    outcomes = {}
+    for node_id in ends.stop_set:
+        members = tuple(i for i, stops in enumerate(stop_sets, start=1) if node_id in stops)
+        outcomes[node_id] = (
+            (nodes[position[node_id]].time, Coalition(members)) if members else never
+        )
     return outcomes
 
 
-def expected_payoffs(
-    spec: GameSpec,
-    profile: StrategyProfile,
-    outcomes: list[tuple[Stage, Coalition, NodeId]] | None = None,
-) -> tuple[Fraction, ...]:
-    """Expected payoff vector of the profile, one exact value per player.
+def leaf_outcomes(spec: GameSpec, profile: StrategyProfile) -> list[tuple[Stage, Coalition]]:
+    """Termination stage and stopping coalition on every leaf, in
+    ``tree.leaves`` order: those of the node where the game ends on the
+    leaf's path."""
+    ends = _ends(spec, profile)
+    return [ends[node.id] for node in leaf_stop_nodes(spec.tree, StoppingRule(frozenset(ends)))]
+
+
+def expected_payoffs(spec: GameSpec, profile: StrategyProfile) -> tuple[Fraction, ...]:
+    """Expected payoff vector of the profile, one exact value per player:
+    the sum over the nodes where the game ends of the node's probability
+    times the payoff to the coalition stopping there.
 
     On never-stopped paths each player collects the all-players value at
     the leaf, which every coalition process shares by terminal coincidence.
-    Each leaf's payoff node and coalition come from :func:`leaf_outcomes`;
-    pass ``outcomes`` when they are already at hand for this profile.
-
-    The sums run on ``int``: with the index's integer leaf weights ``w``
+    The sums run on ``int``: with the index's integer node weights ``w``
     and ``D`` the lcm of the denominators of a player's values read,
     ``sum w * X * D`` is exactly ``D * scale[0]`` times that player's
     expectation.
     """
     index = spec.tree.index
     scale = index.scale[0]
-    if outcomes is None:
-        outcomes = leaf_outcomes(spec, profile)
     weight, position = index.weight, index.position
     weights = []
     read: list[list[Fraction]] = [[] for _ in spec.players]
     # each coalition's value dicts, one per player, looked up once per call
     tables: dict[tuple[int, ...], list[dict[NodeId, Fraction]]] = {}
-    for leaf, (_, coalition, node_id) in zip(index.leaves, outcomes):
-        weights.append(weight[position[leaf.id]])
+    for node_id, (_, coalition) in _ends(spec, profile).items():
+        weights.append(weight[position[node_id]])
         by_player = tables.get(coalition.players)
         if by_player is None:
             by_player = tables[coalition.players] = [

@@ -323,9 +323,6 @@ class AdaptedProcess(NamedTuple):
 
     values: dict[NodeId, Fraction]
 
-    def missing_on(self, tree: ScenarioTree) -> list[NodeId]:
-        return [n.id for n in tree.nodes if n.id not in self.values]
-
 
 class StoppingRule(NamedTuple):
     """Pure strategy: stop the first time the path enters ``stop_set``.

@@ -33,7 +33,6 @@ from .trees import (
     NEVER,
     NodeId,
     ScenarioTree,
-    Stage,
     StoppingRule,
     leaf_stop_times,
 )
@@ -200,17 +199,14 @@ def certify(
     epsilon: Fraction,
     *,
     best_responses: Sequence[Fraction] | None = None,
-    outcomes: list[tuple[Stage, Coalition, NodeId]] | None = None,
 ) -> NepCertificate:
     """Best-response analysis of a profile against the equilibrium bar.
 
     ``best_responses`` supplies each player's best-response value against
     this profile's other rules, as :func:`best_response_value` returns it;
-    when omitted they are computed here.  ``outcomes`` supplies the
-    profile's :func:`~dynkin.games.leaf_outcomes`, for a caller that
-    reports them too.
+    when omitted they are computed here.
     """
-    achieved = expected_payoffs(spec, profile, outcomes)
+    achieved = expected_payoffs(spec, profile)
     if best_responses is None:
         best = tuple(
             best_response_value(spec, profile, i) for i in spec.players

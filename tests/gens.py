@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import sys
 from fractions import Fraction
 from random import Random
 
 import hypothesis.strategies as st
 
-from dynkin.documents import SCHEMA_VERSION, format_rational
-from dynkin.games import GameSpec, all_coalitions
+from dynkin.documents import SCHEMA_VERSION, document_text, parse_game
+from dynkin.fixtures import example_document
+from dynkin.games import GameSpec, StrategyProfile, all_coalitions
 from dynkin.randomgen import random_dyadic
 from dynkin.trees import AdaptedProcess, Node, ScenarioTree, StoppingRule, canonicalize_rule
+from dynkin.verify import find_all_eps_neps
 from trees_reference import children_table
 
 
@@ -72,7 +75,7 @@ def serialize_game(spec: GameSpec) -> dict:
                     "id": n.id,
                     "time": n.time,
                     "parent": n.parent,
-                    "prob": format_rational(n.branch_prob),
+                    "prob": str(n.branch_prob),
                 }
                 for n in sorted(spec.tree.nodes, key=lambda n: n.id)
             ]
@@ -82,7 +85,7 @@ def serialize_game(spec: GameSpec) -> dict:
                 "player": player,
                 "coalition": list(coalition.players),
                 "values": {
-                    str(node_id): format_rational(value)
+                    str(node_id): str(value)
                     for node_id, value in sorted(process.values.items())
                 },
             }
@@ -319,3 +322,21 @@ def random_tree(rng: Random, max_nodes: int = 12, max_depth: int = 3) -> Scenari
                 next_id += 1
         frontier = new_frontier
     return ScenarioTree(tuple(nodes))
+
+
+@functools.cache
+def enumerated_cases() -> tuple[tuple[GameSpec, StrategyProfile], ...]:
+    """(game, profile) for every profile ``enumerate`` finds on the built-in
+    examples at epsilon 0 and 1/4, as found and capped at the horizon.
+
+    Found profiles may leave leaves never stopped, and on counterexample-b
+    some stop players jointly.  counterexample-a has no equilibrium to find
+    and paper-5-3 admits more rules than enumerate's cap.
+    """
+    cases = []
+    for name in ("counterexample-a", "counterexample-b", "paper-5-1"):
+        game = parse_game(document_text(example_document(name)), enforce_assumption_a=False)
+        for epsilon in (Fraction(0), Fraction(1, 4)):
+            for profile, _ in find_all_eps_neps(game, epsilon):
+                cases += [(game, profile), (game, profile.capped(game.tree))]
+    return tuple(cases)

@@ -8,7 +8,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynkin import cli, documents, games, scheme, verify
@@ -28,7 +28,7 @@ from dynkin.trees import NEVER
 from dynkin.verify import certify
 from fractions import Fraction
 from games_reference import realized_outcome
-from gens import draw_rules, int_digit_limit, late_stop_game, serialize_game
+from gens import draw_rules, enumerated_cases, int_digit_limit, late_stop_game, serialize_game
 
 
 def run_cli(capsys, *argv):
@@ -105,6 +105,23 @@ def test_solve_rejects_hypothesis_violations(capsys):
     )
     assert code == 2
     assert "joint-stop" in err
+
+
+def test_solve_rejects_coalition_members_that_are_not_integers(capsys, tmp_path):
+    # True == 1.0 == 1 would load as player 1, 1.5 would fail as a missing
+    # payoff for coalition (1,), and the others with a Python type error
+    doc = example_document("paper-5-1")
+    k = next(k for k, entry in enumerate(doc["payoffs"]) if entry["coalition"] == [1])
+    path = tmp_path / "game.json"
+    for member in (True, 1.0, 1.5, "1", None, [1]):
+        doc["payoffs"][k]["coalition"] = [member]
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "solve", "--game", str(path), "--epsilon", "0")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: document.payoffs[{k}].coalition: expected player indices, "
+            f"got {member!r}\n"
+        )
 
 
 def test_solve_non_convergence_exit(capsys):
@@ -375,30 +392,36 @@ def test_many_players_with_default_payoff_fail_before_expanding(
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_realized_rows_equal_realized_outcome_leaf_by_leaf(data):
-    num_players = data.draw(st.integers(2, 3), label="players")
-    horizon = data.draw(st.integers(1, 3), label="horizon")
-    game = random_game(Random(data.draw(st.integers(0, 2**32 - 1))), num_players, horizon)
-    profile = StrategyProfile(draw_rules(data, game.tree, num_players))
-    rows = _realized_json(game, games.leaf_outcomes(game, profile))
-    assert len(rows) == len(game.tree.leaves)
-    for row, leaf in zip(rows, game.tree.leaves):
-        stage, coalition = realized_outcome(game, profile, leaf.id)
-        assert row == {
-            "leaf": leaf.id,
-            "stage": None if stage == NEVER else stage,
-            "coalition": list(coalition.players),
-        }
+@given(data=st.data(), enumerated=st.just(False))
+@example(data=None, enumerated=True)
+def test_realized_rows_equal_realized_outcome_leaf_by_leaf(data, enumerated):
+    if enumerated:
+        cases = enumerated_cases()
+    else:
+        num_players = data.draw(st.integers(2, 3), label="players")
+        horizon = data.draw(st.integers(1, 3), label="horizon")
+        game = random_game(Random(data.draw(st.integers(0, 2**32 - 1))), num_players, horizon)
+        cases = [(game, StrategyProfile(draw_rules(data, game.tree, num_players)))]
+
+    for game, profile in cases:
+        rows = _realized_json(game, games.leaf_outcomes(game, profile))
+        assert len(rows) == len(game.tree.leaves)
+        for row, leaf in zip(rows, game.tree.leaves):
+            stage, coalition = realized_outcome(game, profile, leaf.id)
+            assert row == {
+                "leaf": leaf.id,
+                "stage": None if stage == NEVER else stage,
+                "coalition": list(coalition.players),
+            }
 
 
 def test_solve_computes_expected_payoffs_once(monkeypatch, capsys, deterministic_game):
     real = games.expected_payoffs
     calls = []
 
-    def counting(spec, profile, outcomes=None):
+    def counting(spec, profile):
         calls.append(profile)
-        return real(spec, profile, outcomes)
+        return real(spec, profile)
 
     for module in (cli, games, verify):
         if getattr(module, "expected_payoffs", None) is real:
@@ -412,8 +435,10 @@ def test_solve_computes_expected_payoffs_once(monkeypatch, capsys, deterministic
 
 
 def test_solve_runs_each_whole_tree_pass_once(monkeypatch, capsys):
-    # one validation, one leaf_outcomes and one deviation vector per player
-    calls = {"validate_game": [], "leaf_outcomes": [], "_deviation_vector": []}
+    # one validation, one leaf_outcomes, two passes over the nodes where the
+    # game ends (the report's rows and certify's payoffs) and one deviation
+    # vector per player
+    calls = {"validate_game": [], "leaf_outcomes": [], "_ends": [], "_deviation_vector": []}
 
     def counting(name, real):
         def wrapper(*args, **kwargs):
@@ -422,7 +447,7 @@ def test_solve_runs_each_whole_tree_pass_once(monkeypatch, capsys):
 
         return wrapper
 
-    for name, owner in [("validate_game", games), ("leaf_outcomes", games)]:
+    for name, owner in [("validate_game", games), ("leaf_outcomes", games), ("_ends", games)]:
         real = getattr(owner, name)
         for module in (cli, documents, games, scheme, verify):
             if getattr(module, name, None) is real:
@@ -434,6 +459,7 @@ def test_solve_runs_each_whole_tree_pass_once(monkeypatch, capsys):
     assert code == 0
     assert len(calls["validate_game"]) == 1
     assert len(calls["leaf_outcomes"]) == 1
+    assert len(calls["_ends"]) == 2
     assert sorted(args[2] for args in calls["_deviation_vector"]) == [1, 2, 3]
 
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynkin.games import (
@@ -11,6 +11,7 @@ from dynkin.games import (
     StrategyProfile,
     all_coalitions,
     expected_payoffs,
+    leaf_outcomes,
     validate_game,
 )
 from dynkin.randomgen import random_game
@@ -24,7 +25,7 @@ from dynkin.trees import (
     stop_everywhere_at,
 )
 from games_reference import realized_outcome, walk_payoff
-from gens import draw_rules, single_path_tree
+from gens import draw_rules, enumerated_cases, single_path_tree
 from trees_reference import (
     RootWalks,
     children_table,
@@ -268,34 +269,42 @@ def with_odd_denominators(game, rng):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_expected_payoffs_equal_the_realized_outcome_sum(data):
-    num_players = data.draw(st.integers(2, 3), label="players")
-    horizon = data.draw(st.integers(1, 3), label="horizon")
-    rng = Random(data.draw(st.integers(0, 2**32 - 1)))
-    game = random_game(rng, num_players, horizon)
-    if data.draw(st.booleans(), label="odd denominators"):
-        game = with_odd_denominators(game, rng)
-    tree = game.tree
-    profile = StrategyProfile(draw_rules(data, tree, num_players))
+@given(data=st.data(), enumerated=st.just(False))
+@example(data=None, enumerated=True)
+def test_expected_payoffs_equal_the_realized_outcome_sum(data, enumerated):
+    if enumerated:
+        cases = enumerated_cases()
+    else:
+        num_players = data.draw(st.integers(2, 3), label="players")
+        horizon = data.draw(st.integers(1, 3), label="horizon")
+        rng = Random(data.draw(st.integers(0, 2**32 - 1)))
+        game = random_game(rng, num_players, horizon)
+        if data.draw(st.booleans(), label="odd denominators"):
+            game = with_odd_denominators(game, rng)
+        cases = [(game, StrategyProfile(draw_rules(data, game.tree, num_players)))]
 
-    reference = [Fraction(0)] * num_players
-    for leaf in tree.leaves:
-        stage, coalition = realized_outcome(game, profile, leaf.id)
-        node_id = leaf.id if stage == NEVER else path_to(tree, leaf.id)[int(stage)].id
-        for i in game.players:
-            value = game.payoff(i, coalition).values[node_id]
-            reference[i - 1] += path_probability(tree, leaf.id) * value
-    assert expected_payoffs(game, profile) == tuple(reference)
-    # criterion 7's oracle, one walk per rule and leaf, sums the same
-    walks = RootWalks(tree)
-    assert tuple(walk_payoff(game, profile, i, walks) for i in game.players) == tuple(reference)
+    for game, profile in cases:
+        tree = game.tree
+        reference = [Fraction(0)] * game.num_players
+        for leaf in tree.leaves:
+            stage, coalition = realized_outcome(game, profile, leaf.id)
+            node_id = leaf.id if stage == NEVER else path_to(tree, leaf.id)[int(stage)].id
+            for i in game.players:
+                value = game.payoff(i, coalition).values[node_id]
+                reference[i - 1] += path_probability(tree, leaf.id) * value
+        assert expected_payoffs(game, profile) == tuple(reference)
+        # criterion 7's oracle, one walk per rule and leaf, sums the same
+        walks = RootWalks(tree)
+        assert tuple(walk_payoff(game, profile, i, walks) for i in game.players) == tuple(
+            reference
+        )
 
 
 def test_expected_payoffs_reject_rules_naming_unknown_nodes(deterministic_game):
     profile = StrategyProfile((NEVER_RULE, StoppingRule(frozenset({99})), NEVER_RULE))
-    with pytest.raises(ValueError, match=r"rule references nodes not in tree: \[99\]"):
-        expected_payoffs(deterministic_game, profile)
+    for priced in (expected_payoffs, leaf_outcomes):
+        with pytest.raises(ValueError, match=r"^rule references nodes not in tree: \[99\]$"):
+            priced(deterministic_game, profile)
 
 
 @pytest.mark.parametrize("num_players,horizon", [(2, 6), (3, 4)])

@@ -381,8 +381,8 @@ def test_find_all_raises_when_a_found_profile_fails_its_certificate(
 ):
     # payoffs one lower than the integer tables price them: every profile
     # found has gains of 1 in its certificate
-    def lowered_payoffs(spec, profile, outcomes=None):
-        return tuple(v - 1 for v in expected_payoffs(spec, profile, outcomes))
+    def lowered_payoffs(spec, profile):
+        return tuple(v - 1 for v in expected_payoffs(spec, profile))
 
     monkeypatch.setattr(verify, "expected_payoffs", lowered_payoffs)
     with pytest.raises(CertificationError, match="fails its certificate"):
