@@ -17,7 +17,7 @@ from dynkin.verify import certify, check_trace_invariants
 def describe(spec, result):
     per_leaf = {}
     for stage, coalition in leaf_outcomes(spec, result.capped):
-        key = (None if stage == NEVER else int(stage), coalition.players)
+        key = (None if stage == NEVER else int(stage), coalition)
         per_leaf[key] = per_leaf.get(key, 0) + 1
     return per_leaf
 

@@ -1,7 +1,6 @@
 """Exact solver for N-player nonzero-sum stopping games on scenario trees."""
 
 from .games import (
-    Coalition,
     GameSpec,
     StrategyProfile,
     all_coalitions,
@@ -19,7 +18,6 @@ from .scheme import (
 from .trees import (
     NEVER,
     NEVER_RULE,
-    AdaptedProcess,
     Node,
     ScenarioTree,
     StoppingRule,
@@ -40,9 +38,7 @@ from .verify import (
 )
 
 __all__ = [
-    "AdaptedProcess",
     "CapExceededError",
-    "Coalition",
     "ConvergenceError",
     "EquilibriumProfile",
     "GameSpec",

@@ -100,7 +100,7 @@ def _realized_json(spec: GameSpec, outcomes: list) -> list[dict]:
         {
             "leaf": leaf.id,
             "stage": None if stage == NEVER else int(stage),
-            "coalition": list(coalition.players),
+            "coalition": list(coalition),
         }
         for leaf, (stage, coalition) in zip(spec.tree.leaves, outcomes)
     ]

@@ -12,8 +12,8 @@ import re
 from fractions import Fraction
 from typing import Any
 
-from .games import Coalition, GameSpec, StrategyProfile, all_coalitions, validate_game
-from .trees import AdaptedProcess, Node, ScenarioTree, canonicalize_rule
+from .games import GameSpec, StrategyProfile, all_coalitions, validate_game
+from .trees import Node, NodeId, ScenarioTree, canonicalize_rule
 
 SCHEMA_VERSION = "1"
 
@@ -175,7 +175,7 @@ def parse_game(text: str, enforce_assumption_a: bool = True) -> GameSpec:
     )
     ids = {str(node.id): node.id for node in tree.nodes}
 
-    payoffs: dict[tuple[int, Coalition], AdaptedProcess] = {}
+    payoffs: dict[tuple[int, tuple[int, ...]], dict[NodeId, Fraction]] = {}
     raw_payoffs = _require(doc, "payoffs", list, "document")
     for k, raw in enumerate(raw_payoffs):
         here = f"document.payoffs[{k}]"
@@ -188,11 +188,17 @@ def parse_game(text: str, enforce_assumption_a: bool = True) -> GameSpec:
         for member in raw_coalition:
             if type(member) is not int:  # True == 1.0 == 1 would load as player 1
                 raise DocumentError(f"{here}.coalition: expected player indices, got {member!r}")
-        try:
-            coalition = Coalition.of(raw_coalition)
-        except ValueError as exc:
-            raise DocumentError(f"{here}.coalition: {exc}") from None
-        if any(p > players for p in coalition):
+        coalition = tuple(sorted(raw_coalition))
+        if not coalition:
+            raise DocumentError(f"{here}.coalition: coalition must be non-empty")
+        for p, q in zip(coalition, coalition[1:]):
+            if p == q:
+                raise DocumentError(f"{here}.coalition: player {p} is listed twice")
+        if coalition[0] < 1:
+            raise DocumentError(
+                f"{here}.coalition: player indices must be >= 1, got {coalition}"
+            )
+        if coalition[-1] > players:
             raise DocumentError(
                 f"{here}.coalition: members {list(coalition)} outside 1..{players}"
             )
@@ -202,7 +208,7 @@ def parse_game(text: str, enforce_assumption_a: bool = True) -> GameSpec:
                 f"coalition {list(coalition)}"
             )
         values = _parse_values(raw.get("values"), ids, f"{here}.values", rationals)
-        payoffs[(player, coalition)] = AdaptedProcess(values)
+        payoffs[(player, coalition)] = values
 
     # listing every missing pair, as validation does, costs 2^N time and text
     if (
@@ -233,7 +239,7 @@ def parse_game(text: str, enforce_assumption_a: bool = True) -> GameSpec:
         for i in range(1, players + 1):
             for coalition in all_coalitions(players):
                 if (i, coalition) not in payoffs:
-                    payoffs[(i, coalition)] = AdaptedProcess(dict(default_values))
+                    payoffs[(i, coalition)] = dict(default_values)
 
     spec = GameSpec(num_players=players, horizon=horizon, tree=tree, payoffs=payoffs)
     violations = validate_game(spec, enforce_assumption_a=enforce_assumption_a)

@@ -29,7 +29,7 @@ def _doc(players: int, horizon: int, nodes: list[dict], payoffs: list[dict]) -> 
 def _payoff_entry(player: int, coalition, values: dict[int, Fraction]) -> dict:
     return {
         "player": player,
-        "coalition": list(coalition.players),
+        "coalition": list(coalition),
         "values": {str(k): str(v) for k, v in sorted(values.items())},
     }
 
@@ -63,7 +63,7 @@ def three_player_deterministic() -> dict:
         for coalition in all_coalitions(3):
             values = {
                 0: Fraction(1, 8),
-                1: Fraction(table[player][coalition.players]),
+                1: Fraction(table[player][coalition]),
                 2: Fraction(0),
             }
             payoffs.append(_payoff_entry(player, coalition, values))
@@ -137,7 +137,7 @@ def two_player_walk() -> dict:
     payoffs = []
     for player, base, terminal in ((1, base1, terminal1), (2, base2, terminal2)):
         for coalition in all_coalitions(2):
-            bump = coalition_bumps[(player, coalition.players)]
+            bump = coalition_bumps[(player, coalition)]
             payoffs.append(
                 _payoff_entry(player, coalition, process(base, bump, terminal))
             )
@@ -156,7 +156,7 @@ def timing_matching_pennies() -> dict:
         for coalition in all_coalitions(2):
             terminal = Fraction(table[(1, 2)])
             values = {
-                t: (terminal if t == 3 else Fraction(table[coalition.players]))
+                t: (terminal if t == 3 else Fraction(table[coalition]))
                 for t in range(4)
             }
             payoffs.append(_payoff_entry(player, coalition, values))
@@ -171,7 +171,7 @@ def one_sided_timing() -> dict:
     payoffs = []
     for coalition in all_coalitions(2):
         values1 = {
-            t: Fraction(1 if (coalition.players == (1, 2) or t == 3) else 0)
+            t: Fraction(1 if (coalition == (1, 2) or t == 3) else 0)
             for t in range(4)
         }
         payoffs.append(_payoff_entry(1, coalition, values1))

@@ -17,12 +17,10 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import total_ordering
-from typing import Iterable, Iterator, NamedTuple
+from typing import NamedTuple
 
 from .trees import (
     NEVER,
-    AdaptedProcess,
     NodeId,
     ScenarioTree,
     Stage,
@@ -34,87 +32,36 @@ from .trees import (
 )
 
 
-@total_ordering
-class Coalition:
-    """Non-empty sorted set of player indices.
-
-    Immutable, hashable and ordered by ``players``.  A plain class, not a
-    ``NamedTuple``: its own iteration, length and membership are over the
-    players, and it never equals a plain tuple.
-    """
-
-    __slots__ = ("players",)
-
-    def __init__(self, players: tuple[int, ...]) -> None:
-        object.__setattr__(self, "players", players)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.players == other.players
-
-    def __lt__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.players < other.players
-
-    def __hash__(self) -> int:
-        return hash(self.players)
-
-    def __repr__(self) -> str:
-        return f"Coalition(players={self.players!r})"
-
-    @classmethod
-    def of(cls, players: Iterable[int]) -> "Coalition":
-        members = tuple(sorted(set(players)))
-        if not members:
-            raise ValueError("coalition must be non-empty")
-        if any(p < 1 for p in members):
-            raise ValueError(f"player indices must be >= 1, got {members}")
-        return cls(members)
-
-    @classmethod
-    def everyone(cls, num_players: int) -> "Coalition":
-        return cls.of(range(1, num_players + 1))
-
-    def with_member(self, player: int) -> "Coalition":
-        return Coalition.of(self.players + (player,))
-
-    def __contains__(self, player: int) -> bool:
-        return player in self.players
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.players)
-
-    def __len__(self) -> int:
-        return len(self.players)
-
-
-def all_coalitions(num_players: int) -> list[Coalition]:
-    """Every non-empty subset of {1..N}, canonically ordered."""
+def all_coalitions(num_players: int) -> list[tuple[int, ...]]:
+    """Every non-empty subset of {1..N} as a sorted tuple of its players,
+    in tuple order."""
     out = []
     for size in range(1, num_players + 1):
-        for combo in itertools.combinations(range(1, num_players + 1), size):
-            out.append(Coalition(combo))
+        out.extend(itertools.combinations(range(1, num_players + 1), size))
     return sorted(out)
 
 
 class GameSpec(NamedTuple):
-    """Players, horizon, tree and one payoff process per (player, coalition)."""
+    """Players, horizon, tree and one payoff process per (player, coalition).
+
+    A coalition is the sorted tuple of its players, e.g. ``(1, 3)``; a
+    payoff process is its exact value at every node, keyed by node id.
+    """
 
     num_players: int
     horizon: int
     tree: ScenarioTree
-    payoffs: dict[tuple[int, Coalition], AdaptedProcess]
+    payoffs: dict[tuple[int, tuple[int, ...]], dict[NodeId, Fraction]]
 
-    def payoff(self, player: int, coalition: Coalition) -> AdaptedProcess:
+    def payoff(
+        self, player: int, coalition: tuple[int, ...]
+    ) -> dict[NodeId, Fraction]:
         try:
             return self.payoffs[(player, coalition)]
         except KeyError:
-            raise KeyError(f"no payoff process for player {player}, coalition {coalition.players}") from None
+            raise KeyError(
+                f"no payoff process for player {player}, coalition {coalition}"
+            ) from None
 
     @property
     def players(self) -> range:
@@ -166,15 +113,15 @@ def validate_game(spec: GameSpec, enforce_assumption_a: bool = True) -> list[str
             process = spec.payoffs.get((i, coalition))
             if process is None:
                 violations.append(
-                    f"payoffs not total: missing (player {i}, coalition {coalition.players})"
+                    f"payoffs not total: missing (player {i}, coalition {coalition})"
                 )
                 continue
-            if process.values.keys() >= index.position.keys():
+            if process.keys() >= index.position.keys():
                 continue
             for node in spec.tree.nodes:
-                if node.id not in process.values:
+                if node.id not in process:
                     violations.append(
-                        f"payoff (player {i}, coalition {coalition.players}): "
+                        f"payoff (player {i}, coalition {coalition}): "
                         f"no value at node {node.id}"
                     )
     if violations:
@@ -182,12 +129,12 @@ def validate_game(spec: GameSpec, enforce_assumption_a: bool = True) -> list[str
 
     # a parse shares one Fraction between equal strings, so most pairs
     # compared below are one object; the others are compared exactly
-    everyone = Coalition.everyone(spec.num_players)
+    everyone = tuple(spec.players)
     by_player = [
         (
             i,
-            spec.payoff(i, everyone).values,
-            [(c, spec.payoff(i, c).values) for c in coalitions if c != everyone],
+            spec.payoff(i, everyone),
+            [(c, spec.payoff(i, c)) for c in coalitions if c != everyone],
         )
         for i in spec.players
     ]
@@ -199,7 +146,7 @@ def validate_game(spec: GameSpec, enforce_assumption_a: bool = True) -> list[str
                 if value is not terminal and value != terminal:
                     violations.append(
                         f"terminal coincidence: player {i}, coalition "
-                        f"{coalition.players} at leaf {leaf.id} is "
+                        f"{coalition} at leaf {leaf.id} is "
                         f"{value}, expected {terminal}"
                     )
 
@@ -208,8 +155,8 @@ def validate_game(spec: GameSpec, enforce_assumption_a: bool = True) -> list[str
             (
                 i,
                 j,
-                spec.payoff(i, Coalition.of((i, j))).values,
-                spec.payoff(i, Coalition.of((j,))).values,
+                spec.payoff(i, (min(i, j), max(i, j))),
+                spec.payoff(i, (j,)),
             )
             for i in spec.players
             for j in spec.players
@@ -230,7 +177,9 @@ def validate_game(spec: GameSpec, enforce_assumption_a: bool = True) -> list[str
     return violations
 
 
-def _ends(spec: GameSpec, profile: StrategyProfile) -> dict[NodeId, tuple[Stage, Coalition]]:
+def _ends(
+    spec: GameSpec, profile: StrategyProfile
+) -> dict[NodeId, tuple[Stage, tuple[int, ...]]]:
     """Termination stage and stopping coalition at each node where the game
     ends: the termination rule capped at the horizon, an antichain that
     covers every leaf once.
@@ -244,18 +193,20 @@ def _ends(spec: GameSpec, profile: StrategyProfile) -> dict[NodeId, tuple[Stage,
     tree = spec.tree
     nodes, position = tree.index.nodes, tree.index.position
     ends = min_of_rules(tree, [*profile.rules, stop_everywhere_at(tree, tree.horizon)])
-    never = (NEVER, Coalition.everyone(spec.num_players))
+    never = (NEVER, tuple(spec.players))
     stop_sets = [rule.stop_set for rule in profile.rules]
     outcomes = {}
     for node_id in ends.stop_set:
         members = tuple(i for i, stops in enumerate(stop_sets, start=1) if node_id in stops)
         outcomes[node_id] = (
-            (nodes[position[node_id]].time, Coalition(members)) if members else never
+            (nodes[position[node_id]].time, members) if members else never
         )
     return outcomes
 
 
-def leaf_outcomes(spec: GameSpec, profile: StrategyProfile) -> list[tuple[Stage, Coalition]]:
+def leaf_outcomes(
+    spec: GameSpec, profile: StrategyProfile
+) -> list[tuple[Stage, tuple[int, ...]]]:
     """Termination stage and stopping coalition on every leaf, in
     ``tree.leaves`` order: those of the node where the game ends on the
     leaf's path."""
@@ -284,10 +235,10 @@ def expected_payoffs(spec: GameSpec, profile: StrategyProfile) -> tuple[Fraction
     tables: dict[tuple[int, ...], list[dict[NodeId, Fraction]]] = {}
     for node_id, (_, coalition) in _ends(spec, profile).items():
         weights.append(weight[position[node_id]])
-        by_player = tables.get(coalition.players)
+        by_player = tables.get(coalition)
         if by_player is None:
-            by_player = tables[coalition.players] = [
-                spec.payoff(i, coalition).values for i in spec.players
+            by_player = tables[coalition] = [
+                spec.payoff(i, coalition) for i in spec.players
             ]
         for values, table in zip(read, by_player):
             values.append(table[node_id])

@@ -9,8 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
-from .games import Coalition, GameSpec, all_coalitions
-from .trees import AdaptedProcess, Node, ScenarioTree
+from .games import GameSpec, all_coalitions
+from .trees import Node, ScenarioTree
 
 
 def random_dyadic(rng: Random, lo: int = -2, hi: int = 2) -> Fraction:
@@ -47,8 +47,7 @@ def random_game(
     the corresponding solo-stop values X(i, {j}) at pre-terminal nodes.
     """
     tree = random_binary_tree(rng, horizon)
-    payoffs: dict[tuple[int, Coalition], AdaptedProcess] = {}
-    raw: dict[tuple[int, Coalition], dict[int, Fraction]] = {}
+    payoffs: dict[tuple[int, tuple[int, ...]], dict[int, Fraction]] = {}
     coalitions = all_coalitions(num_players)
     for i in range(1, num_players + 1):
         terminal = {
@@ -61,20 +60,15 @@ def random_game(
                     values[node.id] = terminal[node.id]
                 else:
                     values[node.id] = random_dyadic(rng, lo, hi)
-            raw[(i, coalition)] = values
+            payoffs[(i, coalition)] = values
     for i in range(1, num_players + 1):
         for j in range(1, num_players + 1):
             if i == j:
                 continue
-            pair = Coalition.of((i, j))
-            solo_j = Coalition.of((j,))
+            joint, alone = payoffs[(i, (min(i, j), max(i, j)))], payoffs[(i, (j,))]
             for node in tree.nodes:
                 if node.time < horizon:
-                    raw[(i, pair)][node.id] = min(
-                        raw[(i, pair)][node.id], raw[(i, solo_j)][node.id]
-                    )
-    for key, values in raw.items():
-        payoffs[key] = AdaptedProcess(values)
+                    joint[node.id] = min(joint[node.id], alone[node.id])
     return GameSpec(
         num_players=num_players, horizon=horizon, tree=tree, payoffs=payoffs
     )

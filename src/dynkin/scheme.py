@@ -36,7 +36,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .games import Coalition, GameSpec, StrategyProfile, validate_game
+from .games import GameSpec, StrategyProfile, validate_game
 from .snell import ScaledProcess, integer_snell
 from .trees import (
     NEVER_RULE,
@@ -64,7 +64,7 @@ class SchemeConfig(NamedTuple):
     max_rounds: int | None = None
 
     def order_for(self, num_players: int) -> tuple[int, ...]:
-        order = self.order or tuple(range(1, num_players + 1))
+        order = tuple(range(1, num_players + 1)) if self.order is None else self.order
         if sorted(order) != list(range(1, num_players + 1)):
             raise ValueError(f"order {order} is not a permutation of 1..{num_players}")
         return order
@@ -76,7 +76,7 @@ class SchemeStep(NamedTuple):
     n: int
     player: int
     theta: StoppingRule
-    coalition_at_theta: dict[NodeId, Coalition]
+    coalition_at_theta: dict[NodeId, tuple[int, ...]]
     stage_reward: ScaledProcess
     envelope: ScaledProcess
     mu: StoppingRule
@@ -130,18 +130,13 @@ def initial_state(spec: GameSpec, at_horizon: bool = False) -> SchemeState:
 
 def _stop_coalitions(
     theta: StoppingRule, others: Mapping[int, StoppingRule]
-) -> dict[NodeId, Coalition]:
-    """The coalition of the other players stopping at each theta node; the
-    nodes one coalition stops at share one ``Coalition``."""
-    coalition_at: dict[NodeId, Coalition] = {}
-    coalitions: dict[tuple[int, ...], Coalition] = {}
-    for node_id in theta.stop_set:
-        members = tuple(j for j, rule in others.items() if node_id in rule.stop_set)
-        coalition = coalitions.get(members)
-        if coalition is None:
-            coalition = coalitions[members] = Coalition.of(members)
-        coalition_at[node_id] = coalition
-    return coalition_at
+) -> dict[NodeId, tuple[int, ...]]:
+    """The coalition of the other players stopping at each theta node;
+    ``others`` lists them in increasing order."""
+    return {
+        node_id: tuple(j for j, rule in others.items() if node_id in rule.stop_set)
+        for node_id in theta.stop_set
+    }
 
 
 def _scaled_solo(
@@ -150,7 +145,7 @@ def _scaled_solo(
     """The player's solo payoff as ``X(v) * D * index.scale[t]`` by index
     position, with ``D`` the lcm of epsilon's and the values' denominators."""
     index = spec.tree.index
-    values = spec.payoff(player, Coalition.of((player,))).values
+    values = spec.payoff(player, (player,))
     solo = [values[node.id] for node in index.nodes]
     d = math.lcm(epsilon.denominator, *[x.denominator for x in solo])
     start = index.stage_start
@@ -165,7 +160,7 @@ def _scaled_solo(
 def _stage_reward(
     spec: GameSpec,
     player: int,
-    coalition_at: Mapping[NodeId, Coalition],
+    coalition_at: Mapping[NodeId, tuple[int, ...]],
     solo: tuple[list[int], int],
 ) -> ScaledProcess:
     """U^n on ``int``: a copy of the scaled solo payoff with every theta
@@ -179,14 +174,14 @@ def _stage_reward(
     index = spec.tree.index
     scaled, d = solo
     frozen: dict[int, tuple[Fraction, int]] = {}  # position: (value, stage scale)
-    tables: dict[Coalition, tuple[dict, dict]] = {}  # coalition: (join, stay)
+    tables: dict[tuple[int, ...], tuple[dict, dict]] = {}  # coalition: (join, stay)
     raised = d
     for node_id, coalition in coalition_at.items():
         table = tables.get(coalition)
         if table is None:
             table = tables[coalition] = (
-                spec.payoff(player, coalition.with_member(player)).values,
-                spec.payoff(player, coalition).values,
+                spec.payoff(player, tuple(sorted((*coalition, player)))),
+                spec.payoff(player, coalition),
             )
         value = max(table[0][node_id], table[1][node_id])
         pos = index.position[node_id]
@@ -380,7 +375,7 @@ def trace_as_json(trace: Sequence[SchemeStep]) -> list[dict]:
                 "player": step.player,
                 "theta_stops": sorted(step.theta.stop_set),
                 "coalitions": {
-                    str(node_id): list(coalition.players)
+                    str(node_id): list(coalition)
                     for node_id, coalition in sorted(step.coalition_at_theta.items())
                 },
                 "mu_stops": sorted(step.mu.stop_set),

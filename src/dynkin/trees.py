@@ -3,8 +3,9 @@
 A scenario tree carries the whole probabilistic setup: outcomes are
 root-to-leaf paths, the stage-t information is "which time-t node the path
 goes through", and one-step transition probabilities live on the edges.
-Adapted processes attach one rational value per node; stopping rules are
-antichains of nodes ("stop the first time the path hits the set").
+An adapted process is a plain dict of one rational value per node id;
+stopping rules are antichains of nodes ("stop the first time the path hits
+the set").
 
 All probabilities and values are exact ``fractions.Fraction``; nothing in
 this package ever rounds.
@@ -314,14 +315,6 @@ def validate_tree(tree: ScenarioTree) -> list[str]:
                     f"node {leaf.id}: leaf at time {leaf.time}, expected uniform depth {horizon}"
                 )
     return violations
-
-
-class AdaptedProcess(NamedTuple):
-    """One exact value per node.  Adaptedness is structural: a value hangs
-    on a node, hence depends only on the information revealed by that node.
-    """
-
-    values: dict[NodeId, Fraction]
 
 
 class StoppingRule(NamedTuple):

@@ -22,12 +22,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .games import (
-    Coalition,
-    GameSpec,
-    StrategyProfile,
-    expected_payoffs,
-)
+from .games import GameSpec, StrategyProfile, expected_payoffs
 from .scheme import EquilibriumProfile, SchemeStep
 from .trees import (
     NEVER,
@@ -120,17 +115,23 @@ def _deviation_vector(
     deviation rule reproduce the game payoff of the deviated profile, so
     its optimal stopping value is the exact best-response value; the
     join-versus-stay comparison is left to the envelope recursion.
+    Raises ValueError if the others' rules name nodes the tree does not
+    have.
     """
     index = spec.tree.index
     nodes, children = index.nodes, index.children
     position = index.position
+    others = [j for j in spec.players if j != player]
     stoppers: dict[int, list[int]] = {}  # position: the others stopping there
-    for j in spec.players:
-        if j != player:
+    try:
+        for j in others:
             for node_id in profile.rule_for(j).stop_set:
-                if node_id in position:
-                    stoppers.setdefault(position[node_id], []).append(j)
-    solo = spec.payoff(player, Coalition.of((player,))).values
+                stoppers.setdefault(position[node_id], []).append(j)
+    except KeyError:
+        named = set().union(*[profile.rule_for(j).stop_set for j in others])
+        missing = sorted(named - position.keys())
+        raise ValueError(f"rule references nodes not in tree: {missing}") from None
+    solo = spec.payoff(player, (player,))
     rewards = [solo[node.id] for node in nodes]
     # each coalition's value dicts, looked up once: (it stops alone, joined)
     tables: dict[tuple[int, ...], tuple[dict, dict]] = {}
@@ -141,10 +142,9 @@ def _deviation_vector(
         members = tuple(stoppers[pos])
         table = tables.get(members)
         if table is None:
-            coalition = Coalition.of(members)
             table = tables[members] = (
-                spec.payoff(player, coalition).values,
-                spec.payoff(player, coalition.with_member(player)).values,
+                spec.payoff(player, members),
+                spec.payoff(player, tuple(sorted((*members, player)))),
             )
         node_id = nodes[pos].id
         rewards[pos] = table[1][node_id]

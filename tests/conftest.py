@@ -1,7 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from dynkin.documents import document_text, parse_game
 from dynkin.fixtures import example_document
+
+# a failing example prints a @reproduce_failure blob that replays it; every
+# other setting stays at its default
+settings.register_profile("dynkin", print_blob=True)
+settings.load_profile("dynkin")
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from dynkin.games import Coalition, GameSpec, StrategyProfile
+from dynkin.games import GameSpec, StrategyProfile
 from dynkin.trees import NEVER, NodeId, Stage, StoppingRule
 from trees_reference import RootWalks, stop_time
 
@@ -29,7 +29,7 @@ def with_rule(
 
 def realized_outcome(
     spec: GameSpec, profile: StrategyProfile, leaf_id: NodeId
-) -> tuple[Stage, Coalition]:
+) -> tuple[Stage, tuple[int, ...]]:
     """Termination stage and stopping coalition on one path.
 
     The stage is the minimum of the players' stop times; the coalition is
@@ -39,8 +39,8 @@ def realized_outcome(
     times = {i: stop_time(spec.tree, profile.rule_for(i), leaf_id) for i in spec.players}
     stage = min(times.values())
     if stage == NEVER:
-        return NEVER, Coalition.everyone(spec.num_players)
-    return stage, Coalition.of(i for i, t in times.items() if t == stage)
+        return NEVER, tuple(range(1, spec.num_players + 1))
+    return stage, tuple(sorted(i for i, t in times.items() if t == stage))
 
 
 def walk_payoff(
@@ -49,7 +49,7 @@ def walk_payoff(
     """The player's expected payoff under the profile, leaf by leaf from
     ``walks`` (the game tree's :class:`RootWalks`, which keeps each rule's
     first stops for the next call)."""
-    everyone = spec.payoff(player, Coalition.everyone(spec.num_players)).values
+    everyone = spec.payoff(player, tuple(range(1, spec.num_players + 1)))
     tables: dict[tuple[int, ...], dict[NodeId, Fraction]] = {}  # by coalition
     rows = zip(*[walks.stop_nodes(rule) for rule in profile.rules])
     total = Fraction(0)
@@ -62,6 +62,6 @@ def walk_payoff(
         members = tuple(i for i, t in enumerate(times, start=1) if t == stage)
         values = tables.get(members)
         if values is None:
-            values = tables[members] = spec.payoff(player, Coalition.of(members)).values
+            values = tables[members] = spec.payoff(player, members)
         total += prob * values[path[int(stage)].id]
     return total

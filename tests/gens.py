@@ -14,7 +14,7 @@ from dynkin.documents import SCHEMA_VERSION, document_text, parse_game
 from dynkin.fixtures import example_document
 from dynkin.games import GameSpec, StrategyProfile, all_coalitions
 from dynkin.randomgen import random_dyadic
-from dynkin.trees import AdaptedProcess, Node, ScenarioTree, StoppingRule, canonicalize_rule
+from dynkin.trees import Node, NodeId, ScenarioTree, StoppingRule, canonicalize_rule
 from dynkin.verify import find_all_eps_neps
 from trees_reference import children_table
 
@@ -42,9 +42,9 @@ def full_binary_tree(depth: int) -> ScenarioTree:
     return ScenarioTree(tuple(nodes))
 
 
-def path_process(tree: ScenarioTree, *values) -> AdaptedProcess:
+def path_process(tree: ScenarioTree, *values) -> dict[NodeId, Fraction]:
     """Process on a single-path tree given values by stage."""
-    return AdaptedProcess({t: Fraction(v) for t, v in enumerate(values)})
+    return {t: Fraction(v) for t, v in enumerate(values)}
 
 
 @contextlib.contextmanager
@@ -59,8 +59,10 @@ def int_digit_limit(limit: int):
         sys.set_int_max_str_digits(before)
 
 
-def random_process(rng: Random, tree: ScenarioTree, lo: int = -2, hi: int = 2) -> AdaptedProcess:
-    return AdaptedProcess({n.id: random_dyadic(rng, lo, hi) for n in tree.nodes})
+def random_process(
+    rng: Random, tree: ScenarioTree, lo: int = -2, hi: int = 2
+) -> dict[NodeId, Fraction]:
+    return {n.id: random_dyadic(rng, lo, hi) for n in tree.nodes}
 
 
 def serialize_game(spec: GameSpec) -> dict:
@@ -83,10 +85,10 @@ def serialize_game(spec: GameSpec) -> dict:
         "payoffs": [
             {
                 "player": player,
-                "coalition": list(coalition.players),
+                "coalition": list(coalition),
                 "values": {
                     str(node_id): str(value)
-                    for node_id, value in sorted(process.values.items())
+                    for node_id, value in sorted(process.items())
                 },
             }
             for (player, coalition), process in sorted(
@@ -141,7 +143,7 @@ def scenario_trees(
 def tree_with_process(draw, **tree_kwargs):
     tree = draw(scenario_trees(**tree_kwargs))
     values = {node.id: draw(rationals()) for node in tree.nodes}
-    return tree, AdaptedProcess(values)
+    return tree, values
 
 
 @st.composite
@@ -279,13 +281,13 @@ def late_stop_game(
             for node in nodes:
                 if node.time == horizon:
                     values[node.id] = alone[node.parent] - 1
-                elif coalition.players == (i,):
+                elif coalition == (i,):
                     values[node.id] = alone[node.id]
                 elif i in coalition:
                     values[node.id] = alone[node.id] - penalty[i] - Fraction(1, 4)
                 else:
                     values[node.id] = alone[node.id] - penalty[i]
-            payoffs[(i, coalition)] = AdaptedProcess(values)
+            payoffs[(i, coalition)] = values
     return GameSpec(num_players=num_players, horizon=horizon, tree=tree, payoffs=payoffs)
 
 

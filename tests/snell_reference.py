@@ -19,32 +19,34 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from dynkin.games import Coalition, GameSpec
+from dynkin.games import GameSpec
 from dynkin.scheme import SweepInvariantError
 from dynkin.snell import ScaledProcess
-from dynkin.trees import NEVER, AdaptedProcess, NodeId, ScenarioTree, StoppingRule
+from dynkin.trees import NEVER, NodeId, ScenarioTree, StoppingRule
 from trees_reference import children_table, first_stop, root_node, root_paths
 
 
-def snell_envelope(tree: ScenarioTree, reward: AdaptedProcess) -> AdaptedProcess:
+def snell_envelope(
+    tree: ScenarioTree, reward: dict[NodeId, Fraction]
+) -> dict[NodeId, Fraction]:
     """Backward recursion over stages, deepest first."""
     kids = children_table(tree)
     values: dict = {}
     for node in sorted(tree.nodes, key=lambda n: n.time, reverse=True):
         if not kids[node.id]:
-            values[node.id] = reward.values[node.id]
+            values[node.id] = reward[node.id]
         else:
             continuation = sum(
                 (k.branch_prob * values[k.id] for k in kids[node.id]), Fraction(0)
             )
-            values[node.id] = max(reward.values[node.id], continuation)
-    return AdaptedProcess(values)
+            values[node.id] = max(reward[node.id], continuation)
+    return values
 
 
 def eps_optimal_rule(
     tree: ScenarioTree,
-    reward: AdaptedProcess,
-    envelope: AdaptedProcess,
+    reward: dict[NodeId, Fraction],
+    envelope: dict[NodeId, Fraction],
     epsilon: Fraction,
 ) -> StoppingRule:
     """First-entry rule of the region ``envelope <= reward + epsilon``: the
@@ -59,7 +61,7 @@ def eps_optimal_rule(
         frozenset(
             node.id
             for node in tree.nodes
-            if envelope.values[node.id] <= reward.values[node.id] + epsilon
+            if envelope[node.id] <= reward[node.id] + epsilon
         )
     )
     paths = root_paths(tree)
@@ -72,7 +74,7 @@ def eps_optimal_rule(
 class SnellResult:
     """Envelope, threshold rule and optimal value of one stopping problem."""
 
-    envelope: AdaptedProcess
+    envelope: dict[NodeId, Fraction]
     eps_rule: StoppingRule
     value: Fraction
 
@@ -95,45 +97,47 @@ def scaled_value(process: ScaledProcess, node_id: NodeId) -> Fraction:
 
 
 def one_step_expectation(
-    tree: ScenarioTree, process: AdaptedProcess, node_id: NodeId
+    tree: ScenarioTree, process: dict[NodeId, Fraction], node_id: NodeId
 ) -> Fraction:
     """Conditional expectation of the next-stage value given ``node_id``."""
     kids = children_table(tree)[node_id]
     if not kids:
         raise ValueError(f"node {node_id!r} has no successor stage")
-    return sum((k.branch_prob * process.values[k.id] for k in kids), Fraction(0))
+    return sum((k.branch_prob * process[k.id] for k in kids), Fraction(0))
 
 
-def optimal_value(tree: ScenarioTree, reward: AdaptedProcess) -> Fraction:
+def optimal_value(tree: ScenarioTree, reward: dict[NodeId, Fraction]) -> Fraction:
     """Best expected reward over all stopping rules (envelope at the root)."""
-    return snell_envelope(tree, reward).values[root_node(tree).id]
+    return snell_envelope(tree, reward)[root_node(tree).id]
 
 
 def solve_stopping(
-    tree: ScenarioTree, reward: AdaptedProcess, epsilon: Fraction
+    tree: ScenarioTree, reward: dict[NodeId, Fraction], epsilon: Fraction
 ) -> SnellResult:
     envelope = snell_envelope(tree, reward)
     rule = eps_optimal_rule(tree, reward, envelope, epsilon)
-    return SnellResult(envelope=envelope, eps_rule=rule, value=envelope.values[root_node(tree).id])
+    return SnellResult(envelope=envelope, eps_rule=rule, value=envelope[root_node(tree).id])
 
 
 def is_supermartingale_dominating(
-    tree: ScenarioTree, candidate: AdaptedProcess, reward: AdaptedProcess
+    tree: ScenarioTree,
+    candidate: dict[NodeId, Fraction],
+    reward: dict[NodeId, Fraction],
 ) -> bool:
     """True iff candidate dominates the reward and one-step decreases in mean."""
     kids = children_table(tree)
     for node in tree.nodes:
-        if candidate.values[node.id] < reward.values[node.id]:
+        if candidate[node.id] < reward[node.id]:
             return False
         if kids[node.id]:
-            if candidate.values[node.id] < one_step_expectation(tree, candidate, node.id):
+            if candidate[node.id] < one_step_expectation(tree, candidate, node.id):
                 return False
     return True
 
 
 def kernel_input(
     tree: ScenarioTree,
-    reward: AdaptedProcess,
+    reward: dict[NodeId, Fraction],
     epsilon: Fraction,
     frozen_at: frozenset[int] = frozenset(),
 ) -> ScaledProcess:
@@ -143,7 +147,7 @@ def kernel_input(
     the whole tree is live; below a frozen position the kernel reads
     nothing, so the values there may be anything, as in a sweep step."""
     index = tree.index
-    rewards = [reward.values[node.id] for node in index.nodes]
+    rewards = [reward[node.id] for node in index.nodes]
     d = math.lcm(epsilon.denominator, *[x.denominator for x in rewards])
     scaled = [
         x.numerator * (d * index.scale[node.time] // x.denominator)
@@ -157,30 +161,30 @@ def reference_stage_reward(
     player: int,
     theta: StoppingRule,
     others: Mapping[int, StoppingRule],
-) -> AdaptedProcess:
+) -> dict[NodeId, Fraction]:
     """U^n as one ``Fraction`` per node: the node loop the sweep ran before
     its integer kernel visited only the live region."""
-    coalition_at: dict[NodeId, Coalition] = {}
+    coalition_at: dict[NodeId, tuple[int, ...]] = {}
     for node_id in theta.stop_set:
         members = [j for j, rule in others.items() if node_id in rule.stop_set]
-        coalition_at[node_id] = Coalition.of(members)
+        coalition_at[node_id] = tuple(sorted(members))
 
-    solo = spec.payoff(player, Coalition.of((player,)))
+    solo = spec.payoff(player, (player,))
     values: dict[NodeId, Fraction] = {}
     frozen: dict[NodeId, Fraction] = {}
     for node in spec.tree.index.nodes:
         if node.id in coalition_at:
             coalition = coalition_at[node.id]
-            join = spec.payoff(player, coalition.with_member(player)).values[node.id]
-            stay = spec.payoff(player, coalition).values[node.id]
+            join = spec.payoff(player, tuple(sorted({*coalition, player})))[node.id]
+            stay = spec.payoff(player, coalition)[node.id]
             frozen[node.id] = max(join, stay)
             values[node.id] = frozen[node.id]
         elif node.parent is not None and node.parent in frozen:
             frozen[node.id] = frozen[node.parent]
             values[node.id] = frozen[node.id]
         else:
-            values[node.id] = solo.values[node.id]
-    return AdaptedProcess(values)
+            values[node.id] = solo[node.id]
+    return values
 
 
 def reference_updated_tau(

@@ -79,7 +79,7 @@ def test_criterion_1_identity_order_reproduction(deterministic_game, fixture_run
     leaf = spec.tree.leaves[0].id
     assert stop_times(spec, result.capped, leaf) == (1, 2, 2)
     stage, coalition = realized_outcome(spec, result.capped, leaf)
-    assert (stage, coalition.players) == (1, (1,))
+    assert (stage, coalition) == (1, (1,))
     assert expected_payoffs(spec, result.capped) == (
         Fraction(1, 2),
         Fraction(1, 2),
@@ -95,7 +95,7 @@ def test_criterion_2_reversed_order_reproduction(fixture_runs):
     leaf = spec.tree.leaves[0].id
     assert stop_times(spec, result.capped, leaf) == (2, 1, 2)
     stage, coalition = realized_outcome(spec, result.capped, leaf)
-    assert (stage, coalition.players) == (1, (2,))
+    assert (stage, coalition) == (1, (2,))
     assert expected_payoffs(spec, result.capped) == (
         Fraction(1, 4),
         Fraction(3, 2),

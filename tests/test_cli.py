@@ -124,6 +124,24 @@ def test_solve_rejects_coalition_members_that_are_not_integers(capsys, tmp_path)
         )
 
 
+def test_solve_rejects_malformed_coalitions(capsys, tmp_path):
+    doc = example_document("paper-5-1")
+    path = tmp_path / "game.json"
+    for coalition, message in (
+        ([], "coalition must be non-empty"),
+        ([0, 1], "player indices must be >= 1, got (0, 1)"),
+        ([-1], "player indices must be >= 1, got (-1,)"),
+        ([4], "members [4] outside 1..3"),
+        ([1, 1], "player 1 is listed twice"),
+        ([3, 3, 1], "player 3 is listed twice"),
+    ):
+        doc["payoffs"][0]["coalition"] = coalition
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "solve", "--game", str(path), "--epsilon", "0")
+        assert (code, out) == (2, "")
+        assert err == f"error: document.payoffs[0].coalition: {message}\n"
+
+
 def test_solve_non_convergence_exit(capsys):
     code, _, err = run_cli(
         capsys, "solve", "--example", "paper-5-1", "--epsilon", "1/100",
@@ -411,7 +429,7 @@ def test_realized_rows_equal_realized_outcome_leaf_by_leaf(data, enumerated):
             assert row == {
                 "leaf": leaf.id,
                 "stage": None if stage == NEVER else stage,
-                "coalition": list(coalition.players),
+                "coalition": list(coalition),
             }
 
 

@@ -18,7 +18,6 @@ from dynkin.documents import (
     serialize_profile,
 )
 from dynkin.fixtures import EXAMPLES, example_document
-from dynkin.games import Coalition
 from dynkin.randomgen import random_game
 from gens import int_digit_limit, serialize_game
 
@@ -36,7 +35,7 @@ def test_parse_fixture_dimensions(deterministic_game):
     assert deterministic_game.num_players == 3
     assert deterministic_game.horizon == 2
     assert len(deterministic_game.payoffs) == 21
-    assert deterministic_game.payoff(2, Coalition.of((2,))).values[1] == Fraction(3, 2)
+    assert deterministic_game.payoff(2, (2,))[1] == Fraction(3, 2)
 
 
 def test_decimal_probability_is_rejected():
@@ -74,29 +73,24 @@ def test_default_payoff_fills_missing_pairs():
     doc["default_payoff"] = {"values": {"0": "0", "1": "0", "2": "0", "3": "1"}}
     spec = parse_game(document_text(doc), enforce_assumption_a=False)
     assert len(spec.payoffs) == 6
-    assert spec.payoff(2, Coalition.of((1, 2))).values[1] == 0
-    assert spec.payoff(1, Coalition.of((1, 2))).values[1] == 1
+    assert spec.payoff(2, (1, 2))[1] == 0
+    assert spec.payoff(1, (1, 2))[1] == 1
 
 
-def test_default_payoff_is_copied_only_for_missing_pairs(monkeypatch):
+def test_default_payoff_is_copied_only_for_missing_pairs():
     doc = example_document("counterexample-b")
     doc["payoffs"] = [
         entry for entry in doc["payoffs"]
         if entry["player"] == 1 and entry["coalition"] == [1, 2]
     ]
     doc["default_payoff"] = {"values": {"0": "0", "1": "0", "2": "0", "3": "1"}}
-    built = []
-    real = documents.AdaptedProcess
-
-    def counting(values):
-        built.append(values)
-        return real(values)
-
-    monkeypatch.setattr(documents, "AdaptedProcess", counting)
     spec = parse_game(document_text(doc), enforce_assumption_a=False)
-    # one process for the listed pair and one copy for each of the 5 others
-    assert len(built) == len(spec.payoffs) == 6
-    assert len({id(process.values) for process in spec.payoffs.values()}) == 6
+    # the listed pair keeps its values; each of the 5 others gets its own copy
+    assert len(spec.payoffs) == len({id(process) for process in spec.payoffs.values()}) == 6
+    assert spec.payoff(1, (1, 2)) == {0: 1, 1: 1, 2: 1, 3: 1}
+    for key, process in spec.payoffs.items():
+        if key != (1, (1, 2)):
+            assert process == {0: 0, 1: 0, 2: 0, 3: 1}
 
 
 # key spellings int() accepts or rejects, and ids the tree has or lacks

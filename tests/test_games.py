@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynkin.games import (
-    Coalition,
     GameSpec,
     StrategyProfile,
     all_coalitions,
@@ -18,12 +17,12 @@ from dynkin.randomgen import random_game
 from dynkin.trees import (
     NEVER,
     NEVER_RULE,
-    AdaptedProcess,
     ScenarioTree,
     StoppingRule,
     canonicalize_rule,
     stop_everywhere_at,
 )
+from dynkin.verify import best_response_value
 from games_reference import realized_outcome, walk_payoff
 from gens import draw_rules, enumerated_cases, single_path_tree
 from trees_reference import (
@@ -51,47 +50,28 @@ def two_player_path_game(values):
     payoffs = {}
     for player in (1, 2):
         for coalition in all_coalitions(2):
-            stages = values[(player, coalition.players)]
-            payoffs[(player, coalition)] = AdaptedProcess(
-                {t: Fraction(v) for t, v in enumerate(stages)}
-            )
+            stages = values[(player, coalition)]
+            payoffs[(player, coalition)] = {t: Fraction(v) for t, v in enumerate(stages)}
     return GameSpec(num_players=2, horizon=horizon, tree=tree, payoffs=payoffs)
 
 
-def test_coalition_canonical_form():
-    assert Coalition.of([3, 1, 1]).players == (1, 3)
-    assert Coalition.everyone(3).players == (1, 2, 3)
-    assert Coalition.of((2,)).with_member(1).players == (1, 2)
-    assert 2 in Coalition.of((1, 2))
-    with pytest.raises(ValueError):
-        Coalition.of([])
-    with pytest.raises(ValueError):
-        Coalition.of([0, 1])
-
-
 def test_plain_classes_keep_the_frozen_record_semantics():
-    # Coalition and ScenarioTree are hand-written classes, not tuples: they
-    # equal only their own kind, hash by value, sort and print as before,
-    # and refuse assignment
-    c = Coalition.of((2, 1))
-    assert c == Coalition((1, 2)) and hash(c) == hash(Coalition((1, 2)))
-    assert c != (1, 2) and (1, 2) != c and {c: 1}.get((1, 2)) is None
-    assert Coalition((1,)) < c < Coalition((2,)) and c <= c and c >= Coalition((1,))
-    assert repr(c) == "Coalition(players=(1, 2))"
+    # ScenarioTree is a hand-written class, not a tuple: it equals only its
+    # own kind, hashes by value, prints as before and refuses assignment
     tree = single_path_tree(1)
     assert tree == single_path_tree(1) and hash(tree) == hash(single_path_tree(1))
     assert tree != tree.nodes and tree != single_path_tree(2)
     assert repr(tree) == f"ScenarioTree(nodes={tree.nodes!r})"
-    for record, field in ((c, "players"), (tree, "nodes"), (tree, "index")):
+    for field in ("nodes", "index"):
         with pytest.raises(AttributeError):
-            setattr(record, field, None)
-    assert c.players == (1, 2) and tree.index.horizon == 1
+            setattr(tree, field, None)
+    assert tree.index.horizon == 1
 
 
 def test_all_coalitions_counts():
     assert len(all_coalitions(2)) == 3
     assert len(all_coalitions(3)) == 7
-    assert all_coalitions(2)[0].players == (1,)
+    assert all_coalitions(3) == [(1,), (1, 2), (1, 2, 3), (1, 3), (2,), (2, 3), (3,)]
 
 
 def test_validate_accepts_fixture(deterministic_game):
@@ -117,7 +97,7 @@ def test_validate_flags_joint_stop_violation():
 
 def test_validate_flags_missing_coalition(deterministic_game):
     payoffs = dict(deterministic_game.payoffs)
-    del payoffs[(2, Coalition.of((1, 3)))]
+    del payoffs[(2, (1, 3))]
     broken = GameSpec(
         num_players=3,
         horizon=2,
@@ -164,13 +144,13 @@ def test_realized_outcome_examples(deterministic_game):
     tree = deterministic_game.tree
     leaf = tree.leaves[0].id
     stage, coalition = realized_outcome(deterministic_game, path_profile(tree, 1, 2, 2), leaf)
-    assert (stage, coalition.players) == (1, (1,))
+    assert (stage, coalition) == (1, (1,))
     stage, coalition = realized_outcome(
         deterministic_game, path_profile(tree, None, None, None), leaf
     )
-    assert stage == NEVER and coalition.players == (1, 2, 3)
+    assert stage == NEVER and coalition == (1, 2, 3)
     stage, coalition = realized_outcome(deterministic_game, path_profile(tree, 1, 2, 1), leaf)
-    assert (stage, coalition.players) == (1, (1, 3))
+    assert (stage, coalition) == (1, (1, 3))
 
 
 def test_expected_payoffs_against_published_table(deterministic_game):
@@ -261,10 +241,10 @@ def with_odd_denominators(game, rng):
     payoffs = {}
     for key, process in game.payoffs.items():
         values = {}
-        for node_id in process.values:
+        for node_id in process:
             denominator = rng.choice((3, 7, 97))
             values[node_id] = Fraction(rng.randint(-2 * denominator, 2 * denominator), denominator)
-        payoffs[key] = AdaptedProcess(values)
+        payoffs[key] = values
     return game._replace(tree=ScenarioTree(tuple(nodes)), payoffs=payoffs)
 
 
@@ -290,7 +270,7 @@ def test_expected_payoffs_equal_the_realized_outcome_sum(data, enumerated):
             stage, coalition = realized_outcome(game, profile, leaf.id)
             node_id = leaf.id if stage == NEVER else path_to(tree, leaf.id)[int(stage)].id
             for i in game.players:
-                value = game.payoff(i, coalition).values[node_id]
+                value = game.payoff(i, coalition)[node_id]
                 reference[i - 1] += path_probability(tree, leaf.id) * value
         assert expected_payoffs(game, profile) == tuple(reference)
         # criterion 7's oracle, one walk per rule and leaf, sums the same
@@ -302,9 +282,17 @@ def test_expected_payoffs_equal_the_realized_outcome_sum(data, enumerated):
 
 def test_expected_payoffs_reject_rules_naming_unknown_nodes(deterministic_game):
     profile = StrategyProfile((NEVER_RULE, StoppingRule(frozenset({99})), NEVER_RULE))
-    for priced in (expected_payoffs, leaf_outcomes):
+    for priced in (
+        expected_payoffs,
+        leaf_outcomes,
+        # a best response reads only the others' rules
+        lambda game, profile: best_response_value(game, profile, 1),
+    ):
         with pytest.raises(ValueError, match=r"^rule references nodes not in tree: \[99\]$"):
             priced(deterministic_game, profile)
+    assert best_response_value(deterministic_game, profile, 2) == best_response_value(
+        deterministic_game, StrategyProfile((NEVER_RULE,) * 3), 2
+    )
 
 
 @pytest.mark.parametrize("num_players,horizon", [(2, 6), (3, 4)])

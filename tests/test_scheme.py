@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from dynkin.games import Coalition, GameSpec, expected_payoffs, validate_game
+from dynkin.games import GameSpec, expected_payoffs, validate_game
 from dynkin.randomgen import random_game
 from dynkin import scheme
 from dynkin.scheme import (
@@ -22,7 +22,6 @@ from dynkin.scheme import (
 )
 from dynkin.trees import (
     NEVER_RULE,
-    AdaptedProcess,
     ScenarioTree,
     StoppingRule,
     canonicalize_rule,
@@ -58,7 +57,7 @@ def stage_reward_step(spec, player, taus):
     reference = reference_stage_reward(spec, player, step.theta, others)
     assert step.player == player
     assert all(
-        scaled_value(step.stage_reward, node.id) == reference.values[node.id] for node in spec.tree.nodes
+        scaled_value(step.stage_reward, node.id) == reference[node.id] for node in spec.tree.nodes
     )
     return step
 
@@ -78,7 +77,7 @@ def test_stage_reward_freezes_at_opponent_stop(deterministic_game):
     assert scaled_value(reward, 0) == Fraction(1, 8)
     assert scaled_value(reward, 1) == Fraction(1, 2)
     assert scaled_value(reward, 2) == Fraction(1, 2)
-    assert step.coalition_at_theta == {1: Coalition.of((1,))}
+    assert step.coalition_at_theta == {1: (1,)}
 
 
 def test_stage_reward_frozen_from_root(deterministic_game):
@@ -122,7 +121,7 @@ def test_run_reproduces_identity_order_profile(deterministic_game):
     assert result.rounds_used == 2
     leaf = deterministic_game.tree.leaves[0].id
     stage, coalition = realized_outcome(deterministic_game, result.capped, leaf)
-    assert (stage, coalition.players) == (1, (1,))
+    assert (stage, coalition) == (1, (1,))
     assert expected_payoffs(deterministic_game, result.capped) == (
         Fraction(1, 2),
         Fraction(1, 2),
@@ -136,7 +135,7 @@ def test_run_reproduces_reversed_order_profile(deterministic_game):
     )
     assert capped_times(result, deterministic_game) == (2, 1, 2)
     leaf = deterministic_game.tree.leaves[0].id
-    assert realized_outcome(deterministic_game, result.capped, leaf)[1].players == (2,)
+    assert realized_outcome(deterministic_game, result.capped, leaf)[1] == (2,)
 
 
 def walk_case(tree, leaf_id):
@@ -212,11 +211,12 @@ def test_run_rejects_games_violating_the_hypothesis(pennies_game):
 
 
 def test_config_rejects_bad_order(deterministic_game):
-    with pytest.raises(ValueError, match="permutation"):
-        run_scheme(deterministic_game, SchemeConfig(order=(1, 2)))
     state = initial_state(deterministic_game)
-    with pytest.raises(ValueError, match="permutation"):
-        scheme_step(deterministic_game, SchemeConfig(order=(1, 1, 3)), state)
+    for order in ((1, 2), (1, 1, 3), ()):
+        with pytest.raises(ValueError, match="permutation"):
+            run_scheme(deterministic_game, SchemeConfig(order=order))
+        with pytest.raises(ValueError, match="permutation"):
+            scheme_step(deterministic_game, SchemeConfig(order=order), state)
 
 
 def test_run_checks_the_order_once(monkeypatch, deterministic_game):
@@ -369,15 +369,13 @@ def with_frozen_values_off_grid(game, denominator):
     shift = Fraction(1, denominator)
     payoffs = {}
     for (i, coalition), process in game.payoffs.items():
-        if coalition.players == (i,):
+        if coalition == (i,):
             payoffs[(i, coalition)] = process
             continue
-        payoffs[(i, coalition)] = AdaptedProcess(
-            {
-                node.id: process.values[node.id] - (shift if node.time < game.horizon else 0)
-                for node in game.tree.nodes
-            }
-        )
+        payoffs[(i, coalition)] = {
+            node.id: process[node.id] - (shift if node.time < game.horizon else 0)
+            for node in game.tree.nodes
+        }
     return game._replace(payoffs=payoffs)
 
 
@@ -387,8 +385,8 @@ def assert_step_matches_reference(spec, step, others, epsilon):
     reward = reference_stage_reward(spec, step.player, step.theta, others)
     envelope = snell_envelope(tree, reward)
     for node in tree.nodes:
-        assert scaled_value(step.stage_reward, node.id) == reward.values[node.id]
-        assert scaled_value(step.envelope, node.id) == envelope.values[node.id]
+        assert scaled_value(step.stage_reward, node.id) == reward[node.id]
+        assert scaled_value(step.envelope, node.id) == envelope[node.id]
     assert step.mu == eps_optimal_rule(tree, reward, envelope, epsilon)
 
 

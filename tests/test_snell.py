@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from dynkin.snell import integer_snell
-from dynkin.trees import AdaptedProcess, Node, ScenarioTree
+from dynkin.trees import Node, ScenarioTree
 from dynkin.verify import enumerate_rules
 from gens import (
     path_process,
@@ -34,21 +34,21 @@ def test_envelope_single_path_small_peak():
     tree = single_path_tree(2)
     reward = path_process(tree, "1/8", "1/2", 0)
     envelope = snell_envelope(tree, reward)
-    assert [envelope.values[t] for t in range(3)] == [Fraction(1, 2), Fraction(1, 2), 0]
+    assert [envelope[t] for t in range(3)] == [Fraction(1, 2), Fraction(1, 2), 0]
 
 
 def test_envelope_single_path_tall_peak():
     tree = single_path_tree(2)
     reward = path_process(tree, "1/8", "3/2", 0)
     envelope = snell_envelope(tree, reward)
-    assert [envelope.values[t] for t in range(3)] == [Fraction(3, 2), Fraction(3, 2), 0]
+    assert [envelope[t] for t in range(3)] == [Fraction(3, 2), Fraction(3, 2), 0]
 
 
 def test_envelope_of_constant_reward_is_constant():
     tree = single_path_tree(3)
     reward = path_process(tree, "2/3", "2/3", "2/3", "2/3")
     envelope = snell_envelope(tree, reward)
-    assert all(envelope.values[t] == Fraction(2, 3) for t in range(4))
+    assert all(envelope[t] == Fraction(2, 3) for t in range(4))
 
 
 def test_eps_rule_waits_for_small_epsilon():
@@ -103,8 +103,8 @@ def test_envelope_dominates_and_is_supermartingale(tp):
     for node in tree.nodes:
         if kids[node.id]:
             continuation = one_step_expectation(tree, envelope, node.id)
-            if envelope.values[node.id] > reward.values[node.id]:
-                assert envelope.values[node.id] == continuation
+            if envelope[node.id] > reward[node.id]:
+                assert envelope[node.id] == continuation
 
 
 @settings(max_examples=40, deadline=None)
@@ -115,9 +115,9 @@ def test_envelope_is_minimal_among_dominating_supermartingales(tp):
     # lowering the envelope anywhere breaks domination or the supermartingale
     # one-step inequality somewhere
     for node in tree.nodes:
-        lowered = dict(envelope.values)
+        lowered = dict(envelope)
         lowered[node.id] -= Fraction(1, 16)
-        assert not is_supermartingale_dominating(tree, AdaptedProcess(lowered), reward)
+        assert not is_supermartingale_dominating(tree, lowered, reward)
 
 
 @settings(max_examples=40, deadline=None)
@@ -146,7 +146,7 @@ def test_envelope_is_martingale_before_the_stop(tp):
         for node in path_to(tree, leaf.id):
             if node.time >= stop.time:
                 break
-            assert result.envelope.values[node.id] == one_step_expectation(
+            assert result.envelope[node.id] == one_step_expectation(
                 tree, result.envelope, node.id
             )
 
@@ -162,7 +162,7 @@ def test_zero_epsilon_rule_is_exactly_optimal():
 def assert_kernel_matches_reference(tree, reward, epsilon):
     envelope = snell_envelope(tree, reward)
     scaled, rule = integer_snell(tree, kernel_input(tree, reward, epsilon), epsilon)
-    assert {n.id: scaled_value(scaled, n.id) for n in tree.nodes} == envelope.values
+    assert {n.id: scaled_value(scaled, n.id) for n in tree.nodes} == envelope
     assert rule == eps_optimal_rule(tree, reward, envelope, epsilon)
 
 
@@ -170,15 +170,13 @@ def assert_kernel_matches_reference(tree, reward, epsilon):
 @given(st.data())
 def test_integer_kernel_equals_fraction_reference(data):
     tree = data.draw(scenario_trees(max_depth=4, max_nodes=20, max_weight=9))
-    reward = AdaptedProcess(
-        {
-            node.id: data.draw(rationals(denominators=KERNEL_DENOMINATORS))
-            for node in tree.nodes
-        }
-    )
+    reward = {
+        node.id: data.draw(rationals(denominators=KERNEL_DENOMINATORS))
+        for node in tree.nodes
+    }
     envelope = snell_envelope(tree, reward)
     # the tree's own margins put ties exactly at epsilon, and ties stop
-    margins = sorted({envelope.values[n.id] - reward.values[n.id] for n in tree.nodes})
+    margins = sorted({envelope[n.id] - reward[n.id] for n in tree.nodes})
     epsilon = data.draw(st.sampled_from([Fraction(0), Fraction(1, 3), *margins]))
     assert_kernel_matches_reference(tree, reward, epsilon)
 
@@ -208,13 +206,13 @@ def test_integer_kernel_with_frozen_positions_equals_fraction_reference(data):
         if below[pos]:
             held[pos] = held[index.parent[pos]]
     ids = [node.id for node in index.nodes]
-    reward = AdaptedProcess(dict(zip(ids, held)))
+    reward = dict(zip(ids, held))
     envelope = snell_envelope(tree, reward)
-    margins = sorted({envelope.values[i] - reward.values[i] for i in ids})
+    margins = sorted({envelope[i] - reward[i] for i in ids})
     epsilon = data.draw(st.sampled_from([Fraction(0), Fraction(1, 3), *margins]))
-    raw_input = kernel_input(tree, AdaptedProcess(dict(zip(ids, raw))), epsilon, frozenset(frozen))
+    raw_input = kernel_input(tree, dict(zip(ids, raw)), epsilon, frozenset(frozen))
     scaled, rule = integer_snell(tree, raw_input, epsilon)
-    assert {i: scaled_value(scaled, i) for i in ids} == envelope.values
+    assert {i: scaled_value(scaled, i) for i in ids} == envelope
     assert rule == eps_optimal_rule(tree, reward, envelope, epsilon)
 
 
@@ -235,13 +233,11 @@ def test_integer_kernel_on_a_deep_path_with_thirds_near_the_root():
     tree = ScenarioTree(tuple(nodes))
     assert tree.index.scale[0] == 3**branching
     rng = Random(5)
-    reward = AdaptedProcess(
-        {
-            node.id: Fraction(rng.randint(-400, 400), rng.choice(KERNEL_DENOMINATORS))
-            for node in tree.nodes
-        }
-    )
+    reward = {
+        node.id: Fraction(rng.randint(-400, 400), rng.choice(KERNEL_DENOMINATORS))
+        for node in tree.nodes
+    }
     envelope = snell_envelope(tree, reward)
-    margin = envelope.values[0] - reward.values[0]
+    margin = envelope[0] - reward[0]
     for epsilon in (Fraction(0), Fraction(1, 3), margin):
         assert_kernel_matches_reference(tree, reward, epsilon)

@@ -13,7 +13,6 @@ import dynkin
 from dynkin.trees import (
     NEVER,
     NEVER_RULE,
-    AdaptedProcess,
     Node,
     ScenarioTree,
     StoppingRule,
@@ -235,7 +234,7 @@ def test_one_step_expectation_single_child():
 
 def test_one_step_expectation_even_split():
     tree = full_binary_tree(1)
-    process = AdaptedProcess({0: Fraction(0), 1: Fraction(1), 2: Fraction(1, 2)})
+    process = {0: Fraction(0), 1: Fraction(1), 2: Fraction(1, 2)}
     assert one_step_expectation(tree, process, 0) == Fraction(3, 4)
 
 
@@ -246,7 +245,7 @@ def test_one_step_expectation_weighted():
         Node(2, 1, 0, Fraction(3, 4)),
     )
     tree = ScenarioTree(nodes)
-    process = AdaptedProcess({0: Fraction(0), 1: Fraction(0), 2: Fraction(1)})
+    process = {0: Fraction(0), 1: Fraction(0), 2: Fraction(1)}
     assert one_step_expectation(tree, process, 0) == Fraction(3, 4)
 
 
@@ -271,7 +270,7 @@ def test_expectation_under_rule_stage_one():
 
 def test_expectation_under_rule_never_uses_leaf_values():
     tree = full_binary_tree(1)
-    process = AdaptedProcess({0: Fraction(7), 1: Fraction(1), 2: Fraction(0)})
+    process = {0: Fraction(7), 1: Fraction(1), 2: Fraction(0)}
     assert expectation_under_rule(tree, process, NEVER_RULE) == Fraction(1, 2)
 
 
@@ -295,16 +294,16 @@ def test_expectation_under_rule_matches_path_enumeration(tp):
         for node in path_to(tree, leaf.id):
             prob *= node.branch_prob
             if value is None and node.id in rule.stop_set:
-                value = process.values[node.id]
+                value = process[node.id]
         if value is None:
-            value = process.values[leaf.id]
+            value = process[leaf.id]
         total += prob * value
     assert expectation_under_rule(tree, process, rule) == total
     # the same sum from the index: first stops by leaf range, integer weights
     index = tree.index
     assert total == sum(
         Fraction(index.weight[index.position[leaf.id]], index.scale[0])
-        * process.values[leaf.id if stop is None else stop.id]
+        * process[leaf.id if stop is None else stop.id]
         for leaf, stop in zip(tree.leaves, leaf_stop_nodes(tree, rule))
     )
 

@@ -12,7 +12,6 @@ from dynkin.scheme import SchemeConfig, run_scheme
 from dynkin.trees import (
     NEVER,
     NEVER_RULE,
-    AdaptedProcess,
     StoppingRule,
     canonicalize_rule,
     min_of_rules,
@@ -108,9 +107,9 @@ def test_enumerate_cap_fails_loudly():
 def test_deviation_reward_join_stay_split(deterministic_game):
     profile = path_profile(deterministic_game.tree, 1, 2, 2)
     reward = deviation_reward(deterministic_game, profile, 2)
-    assert reward.values[0] == Fraction(1, 8)  # solo payoff before the others stop
-    assert reward.values[1] == Fraction(1, 4)  # joining player 1 at stage 1
-    assert reward.values[2] == Fraction(1, 2)  # frozen: player 1 stopped alone
+    assert reward[0] == Fraction(1, 8)  # solo payoff before the others stop
+    assert reward[1] == Fraction(1, 4)  # joining player 1 at stage 1
+    assert reward[2] == Fraction(1, 2)  # frozen: player 1 stopped alone
     value = best_response_value(deterministic_game, profile, 2)
     assert value == Fraction(1, 2)
     assert value == max(
@@ -429,18 +428,16 @@ def test_find_all_at_an_epsilon_off_the_payoff_grid(num_players, epsilon):
 
 def envelope_reference(spec, profile, player):
     reward = deviation_reward(spec, profile, player)
-    return snell_envelope(spec.tree, reward).values[root_node(spec.tree).id]
+    return snell_envelope(spec.tree, reward)[root_node(spec.tree).id]
 
 
 def random_payoffs(rng, tree, num_players):
     """Unvalidated payoffs: best responses need neither hypothesis."""
     return {
-        (i, coalition): AdaptedProcess(
-            {
-                node.id: Fraction(rng.randint(-400, 400), rng.choice(KERNEL_DENOMINATORS))
-                for node in tree.nodes
-            }
-        )
+        (i, coalition): {
+            node.id: Fraction(rng.randint(-400, 400), rng.choice(KERNEL_DENOMINATORS))
+            for node in tree.nodes
+        }
         for i in range(1, num_players + 1)
         for coalition in all_coalitions(num_players)
     }

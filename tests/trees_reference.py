@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from dynkin.trees import NEVER, AdaptedProcess, Node, NodeId, ScenarioTree, Stage, StoppingRule
+from dynkin.trees import NEVER, Node, NodeId, ScenarioTree, Stage, StoppingRule
 
 
 def children_table(tree: ScenarioTree) -> dict[NodeId, list[Node]]:
@@ -95,7 +95,7 @@ def path_probability(tree: ScenarioTree, node_id: NodeId) -> Fraction:
 
 
 def expectation_under_rule(
-    tree: ScenarioTree, process: AdaptedProcess, rule: StoppingRule
+    tree: ScenarioTree, process: dict[NodeId, Fraction], rule: StoppingRule
 ) -> Fraction:
     """Expected process value sampled at the rule's stop node.
 
@@ -112,7 +112,7 @@ def expectation_under_rule(
     for leaf in tree.leaves:
         path = paths[leaf.id]
         stop = first_stop(path, rule)
-        total += probability(path) * process.values[leaf.id if stop is None else stop.id]
+        total += probability(path) * process[leaf.id if stop is None else stop.id]
     return total
 
 

@@ -10,14 +10,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from dynkin.games import Coalition, GameSpec, StrategyProfile
-from dynkin.trees import AdaptedProcess, NodeId
+from dynkin.games import GameSpec, StrategyProfile
+from dynkin.trees import NodeId
 from trees_reference import probability, root_paths
 
 
 def deviation_reward(
     spec: GameSpec, profile: StrategyProfile, player: int
-) -> AdaptedProcess:
+) -> dict[NodeId, Fraction]:
     """What the player earns, node by node, when deviating unilaterally.
 
     Strictly before the others' earliest stop: the solo payoff.  At the
@@ -33,13 +33,13 @@ def deviation_reward(
         if j != player:
             for node_id in profile.rule_for(j).stop_set:
                 stoppers.setdefault(node_id, []).append(j)
-    coalition_at = {node_id: Coalition.of(js) for node_id, js in stoppers.items()}
+    coalition_at = {node_id: tuple(sorted(js)) for node_id, js in stoppers.items()}
     # each coalition's value dicts, looked up once: (it stops alone, joined)
     tables = {
-        c: (spec.payoff(player, c).values, spec.payoff(player, c.with_member(player)).values)
+        c: (spec.payoff(player, c), spec.payoff(player, tuple(sorted({*c, player}))))
         for c in set(coalition_at.values())
     }
-    solo = spec.payoff(player, Coalition.of((player,))).values
+    solo = spec.payoff(player, (player,))
     values: dict[NodeId, Fraction] = {}
     frozen: dict[NodeId, Fraction] = {}
     for node in spec.tree.index.nodes:  # parents before children
@@ -51,7 +51,7 @@ def deviation_reward(
             values[node.id] = joined[node.id]
         else:
             values[node.id] = solo[node.id]
-    return AdaptedProcess(values)
+    return values
 
 
 def weighted_reward(
@@ -63,7 +63,7 @@ def weighted_reward(
     tree = spec.tree
     index = tree.index
     reward = deviation_reward(spec, profile, player)
-    values = [reward.values[node.id] for node in index.nodes]
+    values = [reward[node.id] for node in index.nodes]
     d = math.lcm(epsilon.denominator, *[y.denominator for y in values])
     paths = root_paths(tree)
     vector = []
