@@ -8,7 +8,6 @@ something found), 1 negative verdict, 2 validation or argument failure,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -16,6 +15,7 @@ from pathlib import Path
 from .documents import (
     DocumentError,
     document_text,
+    json_text,
     parse_game,
     parse_profile,
     parse_rational,
@@ -47,7 +47,7 @@ def _read_text(path: str) -> str:
 
 def _write_text(path: str | None, text: str) -> None:
     """Write ``text`` to the file at ``path``, or to stdout without one."""
-    if not path:
+    if path is None:
         sys.stdout.write(text)
         return
     try:
@@ -82,7 +82,7 @@ def _parse_order(text: str, num_players: int) -> tuple[int, ...]:
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    _write_text(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_text(out, json_text(payload, sort_keys=True) + "\n")
 
 
 def certificate_json(certificate: NepCertificate) -> dict:
@@ -109,13 +109,13 @@ def _realized_json(spec: GameSpec, outcomes: list) -> list[dict]:
 def cmd_solve(args: argparse.Namespace) -> int:
     spec = _load_spec(args, enforce_assumption_a=True)
     epsilon = _parse_epsilon(args.epsilon)
-    order = _parse_order(args.order, spec.num_players) if args.order else None
+    order = None if args.order is None else _parse_order(args.order, spec.num_players)
     config = SchemeConfig(epsilon=epsilon, order=order, max_rounds=args.max_rounds)
     try:
         result = run_scheme(spec, config, validated=True)
     except ConvergenceError as exc:
-        if args.trace:
-            _write_text(args.trace, json.dumps(trace_as_json(exc.trace), indent=2) + "\n")
+        if args.trace is not None:
+            _write_text(args.trace, json_text(trace_as_json(exc.trace), sort_keys=False) + "\n")
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 
@@ -132,9 +132,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "expected_payoffs": [str(v) for v in certificate.achieved],
         "certificate": certificate_json(certificate),
     }
-    if args.trace:
+    if args.trace is not None:
         rows = trace_as_json(result.trace)
-        _write_text(args.trace, json.dumps(rows, indent=2) + "\n")
+        _write_text(args.trace, json_text(rows, sort_keys=False) + "\n")
         report["trace"] = rows
     _emit(report, args.out)
     return EXIT_OK if certificate.is_eps_nep else EXIT_NEGATIVE
@@ -232,6 +232,9 @@ def main(argv: list[str] | None = None) -> int:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
+        for flag in ("out", "trace"):  # an empty path is a bad value, not "not given"
+            if getattr(args, flag, None) == "":
+                raise UsageError(f"--{flag} must name a file, got ''")
         return args.func(args)
     except (DocumentError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)

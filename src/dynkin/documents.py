@@ -2,7 +2,8 @@
 
 Rationals travel as strings like "3/4" or "-2"; decimal notation is
 rejected so no value can silently lose exactness.  Parse errors carry a
-path into the document.
+path into the document.  Every JSON text the package writes comes from
+:func:`json_text`.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .games import GameSpec, StrategyProfile, all_coalitions, validate_game
@@ -250,8 +252,53 @@ def parse_game(text: str, enforce_assumption_a: bool = True) -> GameSpec:
     return spec
 
 
+def json_text(value: Any, *, sort_keys: bool) -> str:
+    """``json.dumps(value, indent=2, sort_keys=sort_keys)`` byte for byte, at
+    about half the cost of its pure-Python encoder, for the only types an
+    output holds: dicts with ``str`` keys, lists, ``str``, ``int``, ``bool``
+    and ``None``.  Any other type, a float or an int key say, raises TypeError."""
+    parts: list[str] = []
+    _json_parts(value, "\n", sort_keys, parts)
+    return "".join(parts)
+
+
+def _json_parts(value: Any, newline: str, sort_keys: bool, parts: list[str]) -> None:
+    """Append the text of ``value`` to ``parts``; ``newline`` ends with the
+    indent of the line ``value`` starts on."""
+    kind = type(value)
+    if kind is str:
+        parts.append(encode_basestring_ascii(value))
+    elif kind is int:
+        parts.append(str(value))
+    elif kind is bool or value is None:
+        parts.append("null" if value is None else "true" if value else "false")
+    elif (kind is list or kind is dict) and not value:
+        parts.append("[]" if kind is list else "{}")
+    elif kind is list:
+        inner = newline + "  "
+        if all(type(item) is int for item in value):
+            parts.append(f"[{inner}{(',' + inner).join(map(str, value))}{newline}]")
+            return
+        head = "[" + inner
+        for item in value:
+            parts.append(head)
+            _json_parts(item, inner, sort_keys, parts)
+            head = "," + inner
+        parts.append(newline + "]")
+    elif kind is dict:
+        inner = newline + "  "
+        head = "{" + inner
+        for key, item in sorted(value.items()) if sort_keys else value.items():
+            parts.append(f"{head}{encode_basestring_ascii(key)}: ")  # TypeError unless str
+            _json_parts(item, inner, sort_keys, parts)
+            head = "," + inner
+        parts.append(newline + "}")
+    else:
+        raise TypeError(f"cannot write {kind.__name__} {value!r} as JSON")
+
+
 def document_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json_text(doc, sort_keys=True) + "\n"
 
 
 def parse_profile(text: str, spec: GameSpec) -> StrategyProfile:

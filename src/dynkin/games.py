@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 from .trees import (
     NEVER,
+    Node,
     NodeId,
     ScenarioTree,
     Stage,
@@ -179,29 +180,26 @@ def validate_game(spec: GameSpec, enforce_assumption_a: bool = True) -> list[str
 
 def _ends(
     spec: GameSpec, profile: StrategyProfile
-) -> dict[NodeId, tuple[Stage, tuple[int, ...]]]:
-    """Termination stage and stopping coalition at each node where the game
-    ends: the termination rule capped at the horizon, an antichain that
-    covers every leaf once.
-
-    No rule stops strictly above an end node, so the players stopping on
-    its leaves are exactly those whose stop set holds it.  An end that no
-    stop set holds is a leaf nobody stops on: stage NEVER, all players by
-    convention.
+) -> tuple[list[Node | None], dict[NodeId, tuple[Stage, tuple[int, ...]]]]:
+    """Each leaf's first stop node in ``tree.leaves`` order (None where
+    nobody stops), and the stage and stopping coalition at each node where
+    the game ends: on a path, the first node of the union of the stop sets,
+    where exactly the players whose stop set holds it stop, or the leaf if
+    nobody stops (stage NEVER, all players by convention).
     Raises ValueError if a rule names nodes the tree does not have.
     """
     tree = spec.tree
-    nodes, position = tree.index.nodes, tree.index.position
-    ends = min_of_rules(tree, [*profile.rules, stop_everywhere_at(tree, tree.horizon)])
-    never = (NEVER, tuple(spec.players))
     stop_sets = [rule.stop_set for rule in profile.rules]
+    firsts = leaf_stop_nodes(tree, StoppingRule(frozenset().union(*stop_sets)))
+    never = (NEVER, tuple(spec.players))
     outcomes = {}
-    for node_id in ends.stop_set:
-        members = tuple(i for i, stops in enumerate(stop_sets, start=1) if node_id in stops)
-        outcomes[node_id] = (
-            (nodes[position[node_id]].time, members) if members else never
-        )
-    return outcomes
+    for leaf, node in zip(tree.leaves, firsts):
+        if node is None:
+            outcomes[leaf.id] = never
+        elif node.id not in outcomes:
+            members = [i for i, stops in enumerate(stop_sets, start=1) if node.id in stops]
+            outcomes[node.id] = (node.time, tuple(members))
+    return firsts, outcomes
 
 
 def leaf_outcomes(
@@ -210,8 +208,9 @@ def leaf_outcomes(
     """Termination stage and stopping coalition on every leaf, in
     ``tree.leaves`` order: those of the node where the game ends on the
     leaf's path."""
-    ends = _ends(spec, profile)
-    return [ends[node.id] for node in leaf_stop_nodes(spec.tree, StoppingRule(frozenset(ends)))]
+    firsts, outcomes = _ends(spec, profile)
+    ends = [leaf if node is None else node for leaf, node in zip(spec.tree.leaves, firsts)]
+    return [outcomes[node.id] for node in ends]
 
 
 def expected_payoffs(spec: GameSpec, profile: StrategyProfile) -> tuple[Fraction, ...]:
@@ -233,7 +232,7 @@ def expected_payoffs(spec: GameSpec, profile: StrategyProfile) -> tuple[Fraction
     read: list[list[Fraction]] = [[] for _ in spec.players]
     # each coalition's value dicts, one per player, looked up once per call
     tables: dict[tuple[int, ...], list[dict[NodeId, Fraction]]] = {}
-    for node_id, (_, coalition) in _ends(spec, profile).items():
+    for node_id, (_, coalition) in _ends(spec, profile)[1].items():
         weights.append(weight[position[node_id]])
         by_player = tables.get(coalition)
         if by_player is None:

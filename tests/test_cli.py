@@ -20,7 +20,7 @@ from dynkin.documents import (
     parse_profile,
     serialize_profile,
 )
-from dynkin.fixtures import example_document
+from dynkin.fixtures import EXAMPLES, example_document
 from dynkin.games import StrategyProfile, expected_payoffs
 from dynkin.randomgen import random_game
 from dynkin.scheme import SchemeConfig, run_scheme
@@ -184,6 +184,22 @@ def test_an_unwritable_output_path_is_a_usage_error(capsys, tmp_path, command):
     assert out == ""
     assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
     assert not path.parent.exists()
+
+
+@pytest.mark.parametrize("command", sorted(UNWRITABLE_COMMANDS))
+def test_an_empty_output_path_is_a_usage_error(capsys, command):
+    # an empty path is a bad value, not "not given": no report on stdout
+    argv = UNWRITABLE_COMMANDS[command]
+    code, out, err = run_cli(capsys, *argv, "")
+    assert (code, out) == (2, "")
+    assert err == f"error: {argv[-1]} must name a file, got ''\n"
+
+
+def test_an_empty_order_is_a_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "solve", "--example", "paper-5-1", "--epsilon", "0", "--order", ""
+    )
+    assert (code, out, err) == (2, "", "error: --order must look like 1,2,3; got ''\n")
 
 
 def write_profile(tmp_path, *stops_per_player):
@@ -517,6 +533,92 @@ def test_solve_reports_are_byte_identical(capsys, tmp_path, name, epsilon, order
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the `--trace` file of each SOLVE_REPORT_DIGESTS row and of
+# `verify` on its capped profile, recorded before one writer replaced the
+# indented json.dumps calls
+SOLVE_TRACE_AND_VERIFY_DIGESTS = {
+    ("paper-5-1", "0", "1,2,3"): (
+        "eacb03a22955cca8a236562773b74e96ee37c7e82d65c3d371774f16ed2e631d",
+        "7a3572bc5f3f3878a73a01fc5a899117fd18d8d69e64df741b0615bc8aa5b07f",
+    ),
+    ("paper-5-1", "0", "2,3,1"): (
+        "9510e9102c2ee8b901c1fa92db37380e56dcd91fcfc314c786a6e47477e40fa6",
+        "4b7d44ead097e3929e251f3a7ab07bdccc72e85f41bbe379fc43b6d0b3338dbe",
+    ),
+    ("paper-5-1", "1/4", "1,2,3"): (
+        "eacb03a22955cca8a236562773b74e96ee37c7e82d65c3d371774f16ed2e631d",
+        "da9f49890ad2c4cb631ed6686bef718b62a48362de8d14b8d18d102e33419331",
+    ),
+    ("paper-5-1", "1/4", "2,3,1"): (
+        "24db1295e9752e8d6a300264d33e71e9e19471a37e3731902e45887233e7c192",
+        "f25c8d914004ef70cbdefc7c5bfdba4472e44069ba44867979121713b1b82e4b",
+    ),
+    ("paper-5-3", "0", None): (
+        "833649ee9fe7f36b88dc4f6c90c53cc0a4176209fe8c540df35633b00b2aae50",
+        "7bd83216a44ab65968fa6ece7deed2841874f5079eded3679a95563d078bf133",
+    ),
+    ("paper-5-3", "1/4", None): (
+        "833649ee9fe7f36b88dc4f6c90c53cc0a4176209fe8c540df35633b00b2aae50",
+        "6493a1fc3633d64475c418a2cd33487689dd42f2fd951eb1912c6c00c573b41f",
+    ),
+    ("late-stop-3x36", "0", None): (
+        "21a56521ebf46cd9ad971231ded8b6d5be32b984084be76f844e81f6d9d499c7",
+        "a0cc50b75d52d3dc28e13154c4702aca765483a17a93361fae317c732632a1c4",
+    ),
+}
+
+
+@pytest.mark.parametrize("name,epsilon,order", list(SOLVE_TRACE_AND_VERIFY_DIGESTS))
+def test_solve_traces_and_verify_outputs_are_byte_identical(capsys, tmp_path, name, epsilon, order):
+    trace_digest, verify_digest = SOLVE_TRACE_AND_VERIFY_DIGESTS[name, epsilon, order]
+    source, trace = _game_source(name, tmp_path), tmp_path / "t.json"
+    argv = ["solve", *source, "--epsilon", epsilon, "--trace", str(trace)]
+    code, out, _ = run_cli(capsys, *argv, *(["--order", order] if order else []))
+    assert code == 0
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == trace_digest
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"rules": json.loads(out)["profile"]["capped"]}))
+    code, out, _ = run_cli(capsys, "verify", *source, "--epsilon", epsilon, "--profile", str(profile))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == verify_digest
+
+
+# sha256 of `enumerate` stdout, the same with and without --allow-empty, and
+# the exit code without it; recorded with SOLVE_TRACE_AND_VERIFY_DIGESTS
+ENUMERATE_REPORT_DIGESTS = {
+    ("paper-5-1", "0"): (0, "dfd47b15ecf70fdf4a76783bcfed4327a1001776e7bc183bdf76cd3b4d1a6048"),
+    ("paper-5-1", "1/4"): (0, "28f060a0221911ebd9c4fcfb78e439cf2cb765b4c75cc14e5620c942d99ab602"),
+    ("counterexample-a", "0"): (1, "9386e4e98199448b22b4f3b18911f04c2d5ba5caeb534dda404da616ab7729ab"),
+    ("counterexample-a", "1/4"): (1, "87b90e8ad56e605c6f575ed28dc0eb0e033e84f460cf2b3a9f63719b71198a82"),
+    ("counterexample-b", "0"): (0, "dfee1662390ee9621c74693774c751334f7d215727ee29ce20645b34987fe67d"),
+    ("counterexample-b", "1/4"): (0, "f390c7e2a28aa9ff590e81ddb74a20821013624ad45cc1eeedd9b6b7639b8493"),
+}
+
+
+@pytest.mark.parametrize("name,epsilon", list(ENUMERATE_REPORT_DIGESTS))
+def test_enumerate_reports_are_byte_identical(capsys, name, epsilon):
+    found_code, digest = ENUMERATE_REPORT_DIGESTS[name, epsilon]
+    argv = ["enumerate", "--example", name, "--epsilon", epsilon]
+    for extra, exit_code in [([], found_code), (["--allow-empty"], 0)]:
+        code, out, _ = run_cli(capsys, *argv, *extra)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (exit_code, digest)
+
+
+# sha256 of `example --name` stdout; recorded with SOLVE_TRACE_AND_VERIFY_DIGESTS
+EXAMPLE_DIGESTS = {
+    "counterexample-a": "3585f29c38871cea0dc2e01ec57281bf0e468da911da36f6c77b8f7f64669334",
+    "counterexample-b": "0b3069f0bcf7807d4b365b607cd1c7495ace4f3f4f355a09a7b931a8ac7f63a5",
+    "paper-5-1": "aed200e9b5f43dd1611694f6e4c6e28c870e4e2f3481641b96d076b50edf2486",
+    "paper-5-3": "c0d83c81402b28c6e583846f6a9c2ba47c68b8484def9a5e23acbcffd44f50fe",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_example_documents_are_byte_identical(capsys, name):
+    code, out, _ = run_cli(capsys, "example", "--name", name)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, EXAMPLE_DIGESTS[name])
+
+
 def _with_bad_value(doc, where, value):
     if where == "payoff":
         doc["payoffs"][1]["values"]["2"] = value
@@ -723,16 +825,17 @@ def _flag(draw, name, values):
 
 
 def _output_flag(draw, name, work):
-    """``name`` left out, or set to a writable path or to one of three kinds
-    of unwritable paths."""
+    """``name`` left out, or set to a writable path, to an empty value or
+    to one of three kinds of unwritable paths."""
     (work / "file").touch()
-    kind = draw(st.sampled_from([None, "fine", "missing dir", "a directory", "under a file"]))
+    kinds = [None, "fine", "empty", "missing dir", "a directory", "under a file"]
     path = {
         "fine": work / "written.json",
+        "empty": "",
         "missing dir": work / "missing" / "o.json",
         "a directory": work,
         "under a file": work / "file" / "o.json",
-    }.get(kind)
+    }.get(draw(st.sampled_from(kinds)))
     return [] if path is None else [f"{name}={path}"]
 
 

@@ -394,3 +394,37 @@ def test_profile_integers_past_the_digit_limit_are_document_errors(deterministic
     text = '{"rules": [{"player": ' + "9" * 5000 + ', "stops": []}]}'
     with int_digit_limit(4300), pytest.raises(DocumentError, match="^profile: Exceeds the limit"):
         parse_profile(text, deterministic_game)
+
+
+# characters that JSON escapes or that ensure_ascii writes as \u escapes:
+# quotes, backslashes, controls, non-ASCII, astral and lone surrogates
+_ODD_CHARS = st.sampled_from(["\"", "\\", "/", "\x00", "\t", "\n", "\x1f", "\x7f", "\xe9",
+                              "\u2028", "\ud800", "\udfff", "\U0001f600"])
+_STRINGS = st.text(_ODD_CHARS | st.characters(exclude_categories=()), max_size=6)
+_KEYS = _STRINGS | st.integers(-12, 12).map(str)  # "10" sorts before "9"
+_BIG_INTS = st.builds(  # past the interpreter's 4300-digit limit
+    lambda digits, sign: sign * (10**digits + 7), st.integers(4300, 4400), st.sampled_from([1, -1])
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _BIG_INTS | _KEYS
+    | st.lists(st.integers(-(2**70), 2**70) | st.booleans()),  # bools amid ints
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_JSON_VALUES, sort_keys=st.booleans())
+def test_json_text_equals_indented_json_dumps(value, sort_keys):
+    with int_digit_limit(0):  # lifted as the command line lifts it
+        expected = json.dumps(value, indent=2, sort_keys=sort_keys)
+        assert documents.json_text(value, sort_keys=sort_keys) == expected
+
+
+# json.dumps writes floats, tuples and int keys (and sets, given a default)
+# without a word; a float never belongs in an exact output
+@pytest.mark.parametrize("value", [0.5, (1, 2), {1, 2}, {1: "a"}, {"a": [1, 1.0]}, [True, 1, 2.0]])
+@pytest.mark.parametrize("sort_keys", [False, True])
+def test_json_text_rejects_what_outputs_never_hold(value, sort_keys):
+    with pytest.raises(TypeError):
+        documents.json_text(value, sort_keys=sort_keys)

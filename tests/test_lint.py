@@ -151,3 +151,14 @@ def test_reference_code_reads_none_of_the_kernels_it_checks():
         for name in sorted(_names(_parse(path)).keys() & kernels)
     ]
     assert references and found == []
+
+
+def test_sources_write_json_text_in_one_place():
+    # every JSON text comes from documents.json_text, which the tests hold
+    # byte for byte to json.dumps(indent=2): src/ names neither dumps nor dump
+    found = [
+        f"{path.name}:{name}"
+        for path in SOURCES
+        for name in sorted(_names(_parse(path)).keys() & {"dumps", "dump"})
+    ]
+    assert SOURCES and found == []
