@@ -8,6 +8,8 @@ something found), 1 negative verdict, 2 validation or argument failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -45,15 +47,39 @@ def _read_text(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc}") from None
 
 
-def _write_text(path: str | None, text: str) -> None:
-    """Write ``text`` to the file at ``path``, or to stdout without one."""
-    if path is None:
-        sys.stdout.write(text)
-        return
+def _write_outputs(outputs: dict[str | None, str]) -> None:
+    """Write each text to the file at its path, and the one under ``None``
+    to stdout.
+
+    Every path is opened, without truncating it, before any is written,
+    so a path that cannot be opened leaves the others as they were.  If
+    one cannot be opened or written, the files this call created are
+    removed and a UsageError names the path.
+    """
+    paths = [path for path in outputs if path is not None]
+    files = []
+    created = []
     try:
-        Path(path).write_text(text)
+        for path in paths:
+            existed = os.path.exists(path)
+            files.append(open(path, "a"))
+            if not existed:
+                created.append(path)
+        for path, file in zip(paths, files):
+            if os.path.isfile(path):  # not a device such as /dev/null
+                file.truncate(0)
+            file.write(outputs[path])
+            file.close()
     except OSError as exc:
+        for file in files:
+            with contextlib.suppress(OSError):  # flushing what failed fails again
+                file.close()
+        for made in created:
+            with contextlib.suppress(OSError):
+                os.remove(made)
         raise UsageError(f"cannot write {path}: {exc}") from None
+    if None in outputs:
+        sys.stdout.write(outputs[None])
 
 
 def _load_spec(args: argparse.Namespace, enforce_assumption_a: bool) -> GameSpec:
@@ -81,8 +107,8 @@ def _parse_order(text: str, num_players: int) -> tuple[int, ...]:
     return order
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    _write_text(out, json_text(payload, sort_keys=True) + "\n")
+def _report_text(payload: dict) -> str:
+    return json_text(payload, sort_keys=True) + "\n"
 
 
 def certificate_json(certificate: NepCertificate) -> dict:
@@ -115,7 +141,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         result = run_scheme(spec, config, validated=True)
     except ConvergenceError as exc:
         if args.trace is not None:
-            _write_text(args.trace, json_text(trace_as_json(exc.trace), sort_keys=False) + "\n")
+            rows = trace_as_json(exc.trace)
+            _write_outputs({args.trace: json_text(rows, sort_keys=False) + "\n"})
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 
@@ -132,11 +159,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "expected_payoffs": [str(v) for v in certificate.achieved],
         "certificate": certificate_json(certificate),
     }
+    outputs = {}
     if args.trace is not None:
         rows = trace_as_json(result.trace)
-        _write_text(args.trace, json_text(rows, sort_keys=False) + "\n")
+        outputs[args.trace] = json_text(rows, sort_keys=False) + "\n"
         report["trace"] = rows
-    _emit(report, args.out)
+    outputs[args.out] = _report_text(report)  # after the trace: one path may name both
+    _write_outputs(outputs)
     return EXIT_OK if certificate.is_eps_nep else EXIT_NEGATIVE
 
 
@@ -145,15 +174,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     epsilon = _parse_epsilon(args.epsilon)
     profile = parse_profile(_read_text(args.profile), spec)
     certificate = certify(spec, profile, epsilon)
-    _emit(certificate_json(certificate), None)
+    sys.stdout.write(_report_text(certificate_json(certificate)))
     return EXIT_OK if certificate.is_eps_nep else EXIT_NEGATIVE
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     spec = _load_spec(args, enforce_assumption_a=False)
     epsilon = _parse_epsilon(args.epsilon)
+    if args.cap < 0:
+        raise UsageError(f"--cap must be >= 0, got {args.cap}")
     found = find_all_eps_neps(spec, epsilon, rule_cap=args.cap)
-    _emit(
+    report = _report_text(
         {
             "epsilon": str(epsilon),
             "count": len(found),
@@ -164,16 +195,16 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                 }
                 for profile, certificate in found
             ],
-        },
-        args.out,
+        }
     )
+    _write_outputs({args.out: report})
     if found or args.allow_empty:
         return EXIT_OK
     return EXIT_NEGATIVE
 
 
 def cmd_example(args: argparse.Namespace) -> int:
-    _write_text(args.out, document_text(example_document(args.name)))  # a known name
+    _write_outputs({args.out: document_text(example_document(args.name))})  # a known name
     return EXIT_OK
 
 

@@ -69,6 +69,13 @@ class TreeIndex(NamedTuple):
     below position ``p`` are exactly the ranks ``leaf_lo[p]:leaf_hi[p]``;
     two ranges are nested when one node is an ancestor of the other and
     disjoint otherwise.  ``leaf_rank[k]`` is the rank of ``leaves[k]``.
+
+    A stage whose every node has exactly one child is a chain stage: its
+    next stage is as wide, and the child of position ``stage_start[t] + j``
+    is ``stage_start[t + 1] + j``; on a valid tree that child has
+    probability 1, so ``unit`` is 1 and ``scale[t] == scale[t + 1]``.
+    ``chain_end[t]`` is the first stage at or after ``t`` that is not a
+    chain stage (``t`` itself unless ``t`` is one; the horizon never is).
     """
 
     nodes: tuple[Node, ...]
@@ -83,6 +90,7 @@ class TreeIndex(NamedTuple):
     leaf_lo: tuple[int, ...]
     leaf_hi: tuple[int, ...]
     leaf_rank: tuple[int, ...]
+    chain_end: tuple[int, ...]
 
     @property
     def horizon(self) -> int:
@@ -142,7 +150,14 @@ def _build_index(tree: "ScenarioTree") -> TreeIndex:
         weight += [weight[up] // b * c for up, c in zip(parent[lo:hi], unit[lo:hi])]
     positions = tuple(range(n))
 
-    count = [1 if lo == hi else 0 for lo, hi in zip(first, first[1:])]  # leaves below
+    fanout = [hi - lo for lo, hi in zip(first, first[1:])]
+    chain_end = list(range(horizon + 1))
+    for t in range(horizon - 1, -1, -1):
+        lo, hi = stages[t]
+        if fanout[lo:hi].count(1) == hi - lo:
+            chain_end[t] = chain_end[t + 1]
+
+    count = [1 if c == 0 else 0 for c in fanout]  # leaves below
     for pos in range(n - 1, 0, -1):  # children before parents
         count[parent[pos]] += count[pos]
     # a child's first leaf rank is its parent's plus its earlier siblings' counts
@@ -167,6 +182,7 @@ def _build_index(tree: "ScenarioTree") -> TreeIndex:
         leaf_lo=tuple(leaf_lo),
         leaf_hi=tuple(lo + c for lo, c in zip(leaf_lo, count)),
         leaf_rank=tuple(leaf_lo[position[leaf.id]] for leaf in leaves),
+        chain_end=tuple(chain_end),
     )
 
 

@@ -140,6 +140,55 @@ def scenario_trees(
 
 
 @st.composite
+def chain_block_trees(draw, max_width: int = 6, max_weight: int = 6):
+    """A uniform-depth tree with blocks of single-child stages, and the
+    columns of those blocks.
+
+    A branching head of one or two stages, then two to four single-child
+    stages, then the horizon, or one more branching stage followed by the
+    horizon or by a second block of two or three single-child stages.  A
+    branching stage splits its first node in two or three and the others
+    in one to three, with branch probabilities from integer weights
+    1..max_weight; the head stays below ``max_width`` nodes per stage, so
+    that the stage after the first block can split too.  Returns
+    ``(tree, columns)``: each column lists the ids of one chain, from its
+    node at the block's first stage down to its node at the first stage
+    after the block.
+    """
+    kinds = ["branch"] * draw(st.integers(1, 2)) + ["chain"] * draw(st.integers(2, 4))
+    tail = draw(st.sampled_from(["horizon", "branch", "branch-chain"]))
+    if tail != "horizon":
+        kinds.append("branch")
+    if tail == "branch-chain":
+        kinds += ["chain"] * draw(st.integers(2, 3))
+    nodes = [Node(id=0, time=0, parent=None, branch_prob=Fraction(1))]
+    frontier = [0]
+    columns: list[list[int]] = []
+    for t, kind in enumerate(kinds, start=1):
+        if kind == "chain" and kinds[t - 2] != "chain":  # a block's first stage
+            columns += [[pos] for pos in frontier]
+        width = max_width if "chain" in kinds[: t - 1] else max_width - 1
+        new: list[int] = []
+        for k, parent in enumerate(frontier):
+            room = width - len(new) - (len(frontier) - k - 1)
+            if kind == "chain" or room < 2:
+                weights = [1]
+            else:
+                fanout = draw(st.integers(2 if k == 0 else 1, min(3, room)))
+                weights = draw(
+                    st.lists(st.integers(1, max_weight), min_size=fanout, max_size=fanout)
+                )
+            for w in weights:
+                nodes.append(Node(len(nodes), t, parent, Fraction(w, sum(weights))))
+                new.append(len(nodes) - 1)
+        if kind == "chain":
+            for column in columns[-len(frontier):]:
+                column.append(new[frontier.index(column[-1])])
+        frontier = new
+    return ScenarioTree(tuple(nodes)), columns
+
+
+@st.composite
 def tree_with_process(draw, **tree_kwargs):
     tree = draw(scenario_trees(**tree_kwargs))
     values = {node.id: draw(rationals()) for node in tree.nodes}

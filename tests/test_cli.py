@@ -2,6 +2,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import resource
 import sys
 import tempfile
 from pathlib import Path
@@ -184,6 +186,62 @@ def test_an_unwritable_output_path_is_a_usage_error(capsys, tmp_path, command):
     assert out == ""
     assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
     assert not path.parent.exists()
+
+
+def test_an_unwritable_report_leaves_no_trace_file(capsys, tmp_path):
+    trace, out = tmp_path / "t.json", tmp_path / "missing" / "o.json"
+    code, stdout, err = run_cli(
+        capsys, "solve", "--example", "paper-5-1", "--epsilon", "0",
+        "--trace", str(trace), "--out", str(out),
+    )
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_trace_cut_short_leaves_no_file(capsys, tmp_path):
+    """A file-size limit makes the trace's write fail part way, as a full
+    disk would: neither the partial trace nor the report opened beside it
+    is left.  The interpreter ignores SIGXFSZ, so the write raises."""
+    trace, out = tmp_path / "t.json", tmp_path / "o.json"
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (512, hard))
+    try:
+        code, stdout, err = run_cli(
+            capsys, "solve", "--example", "paper-5-1", "--epsilon", "0",
+            "--trace", str(trace), "--out", str(out),
+        )
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: cannot write {trace}: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_outputs_replace_what_their_files_held(capsys, tmp_path):
+    trace, out = tmp_path / "t.json", tmp_path / "o.json"
+    trace.write_text("x" * 100_000)
+    out.write_text("x" * 100_000)
+    argv = ["solve", "--example", "paper-5-1", "--epsilon", "0", "--trace", str(trace)]
+    code, stdout, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, _, _ = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 0
+    assert out.read_text() == stdout
+    assert json.loads(trace.read_text()) == json.loads(stdout)["trace"]
+    # one path for both holds the report, written last
+    code, _, _ = run_cli(capsys, *argv[:-1], str(out), "--out", str(out))
+    assert (code, out.read_text()) == (0, stdout)
+    # a device is written without being truncated
+    code, devnull_stdout, _ = run_cli(capsys, *argv[:-1], os.devnull, "--out", os.devnull)
+    assert (code, devnull_stdout) == (0, "")
+
+
+def test_a_negative_cap_is_a_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "enumerate", "--example", "paper-5-1", "--epsilon", "0", "--cap", "-1"
+    )
+    assert (code, out, err) == (2, "", "error: --cap must be >= 0, got -1\n")
 
 
 @pytest.mark.parametrize("command", sorted(UNWRITABLE_COMMANDS))
@@ -508,10 +566,16 @@ SOLVE_REPORT_DIGESTS = [
     ("paper-5-3", "1/4", None, "f4bad7b71759dfc6373a7cbaaa1927f960d626540c4e83b18180e47adf2e9788"),
     # recorded before the sweep's kernel visited only the live region
     ("late-stop-3x36", "0", None, "781b60dd6f4cecc8eb49533598ef3e312e4dd9332177cd8940928b5b35560970"),
+    # recorded before the kernel walked single-child stages as chains
+    ("late-stop-2x60", "0", None, "9b13194b64d3ba3d0600892f8aa304e6a1697e050e339d056cb3ba9a8d65c7d2"),
+    ("late-stop-2x60", "1/4", None, "36f9e5dad51cc06a464e44a1532dec26a3e5143bc1ae9f11e47924d6dd816cea"),
 ]
 
 # generated games the digests cover besides the built-in examples
-GENERATED_GAMES = {"late-stop-3x36": lambda: late_stop_game(Random(7), 3, 36)}
+GENERATED_GAMES = {
+    "late-stop-3x36": lambda: late_stop_game(Random(7), 3, 36),
+    "late-stop-2x60": lambda: late_stop_game(Random(11), 2, 60),
+}
 
 
 def _game_source(name, tmp_path):
@@ -564,6 +628,15 @@ SOLVE_TRACE_AND_VERIFY_DIGESTS = {
     ("late-stop-3x36", "0", None): (
         "21a56521ebf46cd9ad971231ded8b6d5be32b984084be76f844e81f6d9d499c7",
         "a0cc50b75d52d3dc28e13154c4702aca765483a17a93361fae317c732632a1c4",
+    ),
+    # recorded with the late-stop-2x60 rows of SOLVE_REPORT_DIGESTS
+    ("late-stop-2x60", "0", None): (
+        "4e4271723e924bb87602723f374b8f2cb98435313e1fbf2ac292fce918d46788",
+        "165af492940e18c87faa55d88d49c644a6af9de3363ab35ebe1d7d63eb9cef97",
+    ),
+    ("late-stop-2x60", "1/4", None): (
+        "59190d813649ff2b56bac235120e0fea788bfdd3b6626db015825722a9e8228a",
+        "4089b86bf797dd4956b3d1247605d06decd7cc200ff704dcbf44bc3680aa5504",
     ),
 }
 
@@ -891,6 +964,10 @@ def test_bad_flags_and_profiles_end_with_a_documented_exit_code(data):
     assert code in range(5)
     if code == 2:
         assert err.getvalue().startswith("error: ")
+    if "--cap=-1" in argv:  # a usage error, not a cap the tree exceeds
+        assert code == 2
+        # the error names --cap, unless a flag checked before it is bad too
+        assert any(flag in err.getvalue() for flag in ("--cap", "--epsilon", "--out"))
 
 
 def wide_denominator_document(q):

@@ -9,6 +9,7 @@ from dynkin.snell import integer_snell
 from dynkin.trees import Node, ScenarioTree
 from dynkin.verify import enumerate_rules
 from gens import (
+    chain_block_trees,
     path_process,
     rationals,
     scenario_trees,
@@ -181,18 +182,15 @@ def test_integer_kernel_equals_fraction_reference(data):
     assert_kernel_matches_reference(tree, reward, epsilon)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_integer_kernel_with_frozen_positions_equals_fraction_reference(data):
-    """A sweep step's shape: U is held constant strictly below an antichain
-    of frozen positions, and the kernel input carries unrelated values
-    there, which a correct kernel never reads.  Fanout 1..3 puts one-child
-    nodes beside split ones on a stage, so a one-child node's ``unit`` is
-    often that stage's lcm rather than 1."""
-    tree = data.draw(scenario_trees(max_depth=4, max_nodes=20, max_weight=9))
+def assert_frozen_kernel_matches_reference(data, tree, flags):
+    """U is held constant strictly below the antichain of the first
+    ``flags`` positions on each path, while the kernel input carries
+    unrelated values there; epsilon is 0, 1/3 or one of the tree's own
+    margins, so ties sit exactly at epsilon.  The kernel's W equals the
+    reference at every node, its input is left as it was strictly below a
+    frozen position, and its rule equals the reference's."""
     index = tree.index
     n = len(index.nodes)
-    flags = data.draw(st.sets(st.integers(0, n - 1)))
     below = [False] * n  # strictly below a frozen position
     frozen = set()
     for pos in range(n):  # parents before children
@@ -213,7 +211,40 @@ def test_integer_kernel_with_frozen_positions_equals_fraction_reference(data):
     raw_input = kernel_input(tree, dict(zip(ids, raw)), epsilon, frozenset(frozen))
     scaled, rule = integer_snell(tree, raw_input, epsilon)
     assert {i: scaled_value(scaled, i) for i in ids} == envelope
+    assert [w for w, low in zip(scaled.scaled, below) if low] == [
+        x for x, low in zip(raw_input.scaled, below) if low
+    ]
     assert rule == eps_optimal_rule(tree, reward, envelope, epsilon)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_integer_kernel_with_frozen_positions_equals_fraction_reference(data):
+    """A sweep step's shape.  Fanout 1..3 puts one-child nodes beside split
+    ones on a stage, so a one-child node's ``unit`` is often that stage's
+    lcm rather than 1."""
+    tree = data.draw(scenario_trees(max_depth=4, max_nodes=20, max_weight=9))
+    flags = data.draw(st.sets(st.integers(0, len(tree.nodes) - 1)))
+    assert_frozen_kernel_matches_reference(data, tree, flags)
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain_block_trees(), st.data())
+def test_integer_kernel_on_chain_blocks_equals_fraction_reference(tree_columns, data):
+    """Columns of single-child stages, frozen at a column's top, in mid
+    column, at the block's last stage or at the column's end, besides
+    frozen positions anywhere; the first frozen position on a path wins."""
+    tree, columns = tree_columns
+    position = tree.index.position
+    flags = set(data.draw(st.sets(st.integers(0, len(tree.nodes) - 1), max_size=3)))
+    for column in columns:
+        last = len(column) - 2  # the block's last stage, above the column's end
+        where = data.draw(st.sampled_from([None, 0, "mid", last, last + 1]))
+        if where == "mid":
+            where = data.draw(st.integers(1, max(1, last - 1)))
+        if where is not None:
+            flags.add(position[column[where]])
+    assert_frozen_kernel_matches_reference(data, tree, flags)
 
 
 def test_integer_kernel_on_a_deep_path_with_thirds_near_the_root():

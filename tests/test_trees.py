@@ -24,6 +24,7 @@ from dynkin.trees import (
     validate_tree,
 )
 from gens import (
+    chain_block_trees,
     full_binary_tree,
     linked_trees,
     path_process,
@@ -224,6 +225,50 @@ def test_unit_sibling_sums_imply_unit_leaf_mass(tree):
         for node in path_to(tree, leaf.id):
             prob *= node.branch_prob
         assert w == prob * scale
+
+
+def chain_end_from_the_parent_links(tree):
+    """``TreeIndex.chain_end`` read from the children counts of the parent
+    links: stage ``t`` is a chain stage when each of its nodes has exactly
+    one child."""
+    kids = children_table(tree)
+    horizon = max(node.time for node in tree.nodes)
+    single = [
+        all(len(kids[node.id]) == 1 for node in tree.nodes if node.time == t)
+        for t in range(horizon + 1)
+    ]
+    return tuple(
+        next(end for end in range(t, horizon + 1) if not single[end])
+        for t in range(horizon + 1)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        scenario_trees(max_depth=5, max_nodes=24),
+        chain_block_trees().map(lambda tree_columns: tree_columns[0]),
+        linked_trees(),
+    )
+)
+def test_chain_end_follows_the_children_counts(tree):
+    assert tree.index.chain_end == chain_end_from_the_parent_links(tree)
+
+
+def test_a_leaf_above_the_horizon_makes_no_chain_stage():
+    # stage 1 is as wide as stage 2, but node 1 is a leaf and node 2 splits
+    half = Fraction(1, 2)
+    tree = ScenarioTree(
+        (
+            Node(0, 0, None, Fraction(1)),
+            Node(1, 1, 0, half),
+            Node(2, 1, 0, half),
+            Node(3, 2, 2, half),
+            Node(4, 2, 2, half),
+        )
+    )
+    assert validate_tree(tree)  # the leaf is above the horizon
+    assert tree.index.chain_end == (0, 1, 2)
 
 
 def test_one_step_expectation_single_child():
