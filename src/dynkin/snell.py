@@ -158,7 +158,7 @@ def integer_snell(
     # column whose first is its end goes on below the block
     stops = []
     frontier = [0]
-    for t, positions, chain in plan:
+    for _, _, chain in plan:
         reached = []
         if chain is None:
             for pos in frontier:
