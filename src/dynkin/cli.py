@@ -51,32 +51,38 @@ def _write_outputs(outputs: dict[str | None, str]) -> None:
     """Write each text to the file at its path, and the one under ``None``
     to stdout.
 
-    Every path is opened, without truncating it, before any is written,
-    so a path that cannot be opened leaves the others as they were.  If
-    one cannot be opened or written, the files this call created are
-    removed and a UsageError names the path.
+    A regular file, or a path that does not exist yet, is written to a
+    temporary file in its directory, and the temporary files replace their
+    targets only once every text is written; any other target, a device
+    such as /dev/null, is written in place.  If a write fails, the
+    temporary files are removed, so no file is left changed or made, and a
+    UsageError names the path.
     """
-    paths = [path for path in outputs if path is not None]
-    files = []
-    created = []
+    staged: dict[str, tuple[str, str]] = {}  # path: (its temporary file, target)
+    path = None
     try:
-        for path in paths:
-            existed = os.path.exists(path)
-            files.append(open(path, "a"))
-            if not existed:
-                created.append(path)
-        for path, file in zip(paths, files):
-            if os.path.isfile(path):  # not a device such as /dev/null
-                file.truncate(0)
-            file.write(outputs[path])
-            file.close()
+        for path, text in outputs.items():
+            if path is None:
+                continue
+            target = os.path.realpath(path)
+            if os.path.exists(target) and not os.path.isfile(target):  # a device
+                with open(path, "a") as file:
+                    file.write(text)
+                continue
+            temporary = f"{target}.{os.getpid()}.tmp"  # in the target's own directory
+            staged[path] = (temporary, target)
+            with open(temporary, "w") as file:
+                if os.path.exists(target):  # keep its permission bits
+                    os.chmod(file.fileno(), os.stat(target).st_mode & 0o7777)
+                file.write(text)
+        for path, (temporary, target) in staged.items():
+            os.replace(temporary, target)
     except OSError as exc:
-        for file in files:
-            with contextlib.suppress(OSError):  # flushing what failed fails again
-                file.close()
-        for made in created:
-            with contextlib.suppress(OSError):
-                os.remove(made)
+        for temporary, _ in staged.values():
+            with contextlib.suppress(OSError):  # replaced already, or never made
+                os.remove(temporary)
+        if exc.filename is not None:  # name the path, not its temporary file
+            exc = OSError(exc.errno, exc.strerror, path)
         raise UsageError(f"cannot write {path}: {exc}") from None
     if None in outputs:
         sys.stdout.write(outputs[None])

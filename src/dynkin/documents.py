@@ -9,13 +9,15 @@ path into the document.  Every JSON text the package writes comes from
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
-from .games import GameSpec, StrategyProfile, all_coalitions, validate_game
-from .trees import Node, NodeId, ScenarioTree, canonicalize_rule
+from .games import GameSpec, PayoffProcess, StrategyProfile, all_coalitions, validate_game
+from .trees import ScenarioTree, canonicalize_rule, tree_from_columns
 
 SCHEMA_VERSION = "1"
 
@@ -80,58 +82,76 @@ def _node_fields(raw: Any, here: str) -> None:
         raise DocumentError(f"{here}.parent: expected an integer or null")
 
 
-def _parse_tree(
-    doc: Any, where: str, rationals: dict[str, Fraction]
-) -> ScenarioTree:
+def _parse_tree(doc: Any, where: str, rationals: dict[str, Fraction]) -> ScenarioTree:
     if not isinstance(doc, dict):
         raise DocumentError(f"{where}: expected an object with a \"nodes\" list")
     raw_nodes = _require(doc, "nodes", list, where)
-    nodes = []
-    for k, raw in enumerate(raw_nodes):
-        # the checks run in order and build the node's path only to raise
-        if type(raw) is not dict:
-            _node_fields(raw, f"{where}.nodes[{k}]")
-        node_id, time, parent = raw.get("id"), raw.get("time"), raw.get("parent")
-        if type(node_id) is not int or type(time) is not int or (
-            parent is not None and type(parent) is not int
-        ):
-            _node_fields(raw, f"{where}.nodes[{k}]")
-        text = raw.get("prob")
-        prob = rationals.get(text) if type(text) is str else None
-        if prob is None:
-            prob = _parse_once(rationals, text, f"{where}.nodes[{k}]", "prob")
-        nodes.append(Node(node_id, time, parent, prob))
-    return ScenarioTree(tuple(nodes))
+    # read as columns; a node that is no object or has a field of the wrong
+    # type is found again below, in order
+    try:
+        fields = ("id", "time", "parent", "prob")
+        ids, times, parents, texts = [list(map(dict.get, raw_nodes, repeat(k))) for k in fields]
+        typed = {*map(type, ids), *map(type, times)} <= {int} and (
+            set(map(type, parents)) <= {int, type(None)}
+        )
+    except TypeError:  # a node that is no object
+        typed = False
+    for k, raw in enumerate(() if typed else raw_nodes):  # raises at the first bad node
+        _node_fields(raw, f"{where}.nodes[{k}]")
+    try:
+        seen = rationals.keys() >= set(texts)
+    except TypeError:  # a prob such as a list
+        seen = False
+    for k, text in enumerate(() if seen else texts):  # each new string parsed once
+        if type(text) is not str or text not in rationals:
+            _parse_once(rationals, text, f"{where}.nodes[{k}]", "prob")
+    return tree_from_columns(ids, times, parents, list(map(rationals.__getitem__, texts)))
 
 
 def _parse_values(
-    raw: Any, ids: dict[str, int], where: str, rationals: dict[str, Fraction]
-) -> dict[int, Fraction]:
-    """Node id -> value; ``ids`` maps each id's canonical string to it.  A
-    table of canonical keys is read in one pass, which parses each new
-    string once and words a bad value as the loop would; any other table
-    goes entry by entry."""
+    raw: Any, where: str, rationals: dict[str, Fraction], reader: dict
+) -> PayoffProcess:
+    """The process a ``values`` object lists, over the ``reader["size"]``
+    slots ``reader["position"]`` gives node ``int(key)``.  A table keyed as
+    the last one read reuses its slots; each new string is parsed once, in
+    document order.  A bad key or an unhashable value sends the table entry
+    by entry, which raises at its first bad entry.  ``reader`` also keeps
+    each string's ratio and, per denominator, the numerators scaled to it."""
     if not isinstance(raw, dict):
         raise DocumentError(f"{where}: expected an object mapping node ids to rationals")
+    position, size = reader["position"], reader["size"]
     try:
-        return {
-            ids[key]: rationals[text]
-            if text in rationals
-            else _parse_once(rationals, text, where, key)
-            for key, text in raw.items()
-        }
-    except (KeyError, TypeError):  # a key like "07", an unknown id, a list value
-        pass
-    values: dict[int, Fraction] = {}
-    for key, text in raw.items():
-        try:
-            node_id = int(key)
-        except (TypeError, ValueError):
-            raise DocumentError(f"{where}.{key}: node id is not an integer") from None
-        if str(node_id) not in ids:
-            raise DocumentError(f"{where}.{key}: node {node_id} does not exist")
-        values[node_id] = _parse_once(rationals, text, where, key)
-    return values
+        keys = list(raw)
+        if keys != reader.get("keys"):
+            gather = [-1] * size  # slot -> entry; -1 reads the None past the entries
+            for k, slot in enumerate(map(position.__getitem__, map(int, keys))):
+                gather[slot] = k  # of "7" and "07", the later entry counts
+            reader["keys"], reader["gather"] = keys, gather
+        distinct = set(raw.values())
+    except (KeyError, TypeError, ValueError):  # no id of the tree, a list value
+        for key, text in raw.items():
+            try:
+                node_id = int(key)
+            except (TypeError, ValueError):
+                raise DocumentError(f"{where}.{key}: node id is not an integer") from None
+            if node_id not in position:
+                raise DocumentError(f"{where}.{key}: node {node_id} does not exist")
+            _parse_once(rationals, text, where, key)
+        raise  # not reached: the loop raises at the entry that failed above
+    for key, text in () if rationals.keys() >= distinct else raw.items():
+        if text not in rationals:
+            _parse_once(rationals, text, where, key)
+    pairs = reader.setdefault("pairs", {})  # each string's numerator and denominator
+    for text in distinct - pairs.keys():
+        pairs[text] = rationals[text].as_integer_ratio()
+    denominator = math.lcm(*{pairs[text][1] for text in distinct})
+    # numerators over one denominator, shared by the processes that have it
+    scaled = reader.setdefault("scaled", {}).setdefault(denominator, {})
+    for text in distinct - scaled.keys():
+        scaled[text] = pairs[text][0] * (denominator // pairs[text][1])
+    by_entry, gather = [*map(scaled.__getitem__, raw.values()), None], reader["gather"]
+    numerators = list(map(by_entry.__getitem__, gather))
+    return PayoffProcess(numerators, denominator, position, size - gather.count(-1))
 
 
 def _short_of_total(players: int, count: int) -> bool:
@@ -175,9 +195,13 @@ def parse_game(text: str, enforce_assumption_a: bool = True) -> GameSpec:
     tree = _parse_tree(
         _require(doc, "tree", dict, "document"), "document.tree", rationals
     )
-    ids = {str(node.id): node.id for node in tree.nodes}
+    try:
+        position = tree.index.position
+    except ValueError:  # fails validation below; the values are only read for errors
+        position = {node.id: k for k, node in enumerate(tree.nodes)}
+    reader = {"position": position, "size": len(tree.nodes)}
 
-    payoffs: dict[tuple[int, tuple[int, ...]], dict[NodeId, Fraction]] = {}
+    payoffs: dict[tuple[int, tuple[int, ...]], PayoffProcess] = {}
     raw_payoffs = _require(doc, "payoffs", list, "document")
     for k, raw in enumerate(raw_payoffs):
         here = f"document.payoffs[{k}]"
@@ -209,8 +233,8 @@ def parse_game(text: str, enforce_assumption_a: bool = True) -> GameSpec:
                 f"{here}: duplicate entry for player {player}, "
                 f"coalition {list(coalition)}"
             )
-        values = _parse_values(raw.get("values"), ids, f"{here}.values", rationals)
-        payoffs[(player, coalition)] = values
+        where = f"{here}.values"
+        payoffs[(player, coalition)] = _parse_values(raw.get("values"), where, rationals, reader)
 
     # listing every missing pair, as validation does, costs 2^N time and text
     if (
@@ -234,21 +258,20 @@ def parse_game(text: str, enforce_assumption_a: bool = True) -> GameSpec:
         raw_default = doc["default_payoff"]
         if not isinstance(raw_default, dict):
             raise DocumentError("document.default_payoff: expected an object")
-        default_values = _parse_values(
-            raw_default.get("values"), ids, "document.default_payoff.values",
-            rationals,
+        default = _parse_values(
+            raw_default.get("values"), "document.default_payoff.values", rationals, reader
         )
         for i in range(1, players + 1):
             for coalition in all_coalitions(players):
                 if (i, coalition) not in payoffs:
-                    payoffs[(i, coalition)] = dict(default_values)
+                    payoffs[(i, coalition)] = PayoffProcess(
+                        default.numerators, default.denominator, position, default.size
+                    )
 
     spec = GameSpec(num_players=players, horizon=horizon, tree=tree, payoffs=payoffs)
     violations = validate_game(spec, enforce_assumption_a=enforce_assumption_a)
     if violations:
-        raise DocumentError(
-            "document failed validation: " + "; ".join(violations)
-        )
+        raise DocumentError("document failed validation: " + "; ".join(violations))
     return spec
 
 

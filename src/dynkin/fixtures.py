@@ -81,66 +81,29 @@ def two_player_walk() -> dict:
     -3/2 / -1 for the larger coalitions) so that no tolerance up to 1/2
     makes stopping before the first draw worthwhile.
     """
-    branches = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-    quarter = "1/4"
     nodes: list[dict] = [{"id": 0, "time": 0, "parent": None, "prob": "1"}]
-    # state per node id: (walk sum, latest Q draw)
-    state: dict[int, tuple[int, int]] = {0: (0, 0)}
-    frontier = [0]
-    next_id = 1
-    for t in range(1, 4):
-        new_frontier = []
-        for parent in frontier:
-            s_parent, _ = state[parent]
-            for m, q in branches:
-                nodes.append(
-                    {"id": next_id, "time": t, "parent": parent, "prob": quarter}
-                )
-                state[next_id] = (s_parent + m, q)
-                new_frontier.append(next_id)
-                next_id += 1
-        frontier = new_frontier
-
+    state = {0: (0, 0)}  # per node id: (walk sum, latest Q draw)
+    for node in nodes:  # grows while iterating: breadth first
+        t, walk = node["time"], state[node["id"]][0]
+        for m, q in [(1, 1), (1, -1), (-1, 1), (-1, -1)] if t < 3 else []:
+            state[len(nodes)] = (walk + m, q)
+            nodes.append({"id": len(nodes), "time": t + 1, "parent": node["id"], "prob": "1/4"})
     half = Fraction(1, 2)
-    base1: dict[int, Fraction] = {}
-    base2: dict[int, Fraction] = {}
-    terminal1: dict[int, Fraction] = {}
-    terminal2: dict[int, Fraction] = {}
-    for node in nodes:
-        node_id, t = node["id"], node["time"]
-        s, q = state[node_id]
-        if t == 0:
-            base1[node_id] = Fraction(-2)
-            base2[node_id] = Fraction(-2)
-        else:
-            base1[node_id] = Fraction(s)
-            base2[node_id] = Fraction(s + q)
-        if t == 3:
-            terminal1[node_id] = Fraction(s) + half
-            terminal2[node_id] = Fraction(s + q) + half
-
-    def process(base: dict[int, Fraction], bump: Fraction, terminal: dict[int, Fraction]) -> dict[int, Fraction]:
-        values = {}
-        for node_id, b in base.items():
-            values[node_id] = terminal.get(node_id, b + bump)
-        return values
-
-    coalition_bumps = {
-        # (player, coalition) -> bump over the player's base process
-        (1, (1,)): Fraction(0),
-        (1, (1, 2)): half,
-        (1, (2,)): Fraction(1),
-        (2, (2,)): Fraction(0),
-        (2, (1, 2)): half,
-        (2, (1,)): Fraction(1),
-    }
+    # per (player, coalition): the bump over the player's base process
+    # (-2 at the root, then the walk, plus Q for player 2); the leaves pay
+    # base + 1/2 whoever stops
+    bumps = {(1, (1,)): 0, (1, (1, 2)): half, (1, (2,)): 1}
+    bumps |= {(2, (2,)): 0, (2, (1, 2)): half, (2, (1,)): 1}
     payoffs = []
-    for player, base, terminal in ((1, base1, terminal1), (2, base2, terminal2)):
+    for player in (1, 2):
         for coalition in all_coalitions(2):
-            bump = coalition_bumps[(player, coalition)]
-            payoffs.append(
-                _payoff_entry(player, coalition, process(base, bump, terminal))
-            )
+            values = {}
+            for node in nodes:
+                s, q = state[node["id"]]
+                base = Fraction(-2 if node["time"] == 0 else s + (q if player == 2 else 0))
+                bump = half if node["time"] == 3 else bumps[(player, coalition)]
+                values[node["id"]] = base + bump
+            payoffs.append(_payoff_entry(player, coalition, values))
     return _doc(2, 3, nodes, payoffs)
 
 

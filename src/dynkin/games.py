@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from .trees import (
@@ -42,21 +45,49 @@ def all_coalitions(num_players: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-class GameSpec(NamedTuple):
-    """Players, horizon, tree and one payoff process per (player, coalition).
+class PayoffProcess(Mapping):
+    """One payoff process by tree index position, read-only: the node at
+    ``position[id]`` has the value ``numerators[position[id]] / denominator``
+    (none where the numerator is None; ``size`` nodes have one), over the
+    lcm of the values' denominators."""
 
-    A coalition is the sorted tuple of its players, e.g. ``(1, 3)``; a
-    payoff process is its exact value at every node, keyed by node id.
-    """
+    __slots__ = ("numerators", "denominator", "position", "size")
 
+    def __init__(self, numerators: list, denominator: int, position: dict, size: int) -> None:
+        self.numerators, self.denominator, self.position = numerators, denominator, position
+        self.size = size
+
+    def __getitem__(self, node_id: NodeId) -> Fraction:
+        x = self.numerators[self.position[node_id]]
+        if x is None:
+            raise KeyError(node_id)
+        return Fraction(x, self.denominator)
+
+    def __iter__(self) -> Iterator[NodeId]:
+        return (i for i, pos in self.position.items() if self.numerators[pos] is not None)
+
+    def __len__(self) -> int:
+        return self.size
+
+
+class _GameFields(NamedTuple):
     num_players: int
     horizon: int
     tree: ScenarioTree
-    payoffs: dict[tuple[int, tuple[int, ...]], dict[NodeId, Fraction]]
+    payoffs: dict[tuple[int, tuple[int, ...]], Mapping[NodeId, Fraction]]
 
-    def payoff(
-        self, player: int, coalition: tuple[int, ...]
-    ) -> dict[NodeId, Fraction]:
+
+class GameSpec(_GameFields):
+    """Players, horizon, tree and one payoff process per (player, coalition).
+
+    A coalition is the sorted tuple of its players, e.g. ``(1, 3)``; a
+    payoff process maps every node id to its exact value: a parse gives
+    :class:`PayoffProcess` tables, code may give plain dicts.  The package
+    reads them through :attr:`table`, memoized in the ``__dict__`` that
+    this subclass of a ``NamedTuple`` has.
+    """
+
+    def payoff(self, player: int, coalition: tuple[int, ...]) -> Mapping[NodeId, Fraction]:
         try:
             return self.payoffs[(player, coalition)]
         except KeyError:
@@ -67,6 +98,22 @@ class GameSpec(NamedTuple):
     @property
     def players(self) -> range:
         return range(1, self.num_players + 1)
+
+    @cached_property
+    def table(self) -> dict[tuple[int, tuple[int, ...]], PayoffProcess]:
+        """Each process of :attr:`payoffs` as a :class:`PayoffProcess` on
+        the tree's index: one already on it as it is, any other read once.
+        Raises ValueError unless the tree has an index."""
+        index = self.tree.index
+        table = dict(self.payoffs)
+        for key, values in table.items():
+            if type(values) is not PayoffProcess or values.position is not index.position:
+                xs = [values.get(node.id) for node in index.nodes]
+                read = [x for x in xs if x is not None]
+                d = math.lcm(*[x.denominator for x in read])
+                nums = [None if x is None else x.numerator * (d // x.denominator) for x in xs]
+                table[key] = PayoffProcess(nums, d, index.position, len(read))
+        return table
 
 
 class StrategyProfile(NamedTuple):
@@ -109,73 +156,63 @@ def validate_game(spec: GameSpec, enforce_assumption_a: bool = True) -> list[str
 
     coalitions = all_coalitions(spec.num_players)
     index = spec.tree.index
+    table = spec.table
     for i in spec.players:
         for coalition in coalitions:
-            process = spec.payoffs.get((i, coalition))
-            if process is None:
+            row = table.get((i, coalition))
+            if row is None:
                 violations.append(
                     f"payoffs not total: missing (player {i}, coalition {coalition})"
                 )
-                continue
-            if process.keys() >= index.position.keys():
-                continue
-            for node in spec.tree.nodes:
-                if node.id not in process:
-                    violations.append(
-                        f"payoff (player {i}, coalition {coalition}): "
-                        f"no value at node {node.id}"
-                    )
+            elif len(row) < len(index.nodes):
+                violations += [
+                    f"payoff (player {i}, coalition {coalition}): no value at node {node.id}"
+                    for node in spec.tree.nodes
+                    if row.numerators[index.position[node.id]] is None
+                ]
     if violations:
         return violations
 
-    # a parse shares one Fraction between equal strings, so most pairs
-    # compared below are one object; the others are compared exactly
-    everyone = tuple(spec.players)
-    by_player = [
-        (
-            i,
-            spec.payoff(i, everyone),
-            [(c, spec.payoff(i, c)) for c in coalitions if c != everyone],
-        )
+    # each check compares whole slices by position first (the leaves are
+    # the last stage, the inner nodes all before it), and words its
+    # violations node by node only when it fails
+    everyone, inner, n = tuple(spec.players), index.stage_start[-2], len(index.nodes)
+    if not all(
+        operator.eq(*_comparable(table[(i, c)], table[(i, everyone)], inner, n))
         for i in spec.players
+        for c in coalitions
+    ):
+        for leaf, i, coalition in itertools.product(index.leaves, spec.players, coalitions):
+            value, terminal = table[(i, coalition)][leaf.id], table[(i, everyone)][leaf.id]
+            if value != terminal:
+                violations.append(
+                    f"terminal coincidence: player {i}, coalition {coalition} at leaf "
+                    f"{leaf.id} is {value}, expected {terminal}"
+                )
+    pairs = [
+        (i, j, table[(i, (min(i, j), max(i, j)))], table[(i, (j,))])
+        for i, j in itertools.permutations(spec.players, 2)
     ]
-    for leaf in index.leaves:
-        for i, everyone_values, coalition_values in by_player:
-            terminal = everyone_values[leaf.id]
-            for coalition, values in coalition_values:
-                value = values[leaf.id]
-                if value is not terminal and value != terminal:
+    if enforce_assumption_a and not all(
+        all(map(operator.le, *_comparable(a, b, 0, inner))) for *_, a, b in pairs
+    ):
+        for node in [node for node in spec.tree.nodes if node.time < spec.horizon]:
+            for i, j, joint, alone in pairs:
+                if joint[node.id] > alone[node.id]:
                     violations.append(
-                        f"terminal coincidence: player {i}, coalition "
-                        f"{coalition} at leaf {leaf.id} is "
-                        f"{value}, expected {terminal}"
-                    )
-
-    if enforce_assumption_a:
-        pairs = [
-            (
-                i,
-                j,
-                spec.payoff(i, (min(i, j), max(i, j))),
-                spec.payoff(i, (j,)),
-            )
-            for i in spec.players
-            for j in spec.players
-            if i != j
-        ]
-        inner = [node.id for node in spec.tree.nodes if node.time < spec.horizon]
-        for node_id in inner:
-            for i, j, joint_values, alone_values in pairs:
-                joint = joint_values[node_id]
-                alone = alone_values[node_id]
-                if joint is not alone and (
-                    joint.numerator * alone.denominator > alone.numerator * joint.denominator
-                ):
-                    violations.append(
-                        f"joint-stop hypothesis: player {i} vs {j} at node "
-                        f"{node_id}: X(i,{{i,j}})={joint} > X(i,{{j}})={alone}"
+                        f"joint-stop hypothesis: player {i} vs {j} at node {node.id}: "
+                        f"X(i,{{i,j}})={joint[node.id]} > X(i,{{j}})={alone[node.id]}"
                     )
     return violations
+
+
+def _comparable(a: PayoffProcess, b: PayoffProcess, lo: int, hi: int) -> tuple[list, list]:
+    """The numerators of ``a`` and ``b`` at positions ``lo:hi``, over one
+    denominator."""
+    x, y = a.numerators[lo:hi], b.numerators[lo:hi]
+    if a.denominator != b.denominator:  # over the product of the two
+        x, y = [v * b.denominator for v in x], [v * a.denominator for v in y]
+    return x, y
 
 
 def _ends(
@@ -221,31 +258,21 @@ def expected_payoffs(spec: GameSpec, profile: StrategyProfile) -> tuple[Fraction
     On never-stopped paths each player collects the all-players value at
     the leaf, which every coalition process shares by terminal coincidence.
     The sums run on ``int``: with the index's integer node weights ``w``
-    and ``D`` the lcm of the denominators of a player's values read,
-    ``sum w * X * D`` is exactly ``D * scale[0]`` times that player's
-    expectation.
+    and ``D`` the lcm of the denominators of the processes read, ``sum w *
+    X * D`` is exactly ``D * scale[0]`` times that player's expectation.
     """
     index = spec.tree.index
-    scale = index.scale[0]
     weight, position = index.weight, index.position
-    weights = []
-    read: list[list[Fraction]] = [[] for _ in spec.players]
-    # each coalition's value dicts, one per player, looked up once per call
-    tables: dict[tuple[int, ...], list[dict[NodeId, Fraction]]] = {}
+    ends: dict[tuple[int, ...], list[int]] = {}  # coalition: positions
     for node_id, (_, coalition) in _ends(spec, profile)[1].items():
-        weights.append(weight[position[node_id]])
-        by_player = tables.get(coalition)
-        if by_player is None:
-            by_player = tables[coalition] = [
-                spec.payoff(i, coalition) for i in spec.players
-            ]
-        for values, table in zip(read, by_player):
-            values.append(table[node_id])
+        ends.setdefault(coalition, []).append(position[node_id])
     totals = []
-    for values in read:
-        common = math.lcm(*[x.denominator for x in values])
+    for i in spec.players:
+        rows = [(spec.table[(i, coalition)], at) for coalition, at in ends.items()]
+        common = math.lcm(*[row.denominator for row, _ in rows])
         total = 0
-        for w, x in zip(weights, values):
-            total += w * x.numerator * (common // x.denominator)
-        totals.append(Fraction(total, common * scale))
+        for row, at in rows:
+            numerators, factor = row.numerators, common // row.denominator
+            total += factor * sum([weight[p] * numerators[p] for p in at])
+        totals.append(Fraction(total, common * index.scale[0]))
     return tuple(totals)

@@ -50,9 +50,7 @@ def random_game(
     payoffs: dict[tuple[int, tuple[int, ...]], dict[int, Fraction]] = {}
     coalitions = all_coalitions(num_players)
     for i in range(1, num_players + 1):
-        terminal = {
-            leaf.id: random_dyadic(rng, lo, hi) for leaf in tree.leaves
-        }
+        terminal = {leaf.id: random_dyadic(rng, lo, hi) for leaf in tree.leaves}
         for coalition in coalitions:
             values = {}
             for node in tree.nodes:

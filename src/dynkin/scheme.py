@@ -145,15 +145,13 @@ def _scaled_solo(
     """The player's solo payoff as ``X(v) * D * index.scale[t]`` by index
     position, with ``D`` the lcm of epsilon's and the values' denominators."""
     index = spec.tree.index
-    values = spec.payoff(player, (player,))
-    solo = [values[node.id] for node in index.nodes]
-    d = math.lcm(epsilon.denominator, *[x.denominator for x in solo])
+    solo = spec.table[(player, (player,))]
+    d = math.lcm(epsilon.denominator, solo.denominator)
     start = index.stage_start
-    scaled = []
+    scaled: list[int] = []
     for t, scale in enumerate(index.scale):
-        s = d * scale
-        for x in solo[start[t] : start[t + 1]]:
-            scaled.append(x.numerator * (s // x.denominator))
+        s = d // solo.denominator * scale
+        scaled += [x * s for x in solo.numerators[start[t] : start[t + 1]]]
     return scaled, d
 
 
@@ -169,30 +167,35 @@ def _stage_reward(
     A frozen value whose denominator does not divide ``D * scale[t]``
     raises this step's ``D`` to the least multiple it does divide, and the
     copy is rescaled to match; nothing rounds.  Each coalition's join and
-    stay values are looked up once per step.
+    stay processes are looked up once per step.
     """
     index = spec.tree.index
     scaled, d = solo
-    frozen: dict[int, tuple[Fraction, int]] = {}  # position: (value, stage scale)
-    tables: dict[tuple[int, ...], tuple[dict, dict]] = {}  # coalition: (join, stay)
+    frozen: dict[int, tuple[int, int, int]] = {}  # position: (value as p, q; stage scale)
+    rows: dict[tuple[int, ...], tuple] = {}  # coalition: (join, stay)
     raised = d
     for node_id, coalition in coalition_at.items():
-        table = tables.get(coalition)
-        if table is None:
-            table = tables[coalition] = (
-                spec.payoff(player, tuple(sorted((*coalition, player)))),
-                spec.payoff(player, coalition),
+        pair = rows.get(coalition)
+        if pair is None:
+            pair = rows[coalition] = (
+                spec.table[(player, tuple(sorted((*coalition, player))))],
+                spec.table[(player, coalition)],
             )
-        value = max(table[0][node_id], table[1][node_id])
         pos = index.position[node_id]
+        join, stay = pair
+        if join.numerators[pos] * stay.denominator >= stay.numerators[pos] * join.denominator:
+            p, q = join.numerators[pos], join.denominator
+        else:
+            p, q = stay.numerators[pos], stay.denominator
+        g = math.gcd(p, q)
+        p, q = p // g, q // g
         scale = index.scale[index.nodes[pos].time]
-        den = value.denominator
-        raised = math.lcm(raised, den // math.gcd(den, scale))
-        frozen[pos] = (value, scale)
+        raised = math.lcm(raised, q // math.gcd(q, scale))
+        frozen[pos] = (p, q, scale)
     factor = raised // d
     u = [x * factor for x in scaled] if factor > 1 else list(scaled)
-    for pos, (value, scale) in frozen.items():
-        u[pos] = value.numerator * (raised * scale // value.denominator)
+    for pos, (p, q, scale) in frozen.items():
+        u[pos] = p * (raised * scale // q)
     return ScaledProcess(index, u, raised, frozenset(frozen))
 
 
@@ -259,9 +262,7 @@ def scheme_step(
         order = config.order_for(spec.num_players)
     position = (state.n - 1) % spec.num_players
     player = order[position]
-    others = {
-        p: state.taus[p - 1] for p in spec.players if p != player
-    }
+    others = {p: state.taus[p - 1] for p in spec.players if p != player}
     theta = min_of_rules(spec.tree, list(others.values()))
     coalition_at = _stop_coalitions(theta, others)
     if solo_rewards is None:

@@ -3,7 +3,7 @@
 A scenario tree carries the whole probabilistic setup: outcomes are
 root-to-leaf paths, the stage-t information is "which time-t node the path
 goes through", and one-step transition probabilities live on the edges.
-An adapted process is a plain dict of one rational value per node id;
+An adapted process maps each node id to one rational value;
 stopping rules are antichains of nodes ("stop the first time the path hits
 the set").
 
@@ -19,8 +19,10 @@ reference these kernels are held to.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -81,7 +83,7 @@ class TreeIndex(NamedTuple):
     nodes: tuple[Node, ...]
     position: dict[NodeId, int]
     parent: tuple[int, ...]  # parent position, -1 at the root
-    children: tuple[tuple[int, ...], ...]
+    children: tuple[range, ...]
     unit: tuple[int, ...]  # branch probability times B_(t-1), 1 at the root
     stage_start: tuple[int, ...]
     scale: tuple[int, ...]
@@ -97,37 +99,51 @@ class TreeIndex(NamedTuple):
         return len(self.stage_start) - 2
 
 
-def _children_by_id(nodes: Sequence[Node]) -> dict[NodeId, list[Node]]:
-    """Each id's child nodes in ``nodes`` order, from the parent links; a
-    duplicated id gathers the children of all its nodes."""
-    kids_of: dict[NodeId, list[Node]] = {node.id: [] for node in nodes}
-    for node in nodes:
-        if node.parent is not None and node.parent in kids_of:
-            kids_of[node.parent].append(node)
-    return kids_of
-
-
-def _build_index(tree: "ScenarioTree") -> TreeIndex:
-    """Index a tree whose ids are unique and whose parent links all lead to
-    a single root; raise ValueError otherwise."""
-    roots = [n for n in tree.nodes if n.parent is None]
-    if len(roots) != 1:
-        raise ValueError(f"tree has {len(roots)} roots, expected exactly 1")
-    # with unique ids the breadth-first pass reaches each node at most once;
-    # duplicates could close a cycle it would never leave
-    kids_of = _children_by_id(tree.nodes)
-    if len(kids_of) != len(tree.nodes):
-        raise ValueError("tree ids are not unique or not all linked to the root")
-    order = [roots[0]]
-    for node in order:  # grows while iterating: breadth first
-        order += kids_of[node.id]
-    if len(order) != len(tree.nodes):
-        raise ValueError("tree ids are not unique or not all linked to the root")
-    n = len(order)
-    position = {node.id: pos for pos, node in enumerate(order)}
-    parent = [-1] + [position[node.parent] for node in order[1:]]
+def _build_index(
+    nodes: Sequence[Node],
+    ids: Sequence[NodeId],
+    parents: Sequence[NodeId | None],
+    probs: Sequence[Fraction],
+) -> TreeIndex:
+    """Index the tree of ``nodes`` from their id, parent and probability
+    columns, if its ids are unique and its parent links all lead to a
+    single root; raise ValueError otherwise.  A tree listed breadth first
+    already, root first and each node after its parent with parents in
+    order, keeps its order without a search.
+    """
+    n = len(nodes)
+    roots = parents.count(None)
+    if roots != 1:
+        raise ValueError(f"tree has {roots} roots, expected exactly 1")
+    at = dict(zip(ids, range(n)))  # each id's place in tree.nodes
+    unlinked = ValueError("tree ids are not unique or not all linked to the root")
+    if len(at) != n:
+        raise unlinked
+    ups = list(map(at.get, parents, itertools.repeat(-1)))  # parent's place, -1 at the root
+    rest = ups[1:]
+    if ups[0] == -1 and rest == sorted(rest) and all(map(operator.lt, rest, range(1, n))):
+        if rest and rest[0] < 0:  # a second node without a linked parent
+            raise unlinked
+        order: Sequence[int] = range(n)
+        ordered, position, parent = nodes, at, ups
+    else:
+        kids: list[list[int]] = [[] for _ in ups]
+        for k, up in enumerate(ups):
+            if up >= 0:
+                kids[up].append(k)
+        order = [parents.index(None)]
+        for k in order:  # grows while iterating: breadth first
+            order += kids[k]
+        if len(order) != n:
+            raise unlinked
+        ordered = tuple(map(nodes.__getitem__, order))
+        position = {node.id: pos for pos, node in enumerate(ordered)}
+        parent = [-1] + [position[node.parent] for node in ordered[1:]]
+    fanout = [0] * n
+    for up in parent[1:]:
+        fanout[up] += 1
     # the children of position p are the positions first[p]:first[p + 1]
-    first = list(itertools.accumulate([len(kids_of[node.id]) for node in order], initial=1))
+    first = list(itertools.accumulate(fanout, initial=1))
     stage_start = [0]
     while stage_start[-1] < n:
         stage_start.append(first[stage_start[-1]])
@@ -135,22 +151,18 @@ def _build_index(tree: "ScenarioTree") -> TreeIndex:
     stages = list(zip(stage_start, stage_start[1:]))
 
     # B_t, the lcm of the stage-(t + 1) denominators, and p * B_t per node
-    stage_lcm = [
-        math.lcm(*{node.branch_prob.denominator for node in order[lo:hi]})
-        for lo, hi in stages[1:]
-    ]
+    probs = probs if order == range(n) else list(map(probs.__getitem__, order))
+    stage_lcm = [math.lcm(*{p.denominator for p in probs[lo:hi]}) for lo, hi in stages[1:]]
     scale = [1] * (horizon + 1)
     for t in range(horizon - 1, -1, -1):
         scale[t] = scale[t + 1] * stage_lcm[t]
     unit = [1]
     weight = [scale[0]]  # path probability times scale[0]
     for b, (lo, hi) in zip(stage_lcm, stages[1:]):
-        probs = [node.branch_prob for node in order[lo:hi]]
-        unit += [p.numerator * (b // p.denominator) for p in probs]
+        unit += [p.numerator * (b // p.denominator) for p in probs[lo:hi]]
         weight += [weight[up] // b * c for up, c in zip(parent[lo:hi], unit[lo:hi])]
     positions = tuple(range(n))
 
-    fanout = [hi - lo for lo, hi in zip(first, first[1:])]
     chain_end = list(range(horizon + 1))
     for t in range(horizon - 1, -1, -1):
         lo, hi = stages[t]
@@ -168,20 +180,21 @@ def _build_index(tree: "ScenarioTree") -> TreeIndex:
             leaf_lo[up] + before[pos] - before[first[up]]
             for pos, up in zip(positions[lo:hi], parent[lo:hi])
         ]
-    leaves = tuple(node for node in tree.nodes if not kids_of[node.id])
+    # leaves in tree.nodes order
+    leaves = sorted([pos for pos in positions if not fanout[pos]], key=order.__getitem__)
     return TreeIndex(
-        nodes=tuple(order),
+        nodes=ordered,
         position=position,
         parent=tuple(parent),
-        children=tuple([positions[lo:hi] for lo, hi in zip(first, first[1:])]),
+        children=tuple(map(range, first, first[1:])),
         unit=tuple(unit),
         stage_start=tuple(stage_start),
         scale=tuple(scale),
-        leaves=leaves,
+        leaves=tuple(map(ordered.__getitem__, leaves)),
         weight=tuple(weight),
         leaf_lo=tuple(leaf_lo),
-        leaf_hi=tuple(lo + c for lo, c in zip(leaf_lo, count)),
-        leaf_rank=tuple(leaf_lo[position[leaf.id]] for leaf in leaves),
+        leaf_hi=tuple(map(operator.add, leaf_lo, count)),
+        leaf_rank=tuple(map(leaf_lo.__getitem__, leaves)),
         chain_end=tuple(chain_end),
     )
 
@@ -217,7 +230,8 @@ class ScenarioTree:
     def index(self) -> TreeIndex:
         """The tree's :class:`TreeIndex` (memoized); raises ValueError
         unless ids are unique and every node links up to a single root."""
-        return _build_index(self)
+        ids, _, parents, probs = zip(*self.nodes) if self.nodes else ((),) * 4
+        return _build_index(self.nodes, ids, parents, probs)
 
     def __contains__(self, node_id: NodeId) -> bool:
         return node_id in self.index.position
@@ -229,6 +243,19 @@ class ScenarioTree:
     @property
     def leaves(self) -> tuple[Node, ...]:
         return self.index.leaves
+
+
+def tree_from_columns(
+    ids: list[NodeId], times: list[int], parents: list[NodeId | None], probs: list[Fraction]
+) -> ScenarioTree:
+    """The tree of the nodes with these fields, its index built from the
+    columns as they are when it has one."""
+    # tuple.__new__ skips the field-by-field constructor of Node
+    nodes = tuple(map(tuple.__new__, itertools.repeat(Node), zip(ids, times, parents, probs)))
+    tree = ScenarioTree(nodes)
+    with contextlib.suppress(ValueError):  # raised again when the index is read
+        tree.__dict__["index"] = _build_index(nodes, ids, parents, probs)
+    return tree
 
 
 def validate_tree(tree: ScenarioTree) -> list[str]:
@@ -250,19 +277,19 @@ def validate_tree(tree: ScenarioTree) -> list[str]:
     except ValueError:
         index = None
     if index is not None:
-        nodes, start, scale = index.nodes, index.stage_start, index.scale
-        children, unit = index.children, index.unit
-        stages = range(len(start) - 1)
+        nodes, start, unit, scale = index.nodes, index.stage_start, index.unit, index.scale
+        stage_of: list[int] = []  # by position
+        ratio: list[int] = []  # B_t by position, before the last stage
+        for t, (lo, hi) in enumerate(zip(start, start[1:])):
+            stage_of += [t] * (hi - lo)
+            ratio += [scale[t] // scale[t + 1]] * (hi - lo) if t < index.horizon else []
+        # unit is p * B_t: each position before the last stage has children,
+        # with probabilities that are positive and sum to 1
+        total = list(itertools.accumulate(unit, initial=0))
         if (
             nodes[0].branch_prob == 1
-            and all(node.time == t for t in stages for node in nodes[start[t] : start[t + 1]])
-            # unit is p * B_t: each position before the last stage has
-            # children, with probabilities that are positive and sum to 1
-            and all(
-                kids and sum(unit[kids[0] : kids[-1] + 1]) == scale[t] // scale[t + 1]
-                for t in stages[:-1]
-                for kids in children[start[t] : start[t + 1]]
-            )
+            and [node.time for node in nodes] == stage_of
+            and [total[k.stop] - total[k.start] for k in index.children[: len(ratio)]] == ratio
             and min(unit) > 0
         ):
             return []
@@ -274,7 +301,10 @@ def validate_tree(tree: ScenarioTree) -> list[str]:
         by_id.setdefault(node.id, node)
     if not tree.nodes:
         return ["tree has no nodes"]
-    kids_of = _children_by_id(tree.nodes)
+    kids_of: dict[NodeId, list[Node]] = {node.id: [] for node in tree.nodes}
+    for node in tree.nodes:  # a duplicated id gathers the children of all its nodes
+        if node.parent in kids_of:
+            kids_of[node.parent].append(node)
 
     roots = [n for n in tree.nodes if n.parent is None]
     if len(roots) != 1:
@@ -307,21 +337,13 @@ def validate_tree(tree: ScenarioTree) -> list[str]:
                 f"node {node.id}: branch probability {prob} outside (0, 1]"
             )
 
-    # sibling sums on int: sum_k p_k == 1 iff sum_k p_k * L == L, with L
-    # the lcm of the siblings' denominators
     for node in tree.nodes:
         kids = kids_of[node.id]
-        if kids:
-            common = math.lcm(*[k.branch_prob.denominator for k in kids])
-            total = 0
-            for k in kids:
-                prob = k.branch_prob
-                total += prob.numerator * (common // prob.denominator)
-            if total != common:
-                violations.append(
-                    f"node {node.id}: children probabilities sum to "
-                    f"{Fraction(total, common)}, expected 1"
-                )
+        total = sum([k.branch_prob for k in kids], Fraction(0))
+        if kids and total != 1:
+            violations.append(
+                f"node {node.id}: children probabilities sum to {total}, expected 1"
+            )
 
     if linked and len(roots) == 1 and not violations:
         horizon = tree.horizon

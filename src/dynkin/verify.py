@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -119,8 +120,7 @@ def _deviation_vector(
     have.
     """
     index = spec.tree.index
-    nodes, children = index.nodes, index.children
-    position = index.position
+    children, position = index.children, index.position
     others = [j for j in spec.players if j != player]
     stoppers: dict[int, list[int]] = {}  # position: the others stopping there
     try:
@@ -131,33 +131,41 @@ def _deviation_vector(
         named = set().union(*[profile.rule_for(j).stop_set for j in others])
         missing = sorted(named - position.keys())
         raise ValueError(f"rule references nodes not in tree: {missing}") from None
-    solo = spec.payoff(player, (player,))
-    rewards = [solo[node.id] for node in nodes]
-    # each coalition's value dicts, looked up once: (it stops alone, joined)
-    tables: dict[tuple[int, ...], tuple[dict, dict]] = {}
-    frozen = bytearray(len(rewards))
+    table = spec.table
+    solo = table[(player, (player,))]
+    rows: dict[tuple[int, ...], tuple] = {}  # coalition: (join it, let it stop alone)
+    stops = []  # (position, join, alone, the subtree's positions stage by stage)
+    replaced = bytearray(len(position))  # the positions below a stop
     for pos in sorted(stoppers):  # ancestors before descendants
-        if frozen[pos]:
+        if replaced[pos]:
             continue
         members = tuple(stoppers[pos])
-        table = tables.get(members)
-        if table is None:
-            table = tables[members] = (
-                spec.payoff(player, members),
-                spec.payoff(player, tuple(sorted((*members, player)))),
+        pair = rows.get(members)
+        if pair is None:
+            pair = rows[members] = (
+                table[(player, tuple(sorted((*members, player))))],
+                table[(player, members)],
             )
-        node_id = nodes[pos].id
-        rewards[pos] = table[1][node_id]
-        alone = table[0][node_id]
-        below = list(children[pos])
-        for q in below:  # grows while iterating: the whole subtree
-            rewards[q] = alone
-            frozen[q] = 1
-            below.extend(children[q])
-    d = math.lcm(epsilon.denominator, *{y.denominator for y in rewards})
-    return [
-        w * y.numerator * (d // y.denominator) for w, y in zip(index.weight, rewards)
-    ], d
+        below = []
+        lo, hi = children[pos].start, children[pos].stop
+        while lo < hi:  # the children of lo:hi are the positions between theirs
+            below.append((lo, hi))
+            replaced[lo:hi] = b"\x01" * (hi - lo)
+            lo, hi = children[lo].start, children[hi - 1].stop
+        stops.append((pos, *pair, below))
+    dens = [row.denominator for pair in rows.values() for row in pair]
+    d = math.lcm(epsilon.denominator, solo.denominator, *dens)
+    rewards = [x * (d // solo.denominator) for x in solo.numerators]
+    for pos, join, alone, below in stops:
+        rewards[pos] = join.numerators[pos] * (d // join.denominator)
+        value = alone.numerators[pos] * (d // alone.denominator)
+        for lo, hi in below:
+            rewards[lo:hi] = [value] * (hi - lo)
+    # d to the least D: values r_k / d have the lcm d / gcd(d, r_k, ...)
+    excess = d // math.lcm(epsilon.denominator, d // math.gcd(d, *rewards))
+    if excess > 1:
+        d, rewards = d // excess, [r // excess for r in rewards]
+    return list(map(operator.mul, index.weight, rewards)), d
 
 
 def best_response_value(
@@ -187,7 +195,7 @@ def best_response_value(
     for pos in range(len(envelope) - 1, -1, -1):  # children before parents
         kids = children[pos]
         if kids:
-            continuation = sum([envelope[k] for k in kids])
+            continuation = sum(envelope[kids.start : kids.stop])
             if continuation > envelope[pos]:
                 envelope[pos] = continuation
     return Fraction(envelope[0], d * index.scale[0])
@@ -208,9 +216,7 @@ def certify(
     """
     achieved = expected_payoffs(spec, profile)
     if best_responses is None:
-        best = tuple(
-            best_response_value(spec, profile, i) for i in spec.players
-        )
+        best = tuple(best_response_value(spec, profile, i) for i in spec.players)
     else:
         best = tuple(best_responses)
     gains = tuple(b - a for b, a in zip(best, achieved))
@@ -260,7 +266,7 @@ def _best_response_sets(
         for pos in range(len(below) - 1, -1, -1):  # children before parents
             kids = children[pos]
             if kids:
-                below[pos] = sum([below[k] for k in kids])
+                below[pos] = sum(below[kids.start : kids.stop])
         gap = [s - a for s, a in zip(below, weighted)]
         payoffs = [below[0] - sum([gap[p] for p in stops]) for stops in stop_positions]
         best = max(payoffs)
@@ -378,9 +384,7 @@ def check_trace_invariants(
                     f"({tau_then} -> {tau[k]})"
                 )
             if theta[k] > theta_then:
-                violations.append(
-                    f"step {step.n}, leaf {leaf_id}: theta increased"
-                )
+                violations.append(f"step {step.n}, leaf {leaf_id}: theta increased")
             if mu[k] > mu_then:
                 violations.append(f"step {step.n}, leaf {leaf_id}: mu increased")
             if mu[k] > tau_then:

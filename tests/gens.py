@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import math
 import sys
 from fractions import Fraction
 from random import Random
@@ -57,6 +58,19 @@ def int_digit_limit(limit: int):
         yield
     finally:
         sys.set_int_max_str_digits(before)
+
+
+def count_table_reads(game: GameSpec, reads: list) -> None:
+    """Make ``game.table`` a dict that appends each key read by ``[]`` to
+    ``reads``; the table is memoized on the game, so every later reader
+    sees this one."""
+
+    class Counting(dict):
+        def __getitem__(self, key):
+            reads.append(key)
+            return super().__getitem__(key)
+
+    game.__dict__["table"] = Counting(game.table)
 
 
 def random_process(
@@ -337,6 +351,49 @@ def late_stop_game(
                 else:
                     values[node.id] = alone[node.id] - penalty[i]
             payoffs[(i, coalition)] = values
+    return GameSpec(num_players=num_players, horizon=horizon, tree=tree, payoffs=payoffs)
+
+
+PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79)
+
+
+def coprime_game(rng: Random, num_players: int, horizon: int) -> GameSpec:
+    """A binary-tree game whose (player, coalition) processes have pairwise
+    coprime denominators: before the horizon each process, in
+    ``(player, coalition)`` order, takes its values in units of its own
+    prime from :data:`PRIMES`, and every coalition pays the same integer at
+    the leaf.  Branches split in halves or quarters, so no stage scale
+    clears a process's prime.  Joint-stop values are rounded down to their
+    own prime's units below the solo-stop value they must not beat.
+    """
+    tree = full_binary_tree(horizon)
+    splits = [(Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 4), Fraction(3, 4))]
+    nodes = list(tree.nodes)
+    for k in range(1, len(nodes), 2):  # siblings are adjacent
+        left, right = rng.choice(splits)
+        nodes[k] = nodes[k]._replace(branch_prob=left)
+        nodes[k + 1] = nodes[k + 1]._replace(branch_prob=right)
+    tree = ScenarioTree(tuple(nodes))
+    pairs = [(i, c) for i in range(1, num_players + 1) for c in all_coalitions(num_players)]
+    prime = dict(zip(pairs, PRIMES))
+    payoffs = {}
+    for i in range(1, num_players + 1):
+        terminal = {leaf.id: Fraction(rng.randint(-2, 2)) for leaf in tree.leaves}
+        for coalition in all_coalitions(num_players):
+            p = prime[(i, coalition)]
+            payoffs[(i, coalition)] = {
+                node.id: terminal[node.id]
+                if node.time == horizon
+                else Fraction(rng.randint(-3 * p, 3 * p), p)
+                for node in nodes
+            }
+    for i, c in pairs:
+        if len(c) == 2 and i in c:
+            (j,) = [m for m in c if m != i]
+            joint, alone, p = payoffs[(i, c)], payoffs[(i, (j,))], prime[(i, c)]
+            for node in nodes:
+                if node.time < horizon and joint[node.id] > alone[node.id]:
+                    joint[node.id] = Fraction(math.floor(alone[node.id] * p), p)
     return GameSpec(num_players=num_players, horizon=horizon, tree=tree, payoffs=payoffs)
 
 

@@ -30,7 +30,14 @@ from dynkin.trees import NEVER
 from dynkin.verify import certify
 from fractions import Fraction
 from games_reference import realized_outcome
-from gens import draw_rules, enumerated_cases, int_digit_limit, late_stop_game, serialize_game
+from gens import (
+    coprime_game,
+    draw_rules,
+    enumerated_cases,
+    int_digit_limit,
+    late_stop_game,
+    serialize_game,
+)
 
 
 def run_cli(capsys, *argv):
@@ -216,6 +223,26 @@ def test_a_trace_cut_short_leaves_no_file(capsys, tmp_path):
     assert (code, stdout) == (2, "")
     assert err.startswith(f"error: cannot write {trace}: ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_write_cut_short_leaves_the_old_file_as_it_was(capsys, tmp_path):
+    """The same limit over an existing trace file: the file keeps what it
+    held, and no temporary file is left beside it."""
+    trace, out = tmp_path / "t.json", tmp_path / "o.json"
+    trace.write_text("old trace\n\n")
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (512, hard))
+    try:
+        code, stdout, err = run_cli(
+            capsys, "solve", "--example", "paper-5-1", "--epsilon", "0",
+            "--trace", str(trace), "--out", str(out),
+        )
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: cannot write {trace}: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [trace]
+    assert trace.read_text() == "old trace\n\n"
 
 
 def test_outputs_replace_what_their_files_held(capsys, tmp_path):
@@ -569,12 +596,21 @@ SOLVE_REPORT_DIGESTS = [
     # recorded before the kernel walked single-child stages as chains
     ("late-stop-2x60", "0", None, "9b13194b64d3ba3d0600892f8aa304e6a1697e050e339d056cb3ba9a8d65c7d2"),
     ("late-stop-2x60", "1/4", None, "36f9e5dad51cc06a464e44a1532dec26a3e5143bc1ae9f11e47924d6dd816cea"),
+    # recorded before the payoffs became one integer table per game; every
+    # (player, coalition) process has its own prime denominator, so the
+    # sweep's frozen values and the certifier's deviation rewards rescale
+    ("coprime-2x3", "0", None, "82edf606aa52b819f6716fcf7fe5cca805de550d7a73b6961f08a1673060e455"),
+    ("coprime-2x3", "1/4", None, "fe2ee86c55f728738e67adeab655936469bf5c82039aad92d924ae54740f9fb6"),
+    ("coprime-3x2", "0", None, "98d60bbe1a9a5d81847fb404d4e97cd03d4a5ac08d1b18c1c6555c630881ebd7"),
+    ("coprime-3x2", "1/4", None, "f80976299b187695eb71573394391920145cb49b104b23c16ebafb9fe7879203"),
 ]
 
 # generated games the digests cover besides the built-in examples
 GENERATED_GAMES = {
     "late-stop-3x36": lambda: late_stop_game(Random(7), 3, 36),
     "late-stop-2x60": lambda: late_stop_game(Random(11), 2, 60),
+    "coprime-2x3": lambda: coprime_game(Random(3), 2, 3),
+    "coprime-3x2": lambda: coprime_game(Random(0), 3, 2),
 }
 
 
@@ -637,6 +673,23 @@ SOLVE_TRACE_AND_VERIFY_DIGESTS = {
     ("late-stop-2x60", "1/4", None): (
         "59190d813649ff2b56bac235120e0fea788bfdd3b6626db015825722a9e8228a",
         "4089b86bf797dd4956b3d1247605d06decd7cc200ff704dcbf44bc3680aa5504",
+    ),
+    # recorded with the coprime rows of SOLVE_REPORT_DIGESTS
+    ("coprime-2x3", "0", None): (
+        "5eec9385da20ac93cdf5bf6f7b455d880f3a06fbc23a5d9099f5024d36c6330f",
+        "0d04b7d5535cfa6fedfa0b405cdecd0e17b80bdceae0104300cf0a9a72ae01fc",
+    ),
+    ("coprime-2x3", "1/4", None): (
+        "11522fb65dee92cdcda25283c4b1b710be50f9fd2f7061e7f618fae09c58cb7c",
+        "eb48274ac2feb7e0ed50d8bf148da3027d468f6ef5e27b9e5a19dad03b6848a4",
+    ),
+    ("coprime-3x2", "0", None): (
+        "2ea16113796b0bf5be7d64cf15b9cd173e04252706c830851dfde3b6c565116b",
+        "ded6939d93456126165dff109d42ce97a524ab24f5a87e8c6308711a8840afda",
+    ),
+    ("coprime-3x2", "1/4", None): (
+        "2ea16113796b0bf5be7d64cf15b9cd173e04252706c830851dfde3b6c565116b",
+        "96dffcdb86b5df88eb8d89344a3fcfef29bf1e6a840cc5bf0e53d4b85e1ef464",
     ),
 }
 

@@ -100,8 +100,10 @@ _VALUE_KINDS = ["1/2", "5/7", 3, True, ["1/2"], "0.5"]
 
 
 def _values_or_error(raw, ids, rationals):
+    position = {node_id: k for k, node_id in enumerate(ids.values())}
+    reader = {"position": position, "size": len(ids)}
     try:
-        return list(documents._parse_values(raw, ids, "here", rationals).items())
+        return dict(documents._parse_values(raw, "here", rationals, reader))
     except DocumentError as exc:
         return str(exc)
 
@@ -121,7 +123,7 @@ def _per_key_loop(raw, ids):
             values[node_id] = parse_rational(text, f"here.{key}")
         except DocumentError as exc:
             return str(exc)
-    return list(values.items())
+    return values
 
 
 def test_value_tables_agree_with_the_per_key_loop():
@@ -136,8 +138,8 @@ def test_value_tables_agree_with_the_per_key_loop():
         expected = _per_key_loop(raw, ids)
         assert _values_or_error(raw, ids, dict(seen)) == expected
         assert _values_or_error(raw, ids, {}) == expected
-    assert _values_or_error({"7": "1/2", "07": "-3"}, ids, dict(seen)) == [(7, -3)]
-    assert _values_or_error({" 7": "1/2", "+7": "-3"}, ids, dict(seen)) == [(7, -3)]
+    assert _values_or_error({"7": "1/2", "07": "-3"}, ids, dict(seen)) == {7: -3}
+    assert _values_or_error({" 7": "1/2", "+7": "-3"}, ids, dict(seen)) == {7: -3}
     assert _values_or_error({"7.0": "1/2"}, ids, dict(seen)) == (
         "here.7.0: node id is not an integer"
     )

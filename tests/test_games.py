@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from random import Random
 
@@ -5,6 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dynkin.documents import DocumentError, document_text, parse_game
+from dynkin.fixtures import EXAMPLES, example_document
 from dynkin.games import (
     GameSpec,
     StrategyProfile,
@@ -23,8 +26,15 @@ from dynkin.trees import (
     stop_everywhere_at,
 )
 from dynkin.verify import best_response_value
-from games_reference import realized_outcome, walk_payoff
-from gens import draw_rules, enumerated_cases, single_path_tree
+from games_reference import realized_outcome, reference_validate_game, walk_payoff
+from gens import (
+    count_table_reads,
+    draw_rules,
+    enumerated_cases,
+    int_digit_limit,
+    serialize_game,
+    single_path_tree,
+)
 from trees_reference import (
     RootWalks,
     children_table,
@@ -296,7 +306,7 @@ def test_expected_payoffs_reject_rules_naming_unknown_nodes(deterministic_game):
 
 
 @pytest.mark.parametrize("num_players,horizon", [(2, 6), (3, 4)])
-def test_expected_payoffs_look_each_coalition_up_once(monkeypatch, num_players, horizon):
+def test_expected_payoffs_look_each_coalition_up_once(num_players, horizon):
     game = random_game(Random(11), num_players, horizon)
     rng = Random(12)
     ids = [node.id for node in game.tree.nodes]
@@ -304,14 +314,141 @@ def test_expected_payoffs_look_each_coalition_up_once(monkeypatch, num_players, 
         tuple(canonicalize_rule(game.tree, rng.sample(ids, 6)) for _ in game.players)
     )
     calls = []
-    lookup = GameSpec.payoff
-
-    def counting(spec, player, coalition):
-        calls.append((player, coalition))
-        return lookup(spec, player, coalition)
-
-    monkeypatch.setattr(GameSpec, "payoff", counting)
+    count_table_reads(game, calls)
     expected_payoffs(game, profile)
     # far fewer than one lookup per leaf and player
     assert len(game.tree.leaves) * num_players > num_players * (2**num_players - 1)
     assert 0 < len(calls) <= num_players * (2**num_players - 1)
+
+
+def _broken(game, data):
+    """The game with some leaf values moved off the all-players value by a
+    seventh and some joint-stop values raised a 97th above the solo-stop
+    value before the horizon; optionally every joint-stop value first
+    lowered by a third, so that the processes compared keep different
+    denominators where the checks hold."""
+    payoffs = {key: dict(values) for key, values in game.payoffs.items()}
+    inner = [node.id for node in game.tree.nodes if node.time < game.horizon]
+    joint_keys = [(i, c) for i, c in payoffs if len(c) == 2 and i in c]
+    if data.draw(st.booleans(), label="joint values in thirds"):
+        for key in joint_keys:
+            for node_id in inner:
+                payoffs[key][node_id] -= Fraction(1, 3)
+    leaves = [leaf.id for leaf in game.tree.leaves]
+    for _ in range(data.draw(st.integers(0, 3), label="terminal breaks")):
+        key = data.draw(st.sampled_from(sorted(payoffs)))
+        payoffs[key][data.draw(st.sampled_from(leaves))] += Fraction(1, 7)
+    for _ in range(data.draw(st.integers(0, 3), label="joint-stop breaks")):
+        i, c = data.draw(st.sampled_from(joint_keys))
+        (j,) = [m for m in c if m != i]
+        node_id = data.draw(st.sampled_from(inner))
+        payoffs[(i, c)][node_id] = payoffs[(i, (j,))][node_id] + Fraction(1, 97)
+    return game._replace(payoffs=payoffs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_validate_game_lists_the_reference_violations_in_order(data):
+    # the slice checks find exactly the violations the Fraction reference
+    # finds, in its order, and parse_game reports the same list
+    rng = Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    num_players = data.draw(st.integers(2, 3), label="players")
+    game = random_game(rng, num_players, data.draw(st.integers(1, 3), label="horizon"))
+    if data.draw(st.booleans(), label="odd denominators"):
+        game = with_odd_denominators(game, rng)  # 3rds, 7ths, 97ths: most checks fail
+    game = _broken(game, data)
+    enforce = data.draw(st.booleans(), label="joint-stop check")
+    expected = reference_validate_game(game, enforce)
+    assert validate_game(game, enforce_assumption_a=enforce) == expected
+    text = document_text(serialize_game(game))
+    if expected:
+        with pytest.raises(DocumentError) as info:
+            parse_game(text, enforce_assumption_a=enforce)
+        assert str(info.value) == "document failed validation: " + "; ".join(expected)
+    else:
+        assert validate_game(parse_game(text, enforce_assumption_a=enforce)) == (
+            reference_validate_game(game)
+        )
+
+
+def _document_values(doc):
+    """Each (player, coalition) process of a document as the Fractions of
+    its strings, the default_payoff filling the pairs it does not list."""
+    values = {
+        (entry["player"], tuple(entry["coalition"])): {
+            int(k): Fraction(v) for k, v in entry["values"].items()
+        }
+        for entry in doc["payoffs"]
+    }
+    if "default_payoff" in doc:
+        default = {int(k): Fraction(v) for k, v in doc["default_payoff"]["values"].items()}
+        for i in range(1, doc["players"] + 1):
+            for coalition in all_coalitions(doc["players"]):
+                values.setdefault((i, coalition), default)
+    return values
+
+
+def assert_table_holds(spec, expected):
+    """Every table entry over its row's denominator is the expected value,
+    which ``spec.payoff`` returns too, and the denominator is the least."""
+    index = spec.tree.index
+    assert spec.table.keys() == expected.keys()
+    for key, values in expected.items():
+        row = spec.table[key]
+        assert row.denominator == math.lcm(*[Fraction(v).denominator for v in values.values()])
+        for node in index.nodes:
+            entry = Fraction(row.numerators[index.position[node.id]], row.denominator)
+            assert entry == values[node.id] == spec.payoff(*key)[node.id]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_each_table_entry_over_its_denominator_is_the_payoff_value(data):
+    rng = Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    game = random_game(rng, data.draw(st.integers(2, 3)), data.draw(st.integers(1, 3)))
+    if data.draw(st.booleans(), label="thirds, sevenths and 97ths"):
+        game = with_odd_denominators(game, rng)
+        everyone = tuple(game.players)
+        leaves = [leaf.id for leaf in game.tree.leaves]
+        game = game._replace(payoffs={  # terminal coincidence, so that the document parses
+            (i, c): {**values, **{k: game.payoffs[(i, everyone)][k] for k in leaves}}
+            for (i, c), values in game.payoffs.items()
+        })
+    source = data.draw(
+        st.sampled_from(["code", "parsed", "default", "example", "replace values", "replace tree"])
+    )
+    if source == "code":  # randomgen's dicts, read once into the table
+        assert_table_holds(game, game.payoffs)
+        return
+    doc = serialize_game(game)
+    if source == "default":  # player 1's coalitions but the largest share one process
+        everyone = list(range(1, game.num_players + 1))
+        kept = [e for e in doc["payoffs"] if e["player"] != 1 or e["coalition"] == everyone]
+        doc["payoffs"] = kept
+        doc["default_payoff"] = {"values": game.payoffs[(1, tuple(everyone))]}
+        doc["default_payoff"]["values"] = {
+            str(k): str(v) for k, v in doc["default_payoff"]["values"].items()
+        }
+    if source == "example":
+        doc = example_document(data.draw(st.sampled_from(sorted(EXAMPLES))))
+    spec = parse_game(document_text(doc), enforce_assumption_a=False)
+    expected = _document_values(doc)
+    if source == "replace values":  # one process a dict, the others the parse's
+        key = data.draw(st.sampled_from(sorted(expected)))
+        spec = spec._replace(payoffs={**spec.payoffs, key: dict(expected[key])})
+    if source == "replace tree":  # the same nodes listed leaves first: other positions
+        spec = spec._replace(tree=ScenarioTree(tuple(reversed(spec.tree.nodes))))
+    assert_table_holds(spec, expected)
+
+
+def test_a_5000_digit_value_keeps_its_table_entry_exact():
+    doc = example_document("paper-5-1")
+    big = 10**5000 + 1
+    with int_digit_limit(0):
+        for entry in doc["payoffs"]:
+            if entry["coalition"] == [2]:  # stage 0 only: no check compares it
+                entry["values"]["0"] = f"{big}/3"
+        spec = parse_game(document_text(doc), enforce_assumption_a=False)
+        assert_table_holds(spec, _document_values(doc))
+    row = spec.table[(1, (2,))]
+    assert row.denominator == 12 and row.numerators[0] == 4 * big  # over thirds and quarters

@@ -162,3 +162,17 @@ def test_sources_write_json_text_in_one_place():
         for name in sorted(_names(_parse(path)).keys() & {"dumps", "dump"})
     ]
     assert SOURCES and found == []
+
+
+def test_only_games_and_documents_read_payoffs_by_node_id():
+    # every consumer reads the one integer table, spec.table; the Fraction
+    # processes of spec.payoff(...) and spec.payoffs[...] are for the game's
+    # own module, the parser and the tests
+    found = [
+        f"{path.name}:{node.lineno}:{node.attr}"
+        for path in SOURCES
+        if path.name not in {"games.py", "documents.py"}
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Attribute) and node.attr in {"payoff", "payoffs"}
+    ]
+    assert SOURCES and found == []

@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from dynkin.games import GameSpec, expected_payoffs, validate_game
+from dynkin.games import expected_payoffs, validate_game
 from dynkin.randomgen import random_game
 from dynkin import scheme
 from dynkin.scheme import (
@@ -30,7 +30,7 @@ from dynkin.trees import (
 )
 from dynkin.verify import certify, check_trace_invariants
 from games_reference import realized_outcome
-from gens import full_binary_tree, late_stop_game, scenario_trees
+from gens import count_table_reads, full_binary_tree, late_stop_game, scenario_trees
 from snell_reference import (
     eps_optimal_rule,
     reference_stage_reward,
@@ -515,7 +515,7 @@ def test_validated_run_skips_validation_and_agrees(monkeypatch, deterministic_ga
     assert trace_as_json(trusted.trace) == trace_as_json(checked.trace)
 
 
-def test_a_step_looks_each_stop_coalition_up_once(monkeypatch):
+def test_a_step_looks_each_stop_coalition_up_once():
     # many theta nodes share a few coalitions; each coalition's join and
     # stay values are read once per step
     game = late_stop_game(Random(4), 3, 32)
@@ -523,17 +523,11 @@ def test_a_step_looks_each_stop_coalition_up_once(monkeypatch):
     state = initial_state(game)
     solo_rewards = {}
     lookups = []
-    lookup = GameSpec.payoff
-
-    def counting(spec, player, coalition):
-        lookups.append(coalition)
-        return lookup(spec, player, coalition)
-
     for _ in range(3 * game.num_players):
         step = scheme_step(game, config, state, solo_rewards)
         state = advance(state, step)
     assert len(solo_rewards) == game.num_players  # solo lookups are done
-    monkeypatch.setattr(GameSpec, "payoff", counting)
+    count_table_reads(game, lookups)
     step = scheme_step(game, config, state, solo_rewards)
     coalitions = set(step.coalition_at_theta.values())
     assert len(step.coalition_at_theta) > len(coalitions)
