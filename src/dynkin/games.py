@@ -87,14 +87,6 @@ class GameSpec(_GameFields):
     this subclass of a ``NamedTuple`` has.
     """
 
-    def payoff(self, player: int, coalition: tuple[int, ...]) -> Mapping[NodeId, Fraction]:
-        try:
-            return self.payoffs[(player, coalition)]
-        except KeyError:
-            raise KeyError(
-                f"no payoff process for player {player}, coalition {coalition}"
-            ) from None
-
     @property
     def players(self) -> range:
         return range(1, self.num_players + 1)

@@ -22,12 +22,14 @@ Each step runs on ``int``.  A run scales each player's solo payoff once,
 on their first visit; a step copies that vector and overwrites only the
 theta nodes with their frozen values.  The envelope and mu then visit only
 the live region, the nodes not strictly below a theta node
-(:func:`dynkin.snell.integer_snell`); below one, ``U`` and ``W`` read the
-theta node's value.  The tau update and the round check decide on stop
-sets with :func:`dynkin.trees.min_of_rules`; per-leaf stop times only word
-a check that failed.  The tests hold every step's U, W and mu to a
-full-tree ``Fraction`` reference, and the tau update to a leaf-by-leaf
-one (``tests/snell_reference.py``).
+(:func:`dynkin.snell.integer_snell`).  A step keeps what it decides, the
+rules theta, mu and tau, and drops U and W when it returns, so a run's
+trace grows with its steps' stop sets, not with steps times nodes.  The
+tau update and the round check decide on stop sets with
+:func:`dynkin.trees.min_of_rules`; per-leaf stop times only word a check
+that failed.  The tests replay each step's U and W from its theta
+coalitions and hold them and mu to a full-tree ``Fraction`` reference,
+and the tau update to a leaf-by-leaf one (``tests/snell_reference.py``).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .games import GameSpec, StrategyProfile, validate_game
-from .snell import ScaledProcess, integer_snell
+from .snell import integer_snell
 from .trees import (
     NEVER_RULE,
     NodeId,
@@ -71,16 +73,21 @@ class SchemeConfig(NamedTuple):
 
 
 class SchemeStep(NamedTuple):
-    """Everything computed while one player was visited at step ``n``."""
+    """The rules decided while one player was visited at step ``n``.
+
+    ``stage_reward`` and ``envelope`` are always None: the step's U and W
+    are not kept.  The two fields remain so that rows of an exported trace
+    can still be rebuilt with them as keywords.
+    """
 
     n: int
     player: int
     theta: StoppingRule
     coalition_at_theta: dict[NodeId, tuple[int, ...]]
-    stage_reward: ScaledProcess
-    envelope: ScaledProcess
     mu: StoppingRule
     tau: StoppingRule
+    stage_reward: None = None
+    envelope: None = None
 
 
 class SchemeState(NamedTuple):
@@ -91,7 +98,7 @@ class SchemeState(NamedTuple):
 
 
 class EquilibriumProfile(NamedTuple):
-    """Fixed point of the sweep, with the full trace for auditing."""
+    """Fixed point of the sweep, with every step's rules for auditing."""
 
     uncapped: StrategyProfile
     capped: StrategyProfile
@@ -160,9 +167,11 @@ def _stage_reward(
     player: int,
     coalition_at: Mapping[NodeId, tuple[int, ...]],
     solo: tuple[list[int], int],
-) -> ScaledProcess:
+) -> tuple[list[int], int, frozenset[int]]:
     """U^n on ``int``: a copy of the scaled solo payoff with every theta
-    node set to max(join, stay), frozen from there down.
+    node set to max(join, stay), frozen from there down, with its
+    denominator and the theta nodes' positions, as
+    :func:`dynkin.snell.integer_snell` reads them.
 
     A frozen value whose denominator does not divide ``D * scale[t]``
     raises this step's ``D`` to the least multiple it does divide, and the
@@ -196,7 +205,7 @@ def _stage_reward(
     u = [x * factor for x in scaled] if factor > 1 else list(scaled)
     for pos, (p, q, scale) in frozen.items():
         u[pos] = p * (raised * scale // q)
-    return ScaledProcess(index, u, raised, frozenset(frozen))
+    return u, raised, frozenset(frozen)
 
 
 def _first_leaf(
@@ -270,19 +279,10 @@ def scheme_step(
     solo = solo_rewards.get(player)
     if solo is None:
         solo = solo_rewards[player] = _scaled_solo(spec, player, config.epsilon)
-    stage_reward = _stage_reward(spec, player, coalition_at, solo)
-    envelope, mu = integer_snell(spec.tree, stage_reward, config.epsilon)
+    u, d, frozen = _stage_reward(spec, player, coalition_at, solo)
+    _, mu = integer_snell(spec.tree, u, d, frozen, config.epsilon)
     tau = _updated_tau(spec.tree, mu, theta, state.taus[player - 1])
-    return SchemeStep(
-        n=state.n,
-        player=player,
-        theta=theta,
-        coalition_at_theta=coalition_at,
-        stage_reward=stage_reward,
-        envelope=envelope,
-        mu=mu,
-        tau=tau,
-    )
+    return SchemeStep(state.n, player, theta, coalition_at, mu, tau)
 
 
 def advance(state: SchemeState, step: SchemeStep) -> SchemeState:

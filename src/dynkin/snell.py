@@ -21,49 +21,43 @@ children; a block of chain stages (one child each, with probability 1) is
 a set of columns, strided ranges of positions up which the envelope is a
 running maximum, each cut at its frozen position and each keeping its
 first entry into the threshold region, so the rule's top-down walk crosses
-a block in one step per column.  A :class:`ScaledProcess` holds a value
-for every node all the same: a node below a frozen position has that
-position's value.  The plain ``Fraction`` recursion over the whole tree
-lives in the tests (``tests/snell_reference.py``), as the reference for
-this kernel and for the certifier's own integer best responses in
-:mod:`dynkin.verify`.
+a block in one step per column.  The envelope it returns still holds a
+value for every position: a position below a frozen one keeps the
+reward's value there, which the kernel never reads.  The plain
+``Fraction`` recursion over the whole tree lives in the tests
+(``tests/snell_reference.py``), as the reference for this kernel and for
+the certifier's own integer best responses in :mod:`dynkin.verify`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
-from .trees import ScenarioTree, StoppingRule, TreeIndex
-
-
-class ScaledProcess(NamedTuple):
-    """One sweep step's values per node, kept as the integers computed.
-
-    The node at position ``p`` of ``index``, at stage ``t``, has the value
-    ``scaled[p] / (denominator * index.scale[t])``.  Strictly below a
-    position in ``frozen_at`` (an antichain) the process is constant, so
-    ``scaled`` is read only at the positions not strictly below one: a node
-    below a frozen position reads that position's value.
-    """
-
-    index: TreeIndex
-    scaled: Sequence[int]
-    denominator: int
-    frozen_at: frozenset[int] = frozenset()
+from .trees import ScenarioTree, StoppingRule
 
 
 def integer_snell(
-    tree: ScenarioTree, reward: ScaledProcess, epsilon: Fraction
-) -> tuple[ScaledProcess, StoppingRule]:
-    """Envelope and first-entry rule of ``envelope <= reward + epsilon``.
+    tree: ScenarioTree,
+    u: Sequence[int],
+    denominator: int,
+    frozen: frozenset[int],
+    epsilon: Fraction,
+) -> tuple[list[int], StoppingRule]:
+    """Envelope W and first-entry rule of ``W <= U + epsilon``.
+
+    ``u`` holds the reward U by index position: the node at position ``p``,
+    at stage ``t``, has the value ``u[p] / (denominator * index.scale[t])``.
+    ``frozen`` is an antichain of positions strictly below which U is
+    constant, so ``u`` is read only at the positions not strictly below
+    one.  W comes back in the same form, as a new list.
 
     Exactly the module's backward recursion and its first-entry rule for
-    the node values of ``reward``, computed on ``int`` over the live region
-    only: the positions not strictly below a frozen one.  A
-    stage-``t`` value ``X`` is carried as ``X * D * index.scale[t]``, with
-    ``D = reward.denominator`` a multiple of epsilon's denominator, so W
-    is ``W(v) = max(U(v), sum_k unit[k] * W(k))`` over the live inner
+    those node values, computed on ``int`` over the live region only: the
+    positions not strictly below a frozen one.  A stage-``t`` value ``X``
+    is carried as ``X * D * index.scale[t]``, with ``D = denominator`` a
+    multiple of epsilon's denominator, so W is
+    ``W(v) = max(U(v), sum_k unit[k] * W(k))`` over the live inner
     positions, children before parents, and epsilon is
     ``epsilon * D * scale[t]`` at stage ``t``.  On a chain stage the sum
     is the one child's W (``unit`` 1, the scale unchanged), so a column of
@@ -76,15 +70,14 @@ def integer_snell(
     """
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    d = reward.denominator
-    if d % epsilon.denominator:
+    if denominator % epsilon.denominator:
         raise ValueError(
-            f"reward denominator {d} is not a multiple of epsilon's {epsilon.denominator}"
+            f"reward denominator {denominator} is not a multiple of "
+            f"epsilon's {epsilon.denominator}"
         )
     index = tree.index
     nodes, children, unit, scale = index.nodes, index.children, index.unit, index.scale
     start, chain_end, horizon = index.stage_start, index.chain_end, index.horizon
-    frozen, u = reward.frozen_at, reward.scaled
     num, den = epsilon.numerator, epsilon.denominator  # properties: read once
 
     # the live region stage by stage, top down: a branching stage's live
@@ -122,7 +115,7 @@ def integer_snell(
     outside = [False] * len(u)
     first = {}  # column top: its first position inside the region
     for t, positions, chain in reversed(plan):
-        slack = num * (d * scale[t] // den)
+        slack = num * (denominator * scale[t] // den)
         if chain is None:
             for pos in reversed(positions):
                 kids = children[pos]
@@ -176,5 +169,4 @@ def integer_snell(
                     stops.append(entry)
         frontier = reached
     stops += frontier  # leaves at the horizon
-    envelope_process = ScaledProcess(index, envelope, d, frozen)
-    return envelope_process, StoppingRule(frozenset([nodes[pos].id for pos in stops]))
+    return envelope, StoppingRule(frozenset([nodes[pos].id for pos in stops]))

@@ -11,7 +11,7 @@ All probabilities and values are exact ``fractions.Fraction``; nothing in
 this package ever rounds.
 
 A tree's structure is read through its :class:`TreeIndex` alone: positions,
-parents, children, leaves and integer path weights.  Per-leaf questions
+children, leaves and integer path weights.  Per-leaf questions
 (where a rule first stops) read the index's depth-first leaf ranges; the
 root walks that answer them one leaf at a time live in the tests, as the
 reference these kernels are held to.
@@ -82,7 +82,6 @@ class TreeIndex(NamedTuple):
 
     nodes: tuple[Node, ...]
     position: dict[NodeId, int]
-    parent: tuple[int, ...]  # parent position, -1 at the root
     children: tuple[range, ...]
     unit: tuple[int, ...]  # branch probability times B_(t-1), 1 at the root
     stage_start: tuple[int, ...]
@@ -185,7 +184,6 @@ def _build_index(
     return TreeIndex(
         nodes=ordered,
         position=position,
-        parent=tuple(parent),
         children=tuple(map(range, first, first[1:])),
         unit=tuple(unit),
         stage_start=tuple(stage_start),

@@ -51,7 +51,7 @@ def walk_payoff(
     """The player's expected payoff under the profile, leaf by leaf from
     ``walks`` (the game tree's :class:`RootWalks`, which keeps each rule's
     first stops for the next call)."""
-    everyone = spec.payoff(player, tuple(range(1, spec.num_players + 1)))
+    everyone = spec.payoffs[(player, tuple(range(1, spec.num_players + 1)))]
     tables: dict[tuple[int, ...], dict[NodeId, Fraction]] = {}  # by coalition
     rows = zip(*[walks.stop_nodes(rule) for rule in profile.rules])
     total = Fraction(0)
@@ -64,14 +64,14 @@ def walk_payoff(
         members = tuple(i for i, t in enumerate(times, start=1) if t == stage)
         values = tables.get(members)
         if values is None:
-            values = tables[members] = spec.payoff(player, members)
+            values = tables[members] = spec.payoffs[(player, members)]
         total += prob * values[path[int(stage)].id]
     return total
 
 
 def reference_validate_game(spec: GameSpec, enforce_assumption_a: bool = True) -> list[str]:
     """The violations :func:`dynkin.games.validate_game` lists, found node
-    by node on ``spec.payoff`` values: the tree's, then missing payoffs,
+    by node on ``spec.payoffs`` values: the tree's, then missing payoffs,
     then terminal coincidence leaf by leaf, then the joint-stop hypothesis
     node by node before the horizon."""
     violations = [f"tree: {v}" for v in reference_validate_tree(spec.tree)]
@@ -90,7 +90,7 @@ def reference_validate_game(spec: GameSpec, enforce_assumption_a: bool = True) -
                 violations.append(f"payoffs not total: missing (player {i}, coalition {coalition})")
                 continue
             for node in spec.tree.nodes:
-                if node.id not in spec.payoff(i, coalition):
+                if node.id not in spec.payoffs[(i, coalition)]:
                     violations.append(
                         f"payoff (player {i}, coalition {coalition}): no value at node {node.id}"
                     )
@@ -99,9 +99,9 @@ def reference_validate_game(spec: GameSpec, enforce_assumption_a: bool = True) -
     everyone = tuple(spec.players)
     for leaf in spec.tree.leaves:
         for i in spec.players:
-            terminal = spec.payoff(i, everyone)[leaf.id]
+            terminal = spec.payoffs[(i, everyone)][leaf.id]
             for coalition in coalitions:
-                value = spec.payoff(i, coalition)[leaf.id]
+                value = spec.payoffs[(i, coalition)][leaf.id]
                 if value != terminal:
                     violations.append(
                         f"terminal coincidence: player {i}, coalition {coalition} at leaf "
@@ -115,8 +115,8 @@ def reference_validate_game(spec: GameSpec, enforce_assumption_a: bool = True) -
                 for j in spec.players:
                     if i == j:
                         continue
-                    joint = Fraction(spec.payoff(i, tuple(sorted((i, j))))[node.id])
-                    alone = Fraction(spec.payoff(i, (j,))[node.id])
+                    joint = Fraction(spec.payoffs[(i, tuple(sorted((i, j))))][node.id])
+                    alone = Fraction(spec.payoffs[(i, (j,))][node.id])
                     if joint > alone:
                         violations.append(
                             f"joint-stop hypothesis: player {i} vs {j} at node {node.id}: "

@@ -8,8 +8,8 @@ the envelope/rule/value triple of one stopping problem and the
 supermartingale-domination check the envelope's tests assert.  Also the
 sweep's stage reward as a full-tree ``Fraction`` node loop, its tau update
 leaf by leaf on root walks, the conversion that hands a plain process to
-the sweep's integer kernel, and the read of one node's value from the
-kernel's scaled form (:func:`scaled_value`).
+the sweep's integer kernel, and the read of every node's value from the
+kernel's scaled form (:func:`scaled_values`).
 """
 
 from __future__ import annotations
@@ -17,11 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from dynkin.games import GameSpec
 from dynkin.scheme import SweepInvariantError
-from dynkin.snell import ScaledProcess
 from dynkin.trees import NEVER, NodeId, ScenarioTree, StoppingRule
 from trees_reference import children_table, first_stop, root_node, root_paths
 
@@ -79,21 +78,29 @@ class SnellResult:
     value: Fraction
 
 
-def scaled_value(process: ScaledProcess, node_id: NodeId) -> Fraction:
-    """The sweep kernel's value at ``node_id`` as a ``Fraction``: a node
-    strictly below a frozen position reads that position's value."""
-    index = process.index
-    pos = index.position[node_id]
-    if process.frozen_at:
-        parent = index.parent
-        up = parent[pos]
-        while up >= 0:
-            if up in process.frozen_at:
-                pos = up
-                break
-            up = parent[up]
-    scale = index.scale[index.nodes[pos].time]
-    return Fraction(process.scaled[pos], process.denominator * scale)
+def scaled_values(
+    tree: ScenarioTree,
+    scaled: Sequence[int],
+    denominator: int,
+    frozen: frozenset[int] = frozenset(),
+) -> dict[NodeId, Fraction]:
+    """The sweep kernel's scaled form as one ``Fraction`` per node id: the
+    node at position ``p`` and stage ``t`` has the value
+    ``scaled[p] / (denominator * scale[t])``, and a node strictly below a
+    ``frozen`` position reads that position's value."""
+    index = tree.index
+    read: list[int] = []  # the position each position's value is read at
+    values = {}
+    for pos, node in enumerate(index.nodes):  # parents before children
+        at = pos
+        if node.parent is not None:
+            up = index.position[node.parent]
+            if up in frozen or read[up] != up:
+                at = read[up]
+        read.append(at)
+        scale = index.scale[index.nodes[at].time]
+        values[node.id] = Fraction(scaled[at], denominator * scale)
+    return values
 
 
 def one_step_expectation(
@@ -136,16 +143,13 @@ def is_supermartingale_dominating(
 
 
 def kernel_input(
-    tree: ScenarioTree,
-    reward: dict[NodeId, Fraction],
-    epsilon: Fraction,
-    frozen_at: frozenset[int] = frozenset(),
-) -> ScaledProcess:
+    tree: ScenarioTree, reward: dict[NodeId, Fraction], epsilon: Fraction
+) -> tuple[list[int], int]:
     """``reward`` in the scaled form :func:`dynkin.snell.integer_snell`
-    reads: stage-``t`` values times ``D * scale[t]``, ``D`` the lcm of the
-    reward's and epsilon's denominators.  With no ``frozen_at`` positions
-    the whole tree is live; below a frozen position the kernel reads
-    nothing, so the values there may be anything, as in a sweep step."""
+    reads, with its ``D``: stage-``t`` values times ``D * scale[t]``, ``D``
+    the lcm of the reward's and epsilon's denominators.  Below a frozen
+    position the kernel reads nothing, so the values there may be
+    anything, as in a sweep step."""
     index = tree.index
     rewards = [reward[node.id] for node in index.nodes]
     d = math.lcm(epsilon.denominator, *[x.denominator for x in rewards])
@@ -153,7 +157,7 @@ def kernel_input(
         x.numerator * (d * index.scale[node.time] // x.denominator)
         for node, x in zip(index.nodes, rewards)
     ]
-    return ScaledProcess(index, scaled, d, frozen_at)
+    return scaled, d
 
 
 def reference_stage_reward(
@@ -169,14 +173,14 @@ def reference_stage_reward(
         members = [j for j, rule in others.items() if node_id in rule.stop_set]
         coalition_at[node_id] = tuple(sorted(members))
 
-    solo = spec.payoff(player, (player,))
+    solo = spec.payoffs[(player, (player,))]
     values: dict[NodeId, Fraction] = {}
     frozen: dict[NodeId, Fraction] = {}
     for node in spec.tree.index.nodes:
         if node.id in coalition_at:
             coalition = coalition_at[node.id]
-            join = spec.payoff(player, tuple(sorted({*coalition, player})))[node.id]
-            stay = spec.payoff(player, coalition)[node.id]
+            join = spec.payoffs[(player, tuple(sorted({*coalition, player})))][node.id]
+            stay = spec.payoffs[(player, coalition)][node.id]
             frozen[node.id] = max(join, stay)
             values[node.id] = frozen[node.id]
         elif node.parent is not None and node.parent in frozen:

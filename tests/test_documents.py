@@ -35,7 +35,7 @@ def test_parse_fixture_dimensions(deterministic_game):
     assert deterministic_game.num_players == 3
     assert deterministic_game.horizon == 2
     assert len(deterministic_game.payoffs) == 21
-    assert deterministic_game.payoff(2, (2,))[1] == Fraction(3, 2)
+    assert deterministic_game.payoffs[(2, (2,))][1] == Fraction(3, 2)
 
 
 def test_decimal_probability_is_rejected():
@@ -73,8 +73,8 @@ def test_default_payoff_fills_missing_pairs():
     doc["default_payoff"] = {"values": {"0": "0", "1": "0", "2": "0", "3": "1"}}
     spec = parse_game(document_text(doc), enforce_assumption_a=False)
     assert len(spec.payoffs) == 6
-    assert spec.payoff(2, (1, 2))[1] == 0
-    assert spec.payoff(1, (1, 2))[1] == 1
+    assert spec.payoffs[(2, (1, 2))][1] == 0
+    assert spec.payoffs[(1, (1, 2))][1] == 1
 
 
 def test_default_payoff_is_copied_only_for_missing_pairs():
@@ -87,7 +87,7 @@ def test_default_payoff_is_copied_only_for_missing_pairs():
     spec = parse_game(document_text(doc), enforce_assumption_a=False)
     # the listed pair keeps its values; each of the 5 others gets its own copy
     assert len(spec.payoffs) == len({id(process) for process in spec.payoffs.values()}) == 6
-    assert spec.payoff(1, (1, 2)) == {0: 1, 1: 1, 2: 1, 3: 1}
+    assert spec.payoffs[(1, (1, 2))] == {0: 1, 1: 1, 2: 1, 3: 1}
     for key, process in spec.payoffs.items():
         if key != (1, (1, 2)):
             assert process == {0: 0, 1: 0, 2: 0, 3: 1}

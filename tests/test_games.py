@@ -280,7 +280,7 @@ def test_expected_payoffs_equal_the_realized_outcome_sum(data, enumerated):
             stage, coalition = realized_outcome(game, profile, leaf.id)
             node_id = leaf.id if stage == NEVER else path_to(tree, leaf.id)[int(stage)].id
             for i in game.players:
-                value = game.payoff(i, coalition)[node_id]
+                value = game.payoffs[(i, coalition)][node_id]
                 reference[i - 1] += path_probability(tree, leaf.id) * value
         assert expected_payoffs(game, profile) == tuple(reference)
         # criterion 7's oracle, one walk per rule and leaf, sums the same
@@ -398,7 +398,7 @@ def assert_table_holds(spec, expected):
         assert row.denominator == math.lcm(*[Fraction(v).denominator for v in values.values()])
         for node in index.nodes:
             entry = Fraction(row.numerators[index.position[node.id]], row.denominator)
-            assert entry == values[node.id] == spec.payoff(*key)[node.id]
+            assert entry == values[node.id] == spec.payoffs[key][node.id]
 
 
 @settings(max_examples=60, deadline=None)

@@ -83,22 +83,36 @@ def test_verify_shares_no_sweep_code():
     }
 
 
+def _attributes(tree):
+    """Every name a syntax tree looks up as an attribute, with its number
+    of occurrences."""
+    return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+
+
 def test_every_public_function_has_a_caller_outside_the_tests():
     # a module-level function, method or property that only the tests name
-    # belongs in tests/; private and dunder methods start with "_"
+    # belongs in tests/; private and dunder methods start with "_".  A
+    # method is reached only as an attribute, so a local variable or a
+    # function of the same name does not count as its caller
     modules = {path: _parse(path) for path in SOURCES if path.name != "__init__.py"}
-    named = Counter()
+    named, looked_up = Counter(), Counter()
     for tree in [*modules.values(), *map(_parse, SCRIPTS)]:
         named += _names(tree)
-    unused = [
-        f"{path.name}:{node.name}"
-        for path, tree in modules.items()
-        for top in tree.body
-        for node in [top, *(top.body if isinstance(top, ast.ClassDef) else [])]
-        if isinstance(node, ast.FunctionDef)
-        and not node.name.startswith("_")
-        and named[node.name] == _names(node)[node.name]  # only its own body
-    ]
+        looked_up += _attributes(tree)
+    unused = []
+    for path, tree in modules.items():
+        for top in tree.body:
+            members = top.body if isinstance(top, ast.ClassDef) else []
+            for node, uses, count in [
+                (top, named, _names),
+                *((member, looked_up, _attributes) for member in members),
+            ]:
+                if (
+                    isinstance(node, ast.FunctionDef)
+                    and not node.name.startswith("_")
+                    and uses[node.name] == count(node)[node.name]  # only its own body
+                ):
+                    unused.append(f"{path.name}:{node.name}")
     assert SCRIPTS and unused == []
 
 
@@ -166,8 +180,8 @@ def test_sources_write_json_text_in_one_place():
 
 def test_only_games_and_documents_read_payoffs_by_node_id():
     # every consumer reads the one integer table, spec.table; the Fraction
-    # processes of spec.payoff(...) and spec.payoffs[...] are for the game's
-    # own module, the parser and the tests
+    # processes of spec.payoffs[...] are for the game's own module, the
+    # parser and the tests
     found = [
         f"{path.name}:{node.lineno}:{node.attr}"
         for path in SOURCES

@@ -20,6 +20,7 @@ from dynkin.scheme import (
     scheme_step,
     trace_as_json,
 )
+from dynkin.snell import integer_snell
 from dynkin.trees import (
     NEVER_RULE,
     ScenarioTree,
@@ -35,7 +36,7 @@ from snell_reference import (
     eps_optimal_rule,
     reference_stage_reward,
     reference_updated_tau,
-    scaled_value,
+    scaled_values,
     snell_envelope,
 )
 from trees_reference import children_table, path_to, root_node, stop_time
@@ -48,42 +49,48 @@ def capped_times(result, spec):
     )
 
 
+def replay(spec, step, epsilon):
+    """A kept step's U and W as one ``Fraction`` per node, their
+    denominator and the step's mu, from the sweep's own kernels run again
+    on the step's theta coalitions: a step keeps its rules only."""
+    solo = scheme._scaled_solo(spec, step.player, epsilon)
+    u, d, frozen = scheme._stage_reward(spec, step.player, step.coalition_at_theta, solo)
+    w, mu = integer_snell(spec.tree, u, d, frozen, epsilon)
+    return scaled_values(spec.tree, u, d, frozen), scaled_values(spec.tree, w, d, frozen), d, mu
+
+
 def stage_reward_step(spec, player, taus):
-    """The sweep step visiting ``player`` against the rules ``taus``, with
-    its stage reward checked against the full-tree reference."""
+    """The sweep step visiting ``player`` against the rules ``taus`` and
+    its replayed stage reward, checked against the full-tree reference."""
     state = SchemeState(n=player, taus=taus)
     step = scheme_step(spec, SchemeConfig(), state)
     others = {p: taus[p - 1] for p in spec.players if p != player}
-    reference = reference_stage_reward(spec, player, step.theta, others)
+    reward, *_ = replay(spec, step, Fraction(0))
     assert step.player == player
-    assert all(
-        scaled_value(step.stage_reward, node.id) == reference[node.id] for node in spec.tree.nodes
-    )
-    return step
+    assert reward == reference_stage_reward(spec, player, step.theta, others)
+    return step, reward
 
 
 def test_stage_reward_with_no_opponent_stop(deterministic_game):
-    step = stage_reward_step(deterministic_game, 1, (NEVER_RULE,) * 3)
-    reward = step.stage_reward
-    assert [scaled_value(reward, t) for t in range(3)] == [Fraction(1, 8), Fraction(1, 2), 0]
+    step, reward = stage_reward_step(deterministic_game, 1, (NEVER_RULE,) * 3)
+    assert [reward[t] for t in range(3)] == [Fraction(1, 8), Fraction(1, 2), 0]
     assert step.coalition_at_theta == {}
 
 
 def test_stage_reward_freezes_at_opponent_stop(deterministic_game):
     stop1 = StoppingRule(frozenset({1}))
-    step = stage_reward_step(deterministic_game, 2, (stop1, NEVER_RULE, NEVER_RULE))
-    reward = step.stage_reward
+    step, reward = stage_reward_step(deterministic_game, 2, (stop1, NEVER_RULE, NEVER_RULE))
     # before the stop: own payoff; at stage 1: max(join {1,2}, stay {1}) = 1/2
-    assert scaled_value(reward, 0) == Fraction(1, 8)
-    assert scaled_value(reward, 1) == Fraction(1, 2)
-    assert scaled_value(reward, 2) == Fraction(1, 2)
+    assert reward[0] == Fraction(1, 8)
+    assert reward[1] == Fraction(1, 2)
+    assert reward[2] == Fraction(1, 2)
     assert step.coalition_at_theta == {1: (1,)}
 
 
 def test_stage_reward_frozen_from_root(deterministic_game):
     root_stop = StoppingRule(frozenset({0}))
-    step = stage_reward_step(deterministic_game, 2, (root_stop, NEVER_RULE, NEVER_RULE))
-    assert all(scaled_value(step.stage_reward, t) == Fraction(1, 8) for t in range(3))
+    _, reward = stage_reward_step(deterministic_game, 2, (root_stop, NEVER_RULE, NEVER_RULE))
+    assert all(reward[t] == Fraction(1, 8) for t in range(3))
 
 
 def test_first_step_stops_player_one_at_stage_one(deterministic_game):
@@ -111,7 +118,8 @@ def test_first_step_under_reversed_order(deterministic_game):
     config = SchemeConfig(epsilon=Fraction(1, 100), order=(2, 3, 1))
     step = scheme_step(deterministic_game, config, initial_state(deterministic_game))
     assert step.player == 2
-    assert scaled_value(step.stage_reward, 1) == Fraction(3, 2)
+    reward, *_ = replay(deterministic_game, step, config.epsilon)
+    assert reward[1] == Fraction(3, 2)
     assert step.tau.stop_set == frozenset({1})
 
 
@@ -270,7 +278,7 @@ def test_tau_update_forms_must_agree(monkeypatch, deterministic_game):
     # stopping: the simplified update takes it, the raw one keeps the root
     answers = []
 
-    def fake_kernel(tree, reward, epsilon):
+    def fake_kernel(tree, u, denominator, frozen, epsilon):
         answers.append(0 if not answers else tree.horizon)
         return None, stop_everywhere_at(tree, answers[-1])
 
@@ -380,14 +388,15 @@ def with_frozen_values_off_grid(game, denominator):
 
 
 def assert_step_matches_reference(spec, step, others, epsilon):
-    """U, W and mu of one step against the full-tree Fraction reference."""
+    """U, W and mu of one step, replayed, against the full-tree Fraction
+    reference; the step's own mu equals both."""
     tree = spec.tree
     reward = reference_stage_reward(spec, step.player, step.theta, others)
     envelope = snell_envelope(tree, reward)
-    for node in tree.nodes:
-        assert scaled_value(step.stage_reward, node.id) == reward[node.id]
-        assert scaled_value(step.envelope, node.id) == envelope[node.id]
-    assert step.mu == eps_optimal_rule(tree, reward, envelope, epsilon)
+    replayed_reward, replayed_envelope, _, mu = replay(spec, step, epsilon)
+    assert replayed_reward == reward
+    assert replayed_envelope == envelope
+    assert step.mu == mu == eps_optimal_rule(tree, reward, envelope, epsilon)
 
 
 def assert_run_matches_reference(spec, result):
@@ -403,14 +412,11 @@ def assert_run_matches_reference(spec, result):
 
 def observed_gaps(spec, result):
     """The positive margins W - U the run's steps met, at every node."""
-    return sorted(
-        {
-            scaled_value(step.envelope, node.id) - scaled_value(step.stage_reward, node.id)
-            for step in result.trace
-            for node in spec.tree.nodes
-        }
-        - {Fraction(0)}
-    )
+    gaps = set()
+    for step in result.trace:
+        reward, envelope, _, _ = replay(spec, step, result.config.epsilon)
+        gaps |= {envelope[i] - reward[i] for i in reward}
+    return sorted(gaps - {Fraction(0)})
 
 
 def assert_root_theta_step(spec, epsilon):
@@ -454,7 +460,7 @@ def test_frozen_values_off_the_solo_grid_raise_the_step_denominator():
     # scale has the factor 17, and the solo payoffs are dyadic
     game = with_frozen_values_off_grid(random_game(Random(3), 2, 3), 17)
     result = run_scheme(game, SchemeConfig(epsilon=Fraction(1, 4)))
-    raised = [s for s in result.trace if s.stage_reward.denominator % 17 == 0]
+    raised = [s for s in result.trace if replay(game, s, Fraction(1, 4))[2] % 17 == 0]
     assert raised and all(s.theta.stop_set for s in raised)
     assert_run_matches_reference(game, result)
 
@@ -494,6 +500,18 @@ def test_trace_audit_reads_no_sweep_values():
     audited = result._replace(trace=steps)
     assert len(steps) >= 30
     assert check_trace_invariants(steps, audited) == []
+
+
+def test_a_trace_keeps_each_steps_rules_and_no_values():
+    # a step drops its U and W when it returns, so a kept trace grows with
+    # its stop sets, not with steps times nodes; so does a cut-off run's
+    game = late_stop_game(Random(4), 3, 32)
+    result = run_scheme(game, SchemeConfig())
+    with pytest.raises(ConvergenceError) as info:
+        run_scheme(game, SchemeConfig(max_rounds=1))
+    assert len(info.value.trace) == game.num_players
+    for trace in (result.trace, info.value.trace):
+        assert all(step.stage_reward is None and step.envelope is None for step in trace)
 
 
 def test_run_validates_an_unvalidated_spec(pennies_game):

@@ -34,6 +34,16 @@ def test_script_runs_clean(argv, expected):
     assert "VIOLATIONS" not in result.stdout
 
 
+def test_deep_horizon_reports_each_game_from_its_own_process():
+    # a small horizon keeps the run short; the default games take seconds
+    result = run_script("scripts/deep_horizon.py", "--game", "24:2", "--game", "30:1")
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["H=24 b=2", "H=30 b=1"]
+    assert lines[0].startswith("H=24 b=2: 95 nodes, 27 steps, solve ")
+    assert all(line.endswith(" MiB") for line in lines)
+
+
 def test_random_sweep_fails_a_game_over_the_round_bound(monkeypatch, capsys):
     # the bound is an explicit check that python -O keeps, and a failed game
     # makes the sweep exit 1

@@ -22,7 +22,7 @@ from snell_reference import (
     kernel_input,
     one_step_expectation,
     optimal_value,
-    scaled_value,
+    scaled_values,
     snell_envelope,
     solve_stopping,
 )
@@ -162,8 +162,9 @@ def test_zero_epsilon_rule_is_exactly_optimal():
 
 def assert_kernel_matches_reference(tree, reward, epsilon):
     envelope = snell_envelope(tree, reward)
-    scaled, rule = integer_snell(tree, kernel_input(tree, reward, epsilon), epsilon)
-    assert {n.id: scaled_value(scaled, n.id) for n in tree.nodes} == envelope
+    u, d = kernel_input(tree, reward, epsilon)
+    scaled, rule = integer_snell(tree, u, d, frozenset(), epsilon)
+    assert scaled_values(tree, scaled, d) == envelope
     assert rule == eps_optimal_rule(tree, reward, envelope, epsilon)
 
 
@@ -193,27 +194,25 @@ def assert_frozen_kernel_matches_reference(data, tree, flags):
     n = len(index.nodes)
     below = [False] * n  # strictly below a frozen position
     frozen = set()
-    for pos in range(n):  # parents before children
-        up = index.parent[pos]
-        below[pos] = up >= 0 and (below[up] or up in frozen)
+    parent = [index.position.get(node.parent) for node in index.nodes]  # None at the root
+    for pos, up in enumerate(parent):  # parents before children
+        below[pos] = up is not None and (below[up] or up in frozen)
         if pos in flags and not below[pos]:
             frozen.add(pos)
     raw = [data.draw(rationals(denominators=KERNEL_DENOMINATORS)) for _ in range(n)]
     held = list(raw)
     for pos in range(n):
         if below[pos]:
-            held[pos] = held[index.parent[pos]]
+            held[pos] = held[parent[pos]]
     ids = [node.id for node in index.nodes]
     reward = dict(zip(ids, held))
     envelope = snell_envelope(tree, reward)
     margins = sorted({envelope[i] - reward[i] for i in ids})
     epsilon = data.draw(st.sampled_from([Fraction(0), Fraction(1, 3), *margins]))
-    raw_input = kernel_input(tree, dict(zip(ids, raw)), epsilon, frozenset(frozen))
-    scaled, rule = integer_snell(tree, raw_input, epsilon)
-    assert {i: scaled_value(scaled, i) for i in ids} == envelope
-    assert [w for w, low in zip(scaled.scaled, below) if low] == [
-        x for x, low in zip(raw_input.scaled, below) if low
-    ]
+    u, d = kernel_input(tree, dict(zip(ids, raw)), epsilon)
+    scaled, rule = integer_snell(tree, u, d, frozenset(frozen), epsilon)
+    assert scaled_values(tree, scaled, d, frozenset(frozen)) == envelope
+    assert [w for w, low in zip(scaled, below) if low] == [x for x, low in zip(u, below) if low]
     assert rule == eps_optimal_rule(tree, reward, envelope, epsilon)
 
 

@@ -36,10 +36,10 @@ def deviation_reward(
     coalition_at = {node_id: tuple(sorted(js)) for node_id, js in stoppers.items()}
     # each coalition's value dicts, looked up once: (it stops alone, joined)
     tables = {
-        c: (spec.payoff(player, c), spec.payoff(player, tuple(sorted({*c, player}))))
+        c: (spec.payoffs[(player, c)], spec.payoffs[(player, tuple(sorted({*c, player})))])
         for c in set(coalition_at.values())
     }
-    solo = spec.payoff(player, (player,))
+    solo = spec.payoffs[(player, (player,))]
     values: dict[NodeId, Fraction] = {}
     frozen: dict[NodeId, Fraction] = {}
     for node in spec.tree.index.nodes:  # parents before children
