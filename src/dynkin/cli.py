@@ -15,7 +15,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from .documents import (
-    DocumentError,
     document_text,
     json_text,
     parse_game,
@@ -53,29 +52,30 @@ def _write_outputs(outputs: dict[str | None, str]) -> None:
 
     A regular file, or a path that does not exist yet, is written to a
     temporary file in its directory, and the temporary files replace their
-    targets only once every text is written; any other target, a device
-    such as /dev/null, is written in place.  If a write fails, the
+    targets only once every text is written; two paths to one file write
+    the later text.  Any other target, a device such as /dev/null or a
+    pipe such as /dev/stdout, is written in place.  If a write fails, the
     temporary files are removed, so no file is left changed or made, and a
     UsageError names the path.
     """
-    staged: dict[str, tuple[str, str]] = {}  # path: (its temporary file, target)
+    staged: dict[str, tuple[str, str]] = {}  # real path: (its temporary file, path)
     path = None
     try:
         for path, text in outputs.items():
             if path is None:
                 continue
-            target = os.path.realpath(path)
-            if os.path.exists(target) and not os.path.isfile(target):  # a device
+            if os.path.exists(path) and not os.path.isfile(path):  # a device or pipe
                 with open(path, "a") as file:
                     file.write(text)
                 continue
+            target = os.path.realpath(path)
             temporary = f"{target}.{os.getpid()}.tmp"  # in the target's own directory
-            staged[path] = (temporary, target)
+            staged[target] = (temporary, path)
             with open(temporary, "w") as file:
                 if os.path.exists(target):  # keep its permission bits
                     os.chmod(file.fileno(), os.stat(target).st_mode & 0o7777)
                 file.write(text)
-        for path, (temporary, target) in staged.items():
+        for target, (temporary, path) in staged.items():
             os.replace(temporary, target)
     except OSError as exc:
         for temporary, _ in staged.values():
@@ -111,10 +111,6 @@ def _parse_order(text: str, num_players: int) -> tuple[int, ...]:
     if sorted(order) != list(range(1, num_players + 1)):
         raise UsageError(f"--order {text!r} is not a permutation of 1..{num_players}")
     return order
-
-
-def _report_text(payload: dict) -> str:
-    return json_text(payload, sort_keys=True) + "\n"
 
 
 def certificate_json(certificate: NepCertificate) -> dict:
@@ -170,7 +166,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         rows = trace_as_json(result.trace)
         outputs[args.trace] = json_text(rows, sort_keys=False) + "\n"
         report["trace"] = rows
-    outputs[args.out] = _report_text(report)  # after the trace: one path may name both
+    outputs[args.out] = document_text(report)  # after the trace: one path may name both
     _write_outputs(outputs)
     return EXIT_OK if certificate.is_eps_nep else EXIT_NEGATIVE
 
@@ -180,7 +176,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     epsilon = _parse_epsilon(args.epsilon)
     profile = parse_profile(_read_text(args.profile), spec)
     certificate = certify(spec, profile, epsilon)
-    sys.stdout.write(_report_text(certificate_json(certificate)))
+    sys.stdout.write(document_text(certificate_json(certificate)))
     return EXIT_OK if certificate.is_eps_nep else EXIT_NEGATIVE
 
 
@@ -190,7 +186,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.cap < 0:
         raise UsageError(f"--cap must be >= 0, got {args.cap}")
     found = find_all_eps_neps(spec, epsilon, rule_cap=args.cap)
-    report = _report_text(
+    report = document_text(
         {
             "epsilon": str(epsilon),
             "count": len(found),
@@ -273,9 +269,6 @@ def main(argv: list[str] | None = None) -> int:
             if getattr(args, flag, None) == "":
                 raise UsageError(f"--{flag} must name a file, got ''")
         return args.func(args)
-    except (DocumentError, UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

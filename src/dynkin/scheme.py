@@ -19,7 +19,7 @@ the sweep reaches a fixed point; the fixed profile is an eps-equilibrium of
 the game (certified independently in :mod:`dynkin.verify`).
 
 Each step runs on ``int``.  A run scales each player's solo payoff once,
-on their first visit; a step copies that vector and overwrites only the
+before its first round; a step copies that vector and overwrites only the
 theta nodes with their frozen values.  The envelope and mu then visit only
 the live region, the nodes not strictly below a theta node
 (:func:`dynkin.snell.integer_snell`).  A step keeps what it decides, the
@@ -90,13 +90,6 @@ class SchemeStep(NamedTuple):
     envelope: None = None
 
 
-class SchemeState(NamedTuple):
-    """Step counter plus each player's current rule (index i-1 = player i)."""
-
-    n: int
-    taus: tuple[StoppingRule, ...]
-
-
 class EquilibriumProfile(NamedTuple):
     """Fixed point of the sweep, with every step's rules for auditing."""
 
@@ -126,13 +119,6 @@ def rounds_bound(spec: GameSpec) -> int:
     """Worst-case sweep rounds: every rule can move earlier at most
     (horizon + 1) times on each path, and a non-final round moves some rule."""
     return spec.num_players * len(spec.tree.leaves) * (spec.horizon + 1) + 1
-
-
-def initial_state(spec: GameSpec, at_horizon: bool = False) -> SchemeState:
-    """All players start at never-stop; optionally at stop-at-horizon
-    (a variant that must reach the same capped profile on valid games)."""
-    start = stop_everywhere_at(spec.tree, spec.horizon) if at_horizon else NEVER_RULE
-    return SchemeState(n=spec.num_players + 1, taus=(start,) * spec.num_players)
 
 
 def _stop_coalitions(
@@ -254,41 +240,23 @@ def _updated_tau(
 
 def scheme_step(
     spec: GameSpec,
-    config: SchemeConfig,
-    state: SchemeState,
-    solo_rewards: dict[int, tuple[list[int], int]] | None = None,
-    *,
-    order: tuple[int, ...] | None = None,
+    epsilon: Fraction,
+    n: int,
+    player: int,
+    taus: Sequence[StoppingRule],
+    solo: tuple[list[int], int],
 ) -> SchemeStep:
-    """Visit one player and compute their updated rule.
-
-    ``solo_rewards`` keeps each player's scaled solo payoff from their
-    first visit on; :func:`run_scheme` passes one dict for its whole run.
-    ``order`` is the config's order as :func:`run_scheme` checked it once
-    per run; left out, the step checks ``config.order_for`` itself.
+    """Step ``n``: visit ``player`` against the others' rules in ``taus``
+    (index i-1 = player i) and compute their updated rule.  ``solo`` is the
+    player's solo payoff as :func:`_scaled_solo` scales it for ``epsilon``.
     """
-    if order is None:
-        order = config.order_for(spec.num_players)
-    position = (state.n - 1) % spec.num_players
-    player = order[position]
-    others = {p: state.taus[p - 1] for p in spec.players if p != player}
+    others = {p: taus[p - 1] for p in spec.players if p != player}
     theta = min_of_rules(spec.tree, list(others.values()))
     coalition_at = _stop_coalitions(theta, others)
-    if solo_rewards is None:
-        solo_rewards = {}
-    solo = solo_rewards.get(player)
-    if solo is None:
-        solo = solo_rewards[player] = _scaled_solo(spec, player, config.epsilon)
     u, d, frozen = _stage_reward(spec, player, coalition_at, solo)
-    _, mu = integer_snell(spec.tree, u, d, frozen, config.epsilon)
-    tau = _updated_tau(spec.tree, mu, theta, state.taus[player - 1])
-    return SchemeStep(state.n, player, theta, coalition_at, mu, tau)
-
-
-def advance(state: SchemeState, step: SchemeStep) -> SchemeState:
-    taus = list(state.taus)
-    taus[step.player - 1] = step.tau
-    return SchemeState(n=state.n + 1, taus=tuple(taus))
+    _, mu = integer_snell(spec.tree, u, d, frozen, epsilon)
+    tau = _updated_tau(spec.tree, mu, theta, taus[player - 1])
+    return SchemeStep(n, player, theta, coalition_at, mu, tau)
 
 
 def run_scheme(
@@ -305,6 +273,10 @@ def run_scheme(
     horizon, which pay identically.  Raises :class:`ConvergenceError` with
     the partial trace if the round cap is hit, which cannot happen below
     the worst-case bound.
+
+    All players start at never-stop, or with ``initialize_at_horizon`` at
+    stop-at-horizon, a variant that must reach the same capped profile on
+    valid games.  Steps are numbered from N + 1, as in the paper.
 
     The game is validated first, and a ValueError lists its violations.
     Pass ``validated=True`` only for a spec that
@@ -323,8 +295,9 @@ def run_scheme(
     if cap < 1:
         raise ValueError(f"max_rounds must be >= 1, got {cap}")
 
-    state = initial_state(spec, at_horizon=initialize_at_horizon)
-    solo_rewards: dict[int, tuple[list[int], int]] = {}
+    start = stop_everywhere_at(spec.tree, spec.horizon) if initialize_at_horizon else NEVER_RULE
+    taus = [start] * spec.num_players
+    solo = [_scaled_solo(spec, p, config.epsilon) for p in spec.players]
     trace: list[SchemeStep] = []
     rounds = 0
     while True:
@@ -332,18 +305,19 @@ def run_scheme(
             raise ConvergenceError(
                 f"no stationary round within {cap} rounds", tuple(trace)
             )
-        start = state.taus
-        for _ in range(spec.num_players):
-            step = scheme_step(spec, config, state, solo_rewards, order=order)
+        before = list(taus)
+        for player in order:
+            n = spec.num_players + 1 + len(trace)
+            step = scheme_step(spec, config.epsilon, n, player, taus, solo[player - 1])
             trace.append(step)
-            state = advance(state, step)
+            taus[player - 1] = step.tau
         rounds += 1
-        if state.taus == start:
+        if taus == before:
             break
         # a round visits every player once and must never push a rule
         # later; on canonical antichains min(now, then) == now exactly when
         # now stops no later than then on every leaf
-        for p, now, then in zip(spec.players, state.taus, start):
+        for p, now, then in zip(spec.players, taus, before):
             if min_of_rules(spec.tree, [now, then]) != now:
                 leaf, was, later = _first_leaf(
                     spec.tree, (then, now), lambda was, later: later > was
@@ -353,11 +327,11 @@ def run_scheme(
                     f"{leaf.id} later ({was} -> {later})"
                 )
 
-    uncapped = StrategyProfile(state.taus)
+    uncapped = StrategyProfile(tuple(taus))
     return EquilibriumProfile(
         uncapped=uncapped,
         capped=uncapped.capped(spec.tree),
-        termination_rule=min_of_rules(spec.tree, list(state.taus)),
+        termination_rule=min_of_rules(spec.tree, taus),
         rounds_used=rounds,
         trace=tuple(trace),
         tree=spec.tree,

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import resource
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -262,6 +263,33 @@ def test_outputs_replace_what_their_files_held(capsys, tmp_path):
     # a device is written without being truncated
     code, devnull_stdout, _ = run_cli(capsys, *argv[:-1], os.devnull, "--out", os.devnull)
     assert (code, devnull_stdout) == (0, "")
+
+
+def test_two_spellings_of_one_file_hold_the_report(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["solve", "--example", "paper-5-1", "--epsilon", "0", "--trace", "t.json"]
+    code, stdout, _ = run_cli(capsys, *argv)
+    assert code == 0
+    Path("l.json").symlink_to("t.json")
+    for out in ("./t.json", str(tmp_path / "t.json"), "l.json"):
+        Path("t.json").write_text("old\n")
+        code, printed, err = run_cli(capsys, *argv, "--out", out)
+        assert (code, printed, err) == (0, "", "")
+        assert Path("t.json").read_text() == stdout
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["l.json", "t.json"]
+    assert Path("l.json").is_symlink()
+
+
+def test_out_to_dev_stdout_writes_into_a_pipe():
+    src = Path(cli.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "dynkin", "example", "--name", "paper-5-1",
+         "--out", "/dev/stdout"],
+        env=dict(os.environ, PYTHONPATH=str(src)), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, timeout=60,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == document_text(example_document("paper-5-1"))
 
 
 def test_a_negative_cap_is_a_usage_error(capsys):

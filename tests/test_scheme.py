@@ -11,11 +11,8 @@ from dynkin import scheme
 from dynkin.scheme import (
     ConvergenceError,
     SchemeConfig,
-    SchemeState,
     SchemeStep,
     SweepInvariantError,
-    advance,
-    initial_state,
     run_scheme,
     scheme_step,
     trace_as_json,
@@ -62,8 +59,8 @@ def replay(spec, step, epsilon):
 def stage_reward_step(spec, player, taus):
     """The sweep step visiting ``player`` against the rules ``taus`` and
     its replayed stage reward, checked against the full-tree reference."""
-    state = SchemeState(n=player, taus=taus)
-    step = scheme_step(spec, SchemeConfig(), state)
+    solo = scheme._scaled_solo(spec, player, Fraction(0))
+    step = scheme_step(spec, Fraction(0), player, player, taus, solo)
     others = {p: taus[p - 1] for p in spec.players if p != player}
     reward, *_ = replay(spec, step, Fraction(0))
     assert step.player == player
@@ -95,20 +92,16 @@ def test_stage_reward_frozen_from_root(deterministic_game):
 
 def test_first_step_stops_player_one_at_stage_one(deterministic_game):
     config = SchemeConfig(epsilon=Fraction(1, 100))
-    step = scheme_step(deterministic_game, config, initial_state(deterministic_game))
+    (step,) = run_scheme(deterministic_game, config).trace[:1]
     assert step.n == 4 and step.player == 1
     assert step.mu.stop_set == frozenset({1})
     assert step.tau.stop_set == frozenset({1})
 
 
 def test_second_step_keeps_player_two_waiting(deterministic_game):
-    from dynkin.scheme import advance
-
     config = SchemeConfig(epsilon=Fraction(1, 100))
-    state = initial_state(deterministic_game)
-    state = advance(state, scheme_step(deterministic_game, config, state))
-    step = scheme_step(deterministic_game, config, state)
-    assert step.player == 2
+    _, step = run_scheme(deterministic_game, config).trace[:2]
+    assert step.n == 5 and step.player == 2
     assert step.mu.stop_set == frozenset({1})  # threshold met exactly at theta
     assert step.theta.stop_set == frozenset({1})
     assert step.tau == NEVER_RULE  # falls back to the previous rule
@@ -116,7 +109,7 @@ def test_second_step_keeps_player_two_waiting(deterministic_game):
 
 def test_first_step_under_reversed_order(deterministic_game):
     config = SchemeConfig(epsilon=Fraction(1, 100), order=(2, 3, 1))
-    step = scheme_step(deterministic_game, config, initial_state(deterministic_game))
+    (step,) = run_scheme(deterministic_game, config).trace[:1]
     assert step.player == 2
     reward, *_ = replay(deterministic_game, step, config.epsilon)
     assert reward[1] == Fraction(3, 2)
@@ -202,8 +195,9 @@ def test_both_initializations_agree_on_fixtures(deterministic_game, walk_game):
 
 
 def test_horizon_initialization_state(deterministic_game):
-    state = initial_state(deterministic_game, at_horizon=True)
-    assert state.taus == (stop_everywhere_at(deterministic_game.tree, 2),) * 3
+    config = SchemeConfig(epsilon=Fraction(1, 100))
+    (step,) = run_scheme(deterministic_game, config, initialize_at_horizon=True).trace[:1]
+    assert step.theta == stop_everywhere_at(deterministic_game.tree, 2)
 
 
 def test_round_cap_raises_with_partial_trace(deterministic_game):
@@ -219,12 +213,9 @@ def test_run_rejects_games_violating_the_hypothesis(pennies_game):
 
 
 def test_config_rejects_bad_order(deterministic_game):
-    state = initial_state(deterministic_game)
     for order in ((1, 2), (1, 1, 3), ()):
         with pytest.raises(ValueError, match="permutation"):
             run_scheme(deterministic_game, SchemeConfig(order=order))
-        with pytest.raises(ValueError, match="permutation"):
-            scheme_step(deterministic_game, SchemeConfig(order=order), state)
 
 
 def test_run_checks_the_order_once(monkeypatch, deterministic_game):
@@ -402,7 +393,7 @@ def assert_step_matches_reference(spec, step, others, epsilon):
 def assert_run_matches_reference(spec, result):
     """Every step of a never-initialized run against the reference, with
     each step's others read from the steps before it."""
-    taus = list(initial_state(spec).taus)
+    taus = [NEVER_RULE] * spec.num_players
     for step in result.trace:
         others = {p: taus[p - 1] for p in spec.players if p != step.player}
         assert step.theta == min_of_rules(spec.tree, list(others.values()))
@@ -423,8 +414,8 @@ def assert_root_theta_step(spec, epsilon):
     """A step whose others all stop at the root: only the root is live."""
     root = StoppingRule(frozenset({root_node(spec.tree).id}))
     taus = (NEVER_RULE,) + (root,) * (spec.num_players - 1)
-    state = SchemeState(n=spec.num_players + 1, taus=taus)
-    step = scheme_step(spec, SchemeConfig(epsilon=epsilon), state)
+    solo = scheme._scaled_solo(spec, 1, epsilon)
+    step = scheme_step(spec, epsilon, spec.num_players + 1, 1, taus, solo)
     assert step.player == 1 and step.theta == root and step.mu == root
     others = {p: root for p in spec.players if p != 1}
     assert_step_matches_reference(spec, step, others, epsilon)
@@ -537,16 +528,17 @@ def test_a_step_looks_each_stop_coalition_up_once():
     # many theta nodes share a few coalitions; each coalition's join and
     # stay values are read once per step
     game = late_stop_game(Random(4), 3, 32)
-    config = SchemeConfig()
-    state = initial_state(game)
-    solo_rewards = {}
+    taus = [NEVER_RULE] * game.num_players
+    solo = [scheme._scaled_solo(game, p, Fraction(0)) for p in game.players]
+    n = game.num_players + 1
+    for _ in range(3):
+        for player in game.players:
+            step = scheme_step(game, Fraction(0), n, player, taus, solo[player - 1])
+            taus[player - 1] = step.tau
+            n += 1
     lookups = []
-    for _ in range(3 * game.num_players):
-        step = scheme_step(game, config, state, solo_rewards)
-        state = advance(state, step)
-    assert len(solo_rewards) == game.num_players  # solo lookups are done
-    count_table_reads(game, lookups)
-    step = scheme_step(game, config, state, solo_rewards)
+    count_table_reads(game, lookups)  # solo lookups are done
+    step = scheme_step(game, Fraction(0), n, 1, taus, solo[0])
     coalitions = set(step.coalition_at_theta.values())
     assert len(step.coalition_at_theta) > len(coalitions)
     assert len(lookups) == 2 * len(coalitions)

@@ -1,7 +1,9 @@
-"""Smoke runs of the scripts under ``scripts/``, which call the solver and
-the certifier the way a user would."""
+"""Smoke runs of the scripts under ``scripts/`` and of the README's
+``python`` examples, which call the solver and the certifier the way a
+user would."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,3 +56,12 @@ def test_random_sweep_fails_a_game_over_the_round_bound(monkeypatch, capsys):
     monkeypatch.setattr(random_sweep, "rounds_bound", lambda game: 0)
     assert random_sweep.main() == 1
     assert "2 games at eps=1/10: 2 failures" in capsys.readouterr().out
+
+
+def test_readme_python_examples_run():
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert blocks
+    for block in blocks:
+        result = run_script("-c", block)
+        assert result.returncode == 0, result.stderr
